@@ -12,6 +12,7 @@ from .barriers import (
     PiecewiseConstant,
     Rectangular,
     WaveContext,
+    scenario_arrays,
     scenario_transfer,
     support,
     transfer_of,
@@ -29,6 +30,7 @@ from .bounds import (
     bounds_report,
     classical_transmission,
     production_guaranteed,
+    resonance_assessment,
     resonance_possible,
     s_n,
     theta_from_N,

@@ -19,16 +19,20 @@ Supported shapes:
   trigonometric branch, all through one stable formula.
 * Delta(strength): V = lam * delta(x); lam < 0 allowed.
 * PiecewiseConstant(segments): adjacent constant slabs, composed internally.
+
+Every formula takes an array of wavenumbers: scenario_arrays builds a whole
+scenario at once; transfer_of / scenario_transfer are one-k calls of it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, OverlapError, RapidityOverflowError
-from .transfer import RAPIDITY_LIMIT, TransferMatrix, compose_sequence, shift
+import numpy as np
+
+from .errors import DomainError, EmptySequenceError, OverlapError, RapidityOverflowError
+from .transfer import RAPIDITY_LIMIT, TransferMatrix, check_pairs, fold, translate
 
 __all__ = [
     "Rectangular",
@@ -38,6 +42,7 @@ __all__ = [
     "WaveContext",
     "support",
     "transfer_of",
+    "scenario_arrays",
     "scenario_transfer",
 ]
 
@@ -125,30 +130,32 @@ def support(spec: BarrierSpec) -> tuple[float, float]:
     raise DomainError(f"unknown barrier kind: {spec!r}")
 
 
-def _slab_profile(u: float, length: float) -> tuple[float, float]:
+def _slab_profile(u: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
     """C = cos-or-cosh(sqrt|u| L) and S = sin-or-sinh(sqrt|u| L)/sqrt|u|.
 
-    u = V0 - E selects the branch; the u -> 0 limit (S -> L) is the E = V0
-    degeneracy, handled by series so there is no removable-singularity
-    branch point.
+    u = V0 - E (one entry per wavenumber) selects the branch; the u -> 0
+    limit (S -> L) is the E = V0 degeneracy, handled by series so there is
+    no removable-singularity branch point.
     """
-    x = abs(u) * length * length
-    if x < 1e-12:
-        # series in u L^2: C = 1 + uL^2/2, S = L (1 + uL^2/6)
-        return 1.0 + 0.5 * u * length * length, length * (1.0 + u * length * length / 6.0)
-    w = math.sqrt(abs(u))
-    if u > 0.0:
-        if w * length > RAPIDITY_LIMIT:
-            raise RapidityOverflowError(
-                f"slab opacity kappa*L = {w * length!r} exceeds trusted range "
-                f"{RAPIDITY_LIMIT}"
-            )
-        return math.cosh(w * length), math.sinh(w * length) / w
-    return math.cos(w * length), math.sin(w * length) / w
+    series = np.abs(u) * length * length < 1e-12
+    w = np.sqrt(np.abs(u))
+    wl = w * length
+    hyper = (u > 0.0) & ~series
+    worst = wl[hyper].max(initial=0.0)
+    if worst > RAPIDITY_LIMIT:
+        raise RapidityOverflowError(f"slab opacity kappa*L = {worst!r} exceeds trusted "
+                                    f"range {RAPIDITY_LIMIT}")
+    hyp, trig = np.where(hyper, wl, 0.0), np.where(hyper, 0.0, wl)  # no cosh overflow
+    c = np.where(hyper, np.cosh(hyp), np.cos(trig))
+    s = np.where(hyper, np.sinh(hyp), np.sin(trig)) / np.where(series, 1.0, w)
+    # series in u L^2: C = 1 + uL^2/2, S = L (1 + uL^2/6)
+    c = np.where(series, 1.0 + 0.5 * u * length * length, c)
+    s = np.where(series, length * (1.0 + u * length * length / 6.0), s)
+    return c, s
 
 
-def _rectangular_at_origin(height: float, width: float, k: float) -> TransferMatrix:
-    """Transfer matrix of a centered slab of height V0 and width L.
+def _rectangular_at_origin(height: float, width: float, k: np.ndarray):
+    """(alpha, beta) of a centered slab of height V0 and width L.
 
         alpha = e^{-ikL} [C + i (2E - V0)/(2k) S],   beta = -i V0/(2k) S,
 
@@ -159,40 +166,26 @@ def _rectangular_at_origin(height: float, width: float, k: float) -> TransferMat
     c, s = _slab_profile(height - e, width)
     half_through = 0.5 * (2.0 * e - height) / k * s
     half_coupling = 0.5 * height / k * s
-    alpha = cmath.exp(-1j * k * width) * complex(c, half_through)
-    beta = complex(0.0, -half_coupling)
-    return TransferMatrix(alpha, beta)
+    return np.exp(-1j * k * width) * (c + 1j * half_through), -1j * half_coupling
 
 
-def _delta_at_origin(strength: float, k: float) -> TransferMatrix:
-    """Transfer matrix of strength*delta(x): alpha = 1 - i g, beta = -i g, g = strength/(2k)."""
-    g = 0.5 * strength / k
-    return TransferMatrix(complex(1.0, -g), complex(0.0, -g))
-
-
-def transfer_of(spec: BarrierSpec, ctx: WaveContext) -> TransferMatrix:
-    """Exact transfer matrix of the barrier at its position.
-
-    Computed at the origin and then translated, so probabilities never
-    depend on placement.  Contract values: Delta(lam) has
-    T = 1/(1 + (lam/2k)^2); Rectangular(V0, L) below the barrier top has
-    T = [1 + V0^2 sinh^2(kappa L) / (4E(V0-E))]^{-1}, kappa = sqrt(V0-E).
-    """
-    k = ctx.k
+def _at_origin(spec: BarrierSpec, k: np.ndarray):
+    """(alpha, beta) of the barrier centered at the origin.  Delta(lam): alpha =
+    1 - i g, beta = -i g, g = lam/(2k); a slab folds its translated segments."""
     if isinstance(spec, Rectangular):
-        origin = _rectangular_at_origin(spec.height, spec.width, k)
-    elif isinstance(spec, Delta):
-        origin = _delta_at_origin(spec.strength, k)
-    elif isinstance(spec, PiecewiseConstant):
-        left = -0.5 * spec.total_width
-        parts = []
+        return _rectangular_at_origin(spec.height, spec.width, k)
+    if isinstance(spec, Delta):
+        g = 0.5 * spec.strength / k
+        return 1.0 - 1j * g, -1j * g
+    if isinstance(spec, PiecewiseConstant):
+        left, alphas, betas = -0.5 * spec.total_width, [], []
         for h, w in spec.segments:
-            parts.append(shift(_rectangular_at_origin(h, w, k), k, left + 0.5 * w))
+            alpha, beta = _rectangular_at_origin(h, w, k)
+            alphas.append(alpha)
+            betas.append(translate(beta, k, left + 0.5 * w))
             left += w
-        origin = compose_sequence(parts)
-    else:
-        raise DomainError(f"unknown barrier kind: {spec!r}")
-    return shift(origin, k, spec.position)
+        return fold(np.stack(alphas, axis=-1), np.stack(betas, axis=-1))
+    raise DomainError(f"unknown barrier kind: {spec!r}")
 
 
 def check_layout(specs: list[BarrierSpec] | tuple[BarrierSpec, ...]) -> None:
@@ -211,11 +204,40 @@ def check_layout(specs: list[BarrierSpec] | tuple[BarrierSpec, ...]) -> None:
             )
 
 
+def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
+                    k_sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (alpha, beta) of every barrier at every wavenumber, as complex
+    arrays of shape (len(k_sweep), len(specs)).  Each barrier is computed at
+    the origin and then translated, so probabilities never depend on
+    placement.  Checks run once per build (layout) and per barrier (pairs)."""
+    k = np.asarray(k_sweep, dtype=float)
+    bad = ~(np.isfinite(k) & (k > 0.0))
+    if bad.any():
+        raise DomainError(f"wavenumbers must be finite and > 0, got {k[bad][0]!r}")
+    if len(specs) == 0:
+        raise EmptySequenceError("a scenario needs at least one barrier")
+    check_layout(specs)
+    alpha = np.empty((k.size, len(specs)), dtype=complex)
+    beta = np.empty_like(alpha)
+    for i, spec in enumerate(specs):
+        a, b = _at_origin(spec, k)
+        alpha[:, i], beta[:, i] = a, translate(b, k, spec.position)
+        check_pairs(alpha[:, i], beta[:, i])
+    return alpha, beta
+
+
+def transfer_of(spec: BarrierSpec, ctx: WaveContext) -> TransferMatrix:
+    """Exact transfer matrix of the barrier at its position (scenario_arrays
+    at one k).  Contract values: Delta(lam) has T = 1/(1 + (lam/2k)^2);
+    Rectangular(V0, L) below the barrier top has
+    T = [1 + V0^2 sinh^2(kappa L) / (4E(V0-E))]^{-1}, kappa = sqrt(V0-E)."""
+    alpha, beta = scenario_arrays((spec,), (ctx.k,))
+    return TransferMatrix(alpha[0, 0], beta[0, 0])
+
+
 def scenario_transfer(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
                       ctx: WaveContext) -> TransferMatrix:
-    """Compound matrix of position-sorted, non-overlapping barriers.
-
-    Spatial order equals composition order (first barrier leftmost).
-    """
-    check_layout(specs)
-    return compose_sequence([transfer_of(spec, ctx) for spec in specs])
+    """Compound matrix of position-sorted, non-overlapping barriers; spatial
+    order equals composition order (first barrier leftmost)."""
+    alpha, beta = fold(*scenario_arrays(specs, (ctx.k,)))
+    return TransferMatrix(alpha[0], beta[0])

@@ -49,6 +49,7 @@ __all__ = [
     "b_n_closed",
     "bounds_report",
     "classical_transmission",
+    "resonance_assessment",
     "resonance_possible",
     "production_guaranteed",
 ]
@@ -391,7 +392,7 @@ class ResonanceAssessment:
     threshold: float
 
 
-def resonance_possible(ts: Sequence[float]) -> ResonanceAssessment:
+def resonance_assessment(seq: RapiditySequence) -> ResonanceAssessment:
     """Necessary (not sufficient) condition for a perfect resonance T = 1.
 
     Perfect transmission requires 2 theta_peak <= S_n, i.e. B_n = 0; the
@@ -404,21 +405,24 @@ def resonance_possible(ts: Sequence[float]) -> ResonanceAssessment:
     inequality flips when converted); margin = t_peak - threshold, so
     possible <=> margin >= 0 up to float rounding at the exact boundary.
     """
-    if len(ts) == 0:
+    if len(seq) == 0:
         raise EmptySequenceError("resonance check needs at least one barrier")
-    seq = RapiditySequence.from_transmissions(ts)
-    possible = b_n_closed(seq) == 0.0
     t_min = T_from_theta(s_n(seq))
     root = math.sqrt(t_min)
     threshold = 2.0 * root / (1.0 + root)
     t_peak = T_from_theta(max(seq.thetas))
     return ResonanceAssessment(
-        possible=possible,
+        possible=b_n_closed(seq) == 0.0,
         margin=t_peak - threshold,
         t_peak=t_peak,
         t_min=t_min,
         threshold=threshold,
     )
+
+
+def resonance_possible(ts: Sequence[float]) -> ResonanceAssessment:
+    """resonance_assessment of the barriers' transmissions T_i."""
+    return resonance_assessment(RapiditySequence.from_transmissions(ts))
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,20 +19,22 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
-from .barriers import WaveContext, transfer_of
+from .barriers import scenario_arrays
 from .bounds import (
+    BoundsReport,
     RapiditySequence,
     T_from_theta,
     bounds_report,
     classical_transmission,
     production_guaranteed,
-    resonance_possible,
+    resonance_assessment,
 )
 from .errors import BoundViolationError, CompoundBarrierError
 from .scenario import Scenario, load_scenario
+from .transfer import rapidity
 from .verify import (
     GENERATOR_NAME,
     equivalence_audit,
@@ -62,14 +64,15 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _scattering_inputs(scenario: Scenario, k: float):
-    ctx = WaveContext(k)
-    matrices = [transfer_of(spec, ctx) for spec in scenario.barriers]
-    seq = RapiditySequence.from_matrices(matrices)
-    # per-barrier T_i through the same rapidities as the envelopes, so a
-    # one-barrier table degenerates to exact equality of all three columns
-    ts = [T_from_theta(t) for t in seq.thetas]
-    return ts, seq
+def _envelopes(report: BoundsReport) -> list[float]:
+    """The six envelope columns T_min, T_upper, R_low, R_high, N_low, N_high."""
+    return [*report.t_interval, *report.r_interval, *report.n_interval]
+
+
+def _rapidities(scenario: Scenario) -> Iterator[RapiditySequence]:
+    """Per-barrier rapidities at every k, from one scenario build."""
+    alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
+    return (RapiditySequence(tuple(row.tolist())) for row in rapidity(alpha))
 
 
 def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
@@ -88,15 +91,14 @@ def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
                + ["T_min", "T_upper", "R_low", "R_high", "N_low", "N_high",
                   "T_classical", "resonance_possible"])
     rows = []
-    for k in scenario.k_values:
-        ts, seq = _scattering_inputs(scenario, k)
+    for k, seq in zip(scenario.k_values, _rapidities(scenario)):
+        # per-barrier T_i through the same rapidities as the envelopes, so a
+        # one-barrier table degenerates to exact equality of all three columns
+        ts = [T_from_theta(t) for t in seq.thetas]
         report = bounds_report(seq)
-        res = resonance_possible(ts)
-        rows.append([k, *ts,
-                     report.t_interval[0], report.t_interval[1],
-                     report.r_interval[0], report.r_interval[1],
-                     report.n_interval[0], report.n_interval[1],
-                     classical_transmission(ts), res.possible])
+        res = resonance_assessment(seq)
+        rows.append([k, *ts, *_envelopes(report), classical_transmission(ts),
+                     res.possible])
     return Table(columns, rows, {}, [])
 
 
@@ -108,12 +110,8 @@ def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
                "contained"]
     rows = []
     for row in audit.rows:
-        rep = row.report
         rows.append([row.k, row.t_exact, row.r_exact, row.n_exact,
-                     rep.t_interval[0], rep.t_interval[1],
-                     rep.r_interval[0], rep.r_interval[1],
-                     rep.n_interval[0], rep.n_interval[1],
-                     row.contained])
+                     *_envelopes(row.report), row.contained])
     meta = {
         "k_at_max_T": audit.k_at_max_t,
         "k_at_min_T": audit.k_at_min_t,
@@ -156,8 +154,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     if not audit.all_contained:
         failures.append("exact compound values escaped the envelopes")
     for row in audit.rows:
-        _, seq = _scattering_inputs(scenario, row.k)
-        sweep_ok, verdict = _sweep_row(seq, samples, seed, failures)
+        sweep_ok, verdict = _sweep_row(row.seq, samples, seed, failures)
         rows.append([row.k, row.report.b_n, row.report.s_n, *verdict,
                      sweep_ok, row.contained])
     return Table(columns, rows, meta, failures)
@@ -186,9 +183,8 @@ def run_resonance(scenario: Scenario, seed: int, samples: int) -> Table:
 
     columns = ["k", "T_peak", "T_min", "threshold", "margin", "resonance_possible"]
     rows = []
-    for k in scenario.k_values:
-        ts, _ = _scattering_inputs(scenario, k)
-        res = resonance_possible(ts)
+    for k, seq in zip(scenario.k_values, _rapidities(scenario)):
+        res = resonance_assessment(seq)
         rows.append([k, res.t_peak, res.t_min, res.threshold, res.margin,
                      res.possible])
     return Table(columns, rows, {}, [])

@@ -18,8 +18,8 @@ with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
 * amplitudes are taken as t = 1/alpha = sech(theta) e^{-i phi_alpha} and
   r = beta/alpha = tanh(theta) e^{-i(phi_alpha - phi_beta)}.
 
-Everything here is an immutable value and every function is pure, so the
-module is thread-safe without qualification.
+The algebra is array-valued (an entry per wavenumber, sample, ...); the scalar
+API wraps it.  Everything is pure, so the module is thread-safe without qualification.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -63,8 +65,88 @@ def _wrap_angle(phi: float) -> float:
     return m
 
 
-def _is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+def _finite(*zs) -> bool:
+    return all(np.isfinite(z).all() for z in zs)
+
+
+def product(a1, b1, a2, b2):
+    """M1 M2 (M1 traversed first), unchecked: alpha = a1 a2 + b1 b2*, beta =
+    a1 b2 + b1 a2*.  The one implementation of the group law, elementwise on
+    complex numbers and broadcastable complex arrays alike."""
+    return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
+
+
+def check_pairs(alpha, beta) -> None:
+    """Validate pairs elementwise, once per array: DomainError if non-finite,
+    NormalizationError if | |alpha|^2 - |beta|^2 - 1 | > _SANITY_TOL max(1, |alpha|^2)."""
+    if not _finite(alpha, beta):
+        raise DomainError(f"non-finite Bogoliubov coefficients: alpha={alpha}, beta={beta}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = alpha.real * alpha.real + alpha.imag * alpha.imag
+        err = np.abs(a2 - (beta.real * beta.real + beta.imag * beta.imag) - 1.0)
+        if (err > _SANITY_TOL * np.maximum(1.0, a2)).any():
+            raise NormalizationError(f"|alpha|^2 - |beta|^2 off 1 by {np.max(err)!r}")
+
+
+def _guarded_product(a1, b1, a2, b2):
+    """product() under the guards of a composition step (RapidityOverflowError)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = product(a1, b1, a2, b2)
+    if not _finite(alpha, beta):
+        raise RapidityOverflowError("composition overflowed double precision")
+    if (np.abs(alpha) > math.cosh(RAPIDITY_LIMIT)).any():
+        raise RapidityOverflowError(f"composed rapidity exceeds trusted range {RAPIDITY_LIMIT}")
+    return alpha, beta
+
+
+def fold(alpha, beta):
+    """Left-to-right product along the last axis, (..., n) -> (...): every
+    M1 M2 ... Mn at once, each step guarded and validated as compose does."""
+    if np.shape(alpha)[-1] == 0:
+        raise EmptySequenceError("cannot compose an empty sequence of matrices")
+    a, b = alpha[..., 0], beta[..., 0]
+    for i in range(1, np.shape(alpha)[-1]):
+        a, b = _guarded_product(a, b, alpha[..., i], beta[..., i])
+        check_pairs(a, b)
+    return a, b
+
+
+def rapidity(alpha):
+    """theta = acosh|alpha| elementwise, float noise below |alpha| = 1 clamped."""
+    return np.arccosh(np.maximum(np.abs(alpha), 1.0))
+
+
+def compose_polar(thetas, phi_alpha, phi_beta):
+    """Composed rapidity of each row of (samples, n) phase arrays, unguarded:
+    factor i of row j is cosh(theta_i) e^{i phi_alpha[j,i]}, sinh(theta_i) e^{i phi_beta[j,i]}."""
+    def factor(i):
+        return (math.cosh(thetas[i]) * np.exp(1j * phi_alpha[:, i]),
+                math.sinh(thetas[i]) * np.exp(1j * phi_beta[:, i]))
+
+    a, b = factor(0)
+    for i in range(1, len(thetas)):
+        a, b = product(a, b, *factor(i))
+    return rapidity(a)
+
+
+def translate(beta, k, a):
+    """beta of the barrier moved by a at wavenumber k: beta e^{+2ika}."""
+    return beta * np.exp(2j * k * a)
+
+
+def scattering_amplitudes(alpha, beta):
+    """t = 1/alpha, r = beta/alpha elementwise, checked as ScatteringAmplitudes."""
+    t, r = 1.0 / alpha, beta / alpha
+    _check_unitarity(t, r)
+    return t, r
+
+
+def _check_unitarity(t, r) -> None:
+    if not _finite(t, r):
+        raise DomainError("non-finite amplitudes")
+    total = np.abs(t) ** 2 + np.abs(r) ** 2
+    if (np.abs(total - 1.0) > 10 * NORM_TOL).any():
+        raise NormalizationError(f"|t|^2 + |r|^2 off 1 by {np.max(np.abs(total - 1.0))!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,14 +167,7 @@ class TransferMatrix:
         b = complex(self.beta)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-        if not (_is_finite(a) and _is_finite(b)):
-            raise DomainError(f"non-finite Bogoliubov coefficients: alpha={a}, beta={b}")
-        a2 = a.real * a.real + a.imag * a.imag
-        b2 = b.real * b.real + b.imag * b.imag
-        if abs(a2 - b2 - 1.0) > _SANITY_TOL * max(1.0, a2):
-            raise NormalizationError(
-                f"|alpha|^2 - |beta|^2 = {a2 - b2!r}, not 1: numerically meaningless pair"
-            )
+        check_pairs(a, b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,11 +202,7 @@ class ScatteringAmplitudes:
     r: complex
 
     def __post_init__(self):
-        if not (_is_finite(self.t) and _is_finite(self.r)):
-            raise DomainError("non-finite amplitudes")
-        total = abs(self.t) ** 2 + abs(self.r) ** 2
-        if abs(total - 1.0) > 10 * NORM_TOL:
-            raise NormalizationError(f"|t|^2 + |r|^2 = {total!r}, not 1")
+        _check_unitarity(self.t, self.r)
 
     @property
     def T(self) -> float:
@@ -149,15 +220,13 @@ def make_transfer(alpha: complex, beta: complex) -> TransferMatrix:
     this strict absolute check is meant for desk-scale input, construct via
     from_polar for large rapidities.
     """
-    a, b = complex(alpha), complex(beta)
-    if not (_is_finite(a) and _is_finite(b)):
-        raise DomainError(f"non-finite input: alpha={alpha!r}, beta={beta!r}")
-    err = abs(a) ** 2 - abs(b) ** 2 - 1.0
+    m = TransferMatrix(alpha, beta)
+    err = abs(m.alpha) ** 2 - abs(m.beta) ** 2 - 1.0
     if abs(err) > NORM_TOL:
         raise NormalizationError(
             f"|alpha|^2 - |beta|^2 - 1 = {err!r} exceeds tolerance {NORM_TOL}"
         )
-    return TransferMatrix(a, b)
+    return m
 
 
 IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j)
@@ -181,8 +250,9 @@ def from_polar(p: HyperbolicParams) -> TransferMatrix:
 def to_polar(m: TransferMatrix) -> HyperbolicParams:
     """Invert from_polar: theta = acosh|alpha| (clamped), phases = args.
 
-    Float noise can leave |alpha| marginally below 1; it is clamped so the
-    rapidity is always defined.  beta == 0 yields phi_beta = 0.
+    math's abs/acosh, not rapidity(): they can differ from numpy's in the
+    last ulp, and attain's edge constructions turn one ulp of theta into
+    ~1e-8 of phase.  beta == 0 yields phi_beta = 0.
     """
     theta = math.acosh(max(abs(m.alpha), 1.0))
     phi_alpha = _wrap_angle(cmath.phase(m.alpha))
@@ -191,23 +261,10 @@ def to_polar(m: TransferMatrix) -> HyperbolicParams:
 
 
 def compose(m1: TransferMatrix, m2: TransferMatrix) -> TransferMatrix:
-    """Product M1 M2 in Bogoliubov form (M1 is traversed first).
-
-        alpha = alpha1 alpha2 + beta1 beta2*,
-        beta  = alpha1 beta2  + beta1 alpha2*.
-
-    Not commutative.  Raises RapidityOverflowError when the result leaves
-    the trusted range, NormalizationError on catastrophic float loss.
-    """
-    alpha = m1.alpha * m2.alpha + m1.beta * m2.beta.conjugate()
-    beta = m1.alpha * m2.beta + m1.beta * m2.alpha.conjugate()
-    if not (_is_finite(alpha) and _is_finite(beta)):
-        raise RapidityOverflowError("composition overflowed double precision")
-    if abs(alpha) > math.cosh(RAPIDITY_LIMIT):
-        raise RapidityOverflowError(
-            f"composed rapidity exceeds trusted range {RAPIDITY_LIMIT}"
-        )
-    return TransferMatrix(alpha, beta)
+    """Product M1 M2 (M1 traversed first, see :func:`product`); raises
+    RapidityOverflowError beyond the trusted range, NormalizationError on
+    catastrophic float loss."""
+    return TransferMatrix(*_guarded_product(m1.alpha, m1.beta, m2.alpha, m2.beta))
 
 
 def compose_sequence(ms: list[TransferMatrix] | tuple[TransferMatrix, ...]) -> TransferMatrix:
@@ -218,20 +275,18 @@ def compose_sequence(ms: list[TransferMatrix] | tuple[TransferMatrix, ...]) -> T
 
 
 def shift(m: TransferMatrix, k: float, a: float) -> TransferMatrix:
-    """Translate the barrier by a at wavenumber k: beta -> beta e^{+2ika}.
-
-    alpha (hence theta, T, R, N) is untouched.
-    """
+    """Translate the barrier by a at wavenumber k (see :func:`translate`);
+    alpha (hence theta, T, R, N) is untouched."""
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"wavenumber must be finite and > 0, got {k!r}")
     if not math.isfinite(a):
         raise DomainError(f"displacement must be finite, got {a!r}")
-    return TransferMatrix(m.alpha, m.beta * cmath.exp(2j * k * a))
+    return TransferMatrix(m.alpha, translate(m.beta, k, a))
 
 
 def amplitudes(m: TransferMatrix) -> ScatteringAmplitudes:
     """Amplitudes t = 1/alpha, r = beta/alpha (so T = 1/|alpha|^2, T + R = 1)."""
-    return ScatteringAmplitudes(1.0 / m.alpha, m.beta / m.alpha)
+    return ScatteringAmplitudes(*scattering_amplitudes(m.alpha, m.beta))
 
 
 def particle_number(m: TransferMatrix) -> float:

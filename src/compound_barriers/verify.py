@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .barriers import BarrierSpec, WaveContext, scenario_transfer, transfer_of
+from .barriers import BarrierSpec, scenario_arrays
 from .bounds import (
     BoundsReport,
     RapiditySequence,
@@ -48,7 +48,8 @@ from .errors import (
     EmptySequenceError,
     TargetOutOfRangeError,
 )
-from .transfer import HyperbolicParams, amplitudes, compose, from_polar, particle_number, to_polar
+from .transfer import (HyperbolicParams, compose, compose_polar, fold, from_polar, rapidity,
+                       scattering_amplitudes, to_polar)
 
 __all__ = [
     "PhaseAssignment",
@@ -68,6 +69,7 @@ __all__ = [
 GENERATOR_NAME = "PCG64"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
+_C_EPS = 8.0 * float(np.finfo(float).eps)  # c eps of the audit's rounding bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,28 +114,6 @@ class SweepResult:
             raise DomainError("sweep extremes out of order")
 
 
-def _compose_batch(thetas: Sequence[float],
-                   phi_alpha: np.ndarray,
-                   phi_beta: np.ndarray) -> np.ndarray:
-    """Composed rapidity for a batch of phase assignments.
-
-    phi_alpha, phi_beta: arrays of shape (samples, n).  Vectorized mirror
-    of transfer.compose; cross-checked against the object algebra in the
-    test suite.
-    """
-    a = math.cosh(thetas[0]) * np.exp(1j * phi_alpha[:, 0])
-    b = math.sinh(thetas[0]) * np.exp(1j * phi_beta[:, 0])
-    for i in range(1, len(thetas)):
-        ch, sh = math.cosh(thetas[i]), math.sinh(thetas[i])
-        ea = np.exp(1j * phi_alpha[:, i])
-        eb = np.exp(1j * phi_beta[:, i])
-        a, b = (
-            a * (ch * ea) + b * np.conj(sh * eb),
-            a * (sh * eb) + b * np.conj(ch * ea),
-        )
-    return np.arccosh(np.maximum(np.abs(a), 1.0))
-
-
 def _blocks(samples: int) -> Iterator[tuple[int, int]]:
     full, rem = divmod(samples, _BLOCK)
     for j in range(full):
@@ -167,7 +147,7 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int,
     for block, count in _blocks(samples):
         rng = _block_rng(seed, block)
         phases = rng.uniform(-math.pi, math.pi, size=(count, n, 2))
-        thetas = _compose_batch(seq.thetas, phases[:, :, 0], phases[:, :, 1])
+        thetas = compose_polar(seq.thetas, phases[:, :, 0], phases[:, :, 1])
         lo_i, hi_i = int(np.argmin(thetas)), int(np.argmax(thetas))
         worst_low, worst_high = float(thetas[lo_i]), float(thetas[hi_i])
         if worst_low < b - band or worst_high > s + band:
@@ -182,14 +162,11 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int,
             theta_max = worst_high
             arg_max = phases[hi_i]
 
-    def as_assignment(arr: np.ndarray) -> PhaseAssignment:
-        return PhaseAssignment(tuple((float(pa), float(pb)) for pa, pb in arr))
-
     return SweepResult(
         theta_min_observed=theta_min,
         theta_max_observed=theta_max,
-        argmin=as_assignment(arg_min),
-        argmax=as_assignment(arg_max),
+        argmin=PhaseAssignment(arg_min),
+        argmax=PhaseAssignment(arg_max),
         sample_count=samples,
         seed=seed,
     )
@@ -218,7 +195,7 @@ def _grid_extreme(thetas: Sequence[float], grid: int, minimize: bool,
         flat = np.stack([m.ravel() for m in mesh], axis=1)
         phi_beta = np.concatenate([np.zeros((flat.shape[0], 1)), flat], axis=1)
         phi_alpha = np.zeros_like(phi_beta)
-        vals = _compose_batch(thetas, phi_alpha, phi_beta)
+        vals = compose_polar(thetas, phi_alpha, phi_beta)
         idx = int(np.argmin(vals) if minimize else np.argmax(vals))
         cand = float(vals[idx])
         if best_theta is None or (cand < best_theta if minimize else cand > best_theta):
@@ -393,7 +370,7 @@ def equivalence_audit(n_max: int, trials: int, seed: int,
 
 @dataclass(frozen=True, slots=True)
 class ContainmentRow:
-    """One wavenumber of a scenario audit: exact values vs envelopes."""
+    """One wavenumber of a scenario audit: exact values vs envelopes (from ``seq``)."""
 
     k: float
     t_exact: float
@@ -401,11 +378,16 @@ class ContainmentRow:
     n_exact: float
     report: BoundsReport
     contained: bool
+    thetas: np.ndarray = field(compare=False)  # row of the per-barrier rapidities
+
+    @property
+    def seq(self) -> RapiditySequence:
+        return RapiditySequence(tuple(self.thetas.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
 class ContainmentReport:
-    """Scenario-wide containment audit with worst margins over the sweep."""
+    """Scenario-wide audit, worst margins over the sweep; tolerance = widest band."""
 
     rows: tuple[ContainmentRow, ...]
     all_contained: bool
@@ -420,56 +402,62 @@ class ContainmentReport:
     tolerance: float
 
 
+def _theta_error(theta, delta):
+    """Error of theta = acosh|alpha| from an error delta on |alpha|:
+    delta / sinh(theta), capped near 0 by acosh(1 + delta) <= sqrt(2 delta)."""
+    return delta / np.maximum(np.sinh(theta), np.sqrt(0.5 * delta))
+
+
+def _containment_band(thetas, theta_exact, s):
+    """Rounding band: how far theta_exact can fall outside [B_n, S_n] by rounding.
+
+    thetas (n_k, n) per barrier; theta_exact, s = S_n (n_k,); eps = machine
+    epsilon.  Each factor's entries are off by a few eps relatively.  Step m
+    of the fold adds a few eps of |alpha_acc||alpha_m| + |beta_acc||beta_m|
+    = cosh(x + theta_m), x composed so far, and each later factor j scales
+    that by at most e^{theta_j}: a few eps of e^{S_n} <= 2 cosh(S_n) per
+    factor.  So |alpha_total| is off by at most delta = c n eps cosh(S_n)
+    (c = 8, generous), i.e. _theta_error(theta_exact, delta) in rapidity.
+    The edges carry the per-barrier errors _theta_error(theta_i, c eps
+    cosh(theta_i)), at most three times their sum (B_n = 2 theta_peak -
+    S_n); 4 eps S_n covers the last acosh, fsum and subtraction.  Relative
+    to cosh(S_n), the band holds across the trusted range; an absolute N
+    tolerance does not."""
+    delta = _C_EPS * thetas.shape[-1] * np.cosh(s)
+    edges = _theta_error(thetas, _C_EPS * np.cosh(thetas)).sum(axis=-1)
+    return _theta_error(theta_exact, delta) + 3.0 * edges + _C_EPS / 2.0 * np.maximum(1.0, s)
+
+
 def scenario_containment_audit(specs: Sequence[BarrierSpec],
-                               k_sweep: Sequence[float],
-                               tolerance: float = 1e-9) -> ContainmentReport:
+                               k_sweep: Sequence[float]) -> ContainmentReport:
     """Exact compound T/R/N versus the six envelopes at every wavenumber.
 
-    Margins are (exact - lower edge) and (upper edge - exact), minimized
-    over the sweep; a negative margin beyond ``tolerance`` marks the row
-    as violating and clears ``all_contained``.
+    One scenario_arrays build gives each row's rapidities and envelopes
+    and, folded, the exact compound pair.  A row is contained when
+    theta_exact = acosh|alpha_total| lies in [B_n - band, S_n + band], the
+    band from _containment_band (the widest is reported as ``tolerance``).
+    The T/R/N margins, (exact - lower edge) and (upper edge - exact)
+    minimized over the sweep, are reported as is.
     """
     if len(k_sweep) == 0:
         raise EmptySequenceError("audit needs at least one wavenumber")
-    rows = []
-    margins = {key: math.inf for key in
-               ("t_low", "t_high", "r_low", "r_high", "n_low", "n_high")}
-    k_max_t, k_min_t = None, None
-    max_t, min_t = -math.inf, math.inf
-    for k in k_sweep:
-        ctx = WaveContext(k)
-        seq = RapiditySequence.from_matrices(transfer_of(spec, ctx) for spec in specs)
-        report = bounds_report(seq)
-        compound = scenario_transfer(specs, ctx)
-        amp = amplitudes(compound)
-        t_exact, r_exact = amp.T, amp.R
-        n_exact = particle_number(compound)
-        row_margins = {
-            "t_low": t_exact - report.t_interval[0],
-            "t_high": report.t_interval[1] - t_exact,
-            "r_low": r_exact - report.r_interval[0],
-            "r_high": report.r_interval[1] - r_exact,
-            "n_low": n_exact - report.n_interval[0],
-            "n_high": report.n_interval[1] - n_exact,
-        }
-        for key, val in row_margins.items():
-            margins[key] = min(margins[key], val)
-        contained = all(val >= -tolerance for val in row_margins.values())
-        rows.append(ContainmentRow(k, t_exact, r_exact, n_exact, report, contained))
-        if t_exact > max_t:
-            max_t, k_max_t = t_exact, k
-        if t_exact < min_t:
-            min_t, k_min_t = t_exact, k
-    return ContainmentReport(
-        rows=tuple(rows),
-        all_contained=all(r.contained for r in rows),
-        t_low_margin=margins["t_low"],
-        t_high_margin=margins["t_high"],
-        r_low_margin=margins["r_low"],
-        r_high_margin=margins["r_high"],
-        n_low_margin=margins["n_low"],
-        n_high_margin=margins["n_high"],
-        k_at_max_t=k_max_t,
-        k_at_min_t=k_min_t,
-        tolerance=tolerance,
-    )
+    alpha, beta = scenario_arrays(specs, k_sweep)
+    thetas = rapidity(alpha)
+    reports = [bounds_report(RapiditySequence(tuple(row.tolist()))) for row in thetas]
+    total_alpha, total_beta = fold(alpha, beta)
+    del alpha, beta  # the (n_k, n) build is not needed past this point
+    t, r = scattering_amplitudes(total_alpha, total_beta)
+    exact = np.stack([np.abs(t) ** 2, np.abs(r) ** 2, np.abs(total_beta) ** 2], axis=1)
+    edges = np.array([(*rep.t_interval, *rep.r_interval, *rep.n_interval) for rep in reports])
+    # (T, R, N) x (low, high) worst margins, in ContainmentReport's field order
+    margins = np.stack([exact - edges[:, 0::2], edges[:, 1::2] - exact], axis=-1).min(axis=0)
+    theta_exact = rapidity(total_alpha)
+    low, high = np.array([(rep.b_n, rep.s_n) for rep in reports]).T
+    band = _containment_band(thetas, theta_exact, high)
+    contained = (low - band <= theta_exact) & (theta_exact <= high + band)
+    rows = tuple(ContainmentRow(k, *values, rep, ok, row) for k, values, rep, ok, row
+                 in zip(k_sweep, exact.tolist(), reports, contained.tolist(), thetas))
+    return ContainmentReport(rows, bool(contained.all()), *margins.ravel().tolist(),
+                             k_at_max_t=k_sweep[int(np.argmax(exact[:, 0]))],
+                             k_at_min_t=k_sweep[int(np.argmin(exact[:, 0]))],
+                             tolerance=float(band.max()))

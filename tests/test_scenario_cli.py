@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import compound_barriers.barriers
+import compound_barriers.cli
 import compound_barriers.verify
 from compound_barriers import (
     Delta,
@@ -137,7 +139,8 @@ class TestParsing:
             parse_scenario("barrier delta position=0 strength=1\n")
 
     def test_committed_examples_parse(self):
-        for name in ("double_rect.scn", "mixed_chain.scn", "production_pair.scn"):
+        for name in ("double_rect.scn", "mixed_chain.scn", "production_pair.scn",
+                     "opaque_rect.scn"):
             text = (SCENARIO_DIR / name).read_text()
             s = parse_scenario(text, source=name)
             assert s.analyses
@@ -271,3 +274,52 @@ class TestCli:
                          "--analysis", analysis])
             assert code == 0
             assert capsys.readouterr().out
+
+    def test_opaque_barrier_sits_inside_its_own_envelope(self, capsys):
+        # theta ~ 13-17, N up to ~1e14: an absolute tolerance on N flagged
+        # most rows as violations; the rapidity-space band must not
+        code = main(["--scenario", str(SCENARIO_DIR / "opaque_rect.scn"),
+                     "--analysis", "sweep"])
+        assert code == 0
+        _, header, body = read_csv(capsys.readouterr().out)
+        assert len(body) == 40
+        assert all(dict(zip(header, raw))["contained"] == "true" for raw in body)
+
+
+def refuse_scalar_path(monkeypatch):
+    """Make the per-k scalar builders raise if any CLI analysis calls them."""
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("the CLI must build through scenario_arrays")
+
+    for module in (compound_barriers.barriers, compound_barriers.cli, compound_barriers.verify):
+        for name in ("transfer_of", "scenario_transfer"):
+            monkeypatch.setattr(module, name, scalar_path, raising=False)
+
+
+class TestArrayBuild:
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_one_scenario_build_per_call(self, analysis, monkeypatch, capsys):
+        refuse_scalar_path(monkeypatch)
+        builds = []
+        build = compound_barriers.barriers.scenario_arrays
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        for module in (compound_barriers.cli, compound_barriers.verify):
+            monkeypatch.setattr(module, "scenario_arrays", counted)
+        code = main(["--scenario", str(SCENARIO_DIR / "mixed_chain.scn"),
+                     "--analysis", analysis])
+        assert code == 0
+        assert len(builds) == 1
+        assert len(builds[0][1]) == 60  # every k of the scenario in the one build
+
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_over_opaque_barrier_is_refused(self, analysis, tmp_path, monkeypatch, capsys):
+        # kappa L ~ 379 > RAPIDITY_LIMIT at every k: refused, not degraded
+        refuse_scalar_path(monkeypatch)
+        path = tmp_path / "wall.scn"
+        path.write_text("k = 0.5:1.0:5\nbarrier rect position=0.0 height=1000.0 width=12.0\n")
+        assert main(["--scenario", str(path), "--analysis", analysis]) == 3
+        assert "slab opacity" in capsys.readouterr().err

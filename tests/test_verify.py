@@ -23,7 +23,8 @@ from compound_barriers import (
     scenario_containment_audit,
     to_polar,
 )
-from compound_barriers.verify import _compose_batch, _block_rng, _blocks
+from compound_barriers.transfer import compose_polar
+from compound_barriers.verify import _block_rng, _blocks
 
 
 def seq(*thetas):
@@ -36,14 +37,14 @@ def recompose_theta(sequence, assignment):
 
 class TestBatchKernel:
     def test_matches_object_algebra(self):
-        # the vectorized kernel must agree with transfer.compose exactly
-        # (it is the same arithmetic in array form)
+        # the batch kernel must agree with transfer.compose exactly (both
+        # run transfer.product, on arrays and on complex numbers)
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = rng.integers(1, 7)
             thetas = rng.uniform(0.0, 4.0, n)
             phases = rng.uniform(-math.pi, math.pi, (1, n, 2))
-            batch = _compose_batch(thetas, phases[:, :, 0], phases[:, :, 1])[0]
+            batch = compose_polar(thetas, phases[:, :, 0], phases[:, :, 1])[0]
             ms = [from_polar(HyperbolicParams(t, pa, pb))
                   for t, (pa, pb) in zip(thetas, phases[0])]
             assert batch == pytest.approx(
@@ -108,7 +109,7 @@ class TestRandomPhaseSweep:
         for block, count in _blocks(samples):
             rng = _block_rng(seed, block)
             phases = rng.uniform(-math.pi, math.pi, size=(count, len(s), 2))
-            thetas = _compose_batch(s.thetas, phases[:, :, 0], phases[:, :, 1])
+            thetas = compose_polar(s.thetas, phases[:, :, 0], phases[:, :, 1])
             lo = min(lo, float(thetas.min()))
             hi = max(hi, float(thetas.max()))
         assert (lo, hi) == (whole.theta_min_observed, whole.theta_max_observed)
