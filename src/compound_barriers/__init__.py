@@ -86,11 +86,13 @@ from .verify import (
     EquivalenceReport,
     GENERATOR_NAME,
     PhaseAssignment,
+    RowSweep,
     SweepResult,
     attain,
     equivalence_audit,
     extremal_phase_search,
     random_phase_sweep,
+    random_phase_sweeps,
     scenario_containment_audit,
 )
 

@@ -39,6 +39,7 @@ from .verify import (
     GENERATOR_NAME,
     equivalence_audit,
     random_phase_sweep,
+    random_phase_sweeps,
     scenario_containment_audit,
 )
 
@@ -153,10 +154,12 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
     if not audit.all_contained:
         failures.append("exact compound values escaped the envelopes")
-    for row in audit.rows:
-        sweep_ok, verdict = _sweep_row(row.seq, samples, seed, failures)
-        rows.append([row.k, row.report.b_n, row.report.s_n, *verdict,
-                     sweep_ok, row.contained])
+    sweeps = random_phase_sweeps([row.thetas for row in audit.rows], samples, seed)
+    for row, sweep in zip(audit.rows, sweeps):
+        if sweep.violation is not None:
+            failures.append(str(sweep.violation))
+        rows.append([row.k, row.report.b_n, row.report.s_n, sweep.theta_min_observed,
+                     sweep.theta_max_observed, sweep.violation is None, row.contained])
     return Table(columns, rows, meta, failures)
 
 

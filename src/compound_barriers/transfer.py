@@ -116,17 +116,41 @@ def rapidity(alpha):
     return np.arccosh(np.maximum(np.abs(alpha), 1.0))
 
 
+def gauge_rotors(phases):
+    """Rotors e^{i w_i} of (samples, n, 2) phases (phi_alpha, phi_beta), built
+    in place: the block is overwritten and an (n-1, samples) complex view of it
+    is returned.
+
+    Factor i is R(u_i) B(theta_i) R(v_i), with R(x) = diag(e^{ix}, e^{-ix}),
+    B the real boost, u = (phi_alpha + phi_beta)/2, v = (phi_alpha - phi_beta)/2.
+    The outer R(u_1), R(v_n) only rotate alpha_total, so |alpha_total| sees
+    the n-1 relative angles w_i = v_i + u_{i+1} alone: one sin and one cos
+    per gap, written over the phase pair i once pairs i and i+1 are read."""
+    for i in range(phases.shape[1] - 1):
+        w = phases[:, i + 1, 0] + phases[:, i + 1, 1]
+        w += phases[:, i, 0]
+        w -= phases[:, i, 1]
+        w *= 0.5
+        np.sin(w, out=phases[:, i, 1])
+        np.cos(w, out=phases[:, i, 0])
+    return phases.view(complex)[:, :-1, 0].T
+
+
+def boost_fold(thetas, rotors):
+    """Composed rapidity of B(theta_1) R(w_1) B(theta_2) ... R(w_{n-1}) B(theta_n)
+    per column of the (n-1, samples) rotors, unguarded.  R(w) B(theta) is the
+    pair (cosh theta e^{iw}, sinh theta e^{iw}), so each step is one product()."""
+    a, b = math.cosh(thetas[0]), math.sinh(thetas[0])
+    for t, r in zip(thetas[1:], rotors):
+        a, b = product(a, b, math.cosh(t) * r, math.sinh(t) * r)
+    return rapidity(np.broadcast_to(a, rotors.shape[1:]))
+
+
 def compose_polar(thetas, phi_alpha, phi_beta):
     """Composed rapidity of each row of (samples, n) phase arrays, unguarded:
-    factor i of row j is cosh(theta_i) e^{i phi_alpha[j,i]}, sinh(theta_i) e^{i phi_beta[j,i]}."""
-    def factor(i):
-        return (math.cosh(thetas[i]) * np.exp(1j * phi_alpha[:, i]),
-                math.sinh(thetas[i]) * np.exp(1j * phi_beta[:, i]))
-
-    a, b = factor(0)
-    for i in range(1, len(thetas)):
-        a, b = product(a, b, *factor(i))
-    return rapidity(a)
+    factor i of row j is cosh(theta_i) e^{i phi_alpha[j,i]}, sinh(theta_i) e^{i phi_beta[j,i]}.
+    Evaluated in the reduced gauge: boost_fold(thetas, gauge_rotors(...))."""
+    return boost_fold(thetas, gauge_rotors(np.stack([phi_alpha, phi_beta], axis=-1, dtype=float)))
 
 
 def translate(beta, k, a):

@@ -9,17 +9,25 @@ Three kinds of evidence that [B_n, S_n] is both correct and sharp:
 * an explicit constructor that realizes any interior target rapidity and
   is checked by recomposition through the exact algebra.
 
-Phase gauge: only relative beta phases move the composed modulus (a common
-shift of every phi_beta is a rigid translation of the whole arrangement,
-and the phi_alpha can be absorbed barrier by barrier), so sweeps fix
-phi_alpha = 0 and, for grids, phi_beta of the first barrier as well.  That
-this loses nothing is itself covered by a test comparing full-phase random
-sampling against reduced-gauge grid extremes.
+Phase gauge: factor i is R(u_i) B(theta_i) R(v_i), with R(x) =
+diag(e^{ix}, e^{-ix}), B(theta) the real boost, u = (phi_alpha + phi_beta)/2
+and v = (phi_alpha - phi_beta)/2.  The outer R(u_1) and R(v_n) only rotate
+alpha_total, so the composed modulus depends on the n-1 relative angles
+w_i = v_i + u_{i+1} alone.  The arithmetic uses exactly that: a sweep turns
+each sample's 2n phases into n-1 rotors e^{i w_i} (transfer.gauge_rotors)
+and folds the boosts through them (transfer.boost_fold).  Grids fix
+phi_alpha = 0 and phi_beta of the first barrier, leaving n-1 free angles.
+That this loses nothing is itself covered by a test comparing full-phase
+random sampling against reduced-gauge grid extremes.
 
 Sampling contract: samples are split into fixed blocks of 4096; block j of
-a sweep seeded s draws from PCG64(SeedSequence(s, spawn_key=(j,))).  The
-reduction over blocks is order-independent, so any parallel schedule gives
-bit-identical results; the implementation here is sequential.
+a sweep seeded s draws from PCG64(SeedSequence(s, spawn_key=(j,))).  Rows
+swept together on one seed (random_phase_sweeps, one row per wavenumber)
+share each block's draw: it is drawn and turned into rotors once, and only
+the boost fold runs per row, so every row gets exactly the result of
+random_phase_sweep on that row alone.  The reduction over blocks is
+order-independent, so any parallel schedule gives bit-identical results;
+the implementation here is sequential.
 """
 
 from __future__ import annotations
@@ -48,18 +56,20 @@ from .errors import (
     EmptySequenceError,
     TargetOutOfRangeError,
 )
-from .transfer import (HyperbolicParams, compose, compose_polar, fold, from_polar, rapidity,
-                       scattering_amplitudes, to_polar)
+from .transfer import (HyperbolicParams, boost_fold, compose, compose_polar, fold, from_polar,
+                       gauge_rotors, rapidity, scattering_amplitudes, to_polar)
 
 __all__ = [
     "PhaseAssignment",
     "SweepResult",
+    "RowSweep",
     "EquivalenceReport",
     "ContainmentRow",
     "ContainmentReport",
     "GENERATOR_NAME",
     "CONTAINMENT_BAND",
     "random_phase_sweep",
+    "random_phase_sweeps",
     "extremal_phase_search",
     "attain",
     "equivalence_audit",
@@ -126,6 +136,73 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
+def _block_phases(seed: int, block: int, count: int, n: int) -> np.ndarray:
+    """The (count, n, 2) phases (phi_alpha, phi_beta) that block ``block`` draws."""
+    return _block_rng(seed, block).uniform(-math.pi, math.pi, size=(count, n, 2))
+
+
+@dataclass(frozen=True, slots=True)
+class RowSweep:
+    """One row of random_phase_sweeps: observed extremes, located as (block,
+    index) in the seed's draws, or the violation that stopped the row (then
+    the extremes are NaN and the locations None)."""
+
+    theta_min_observed: float
+    theta_max_observed: float
+    argmin_at: tuple[int, int] | None
+    argmax_at: tuple[int, int] | None
+    violation: BoundViolationError | None
+
+
+def random_phase_sweeps(thetas, samples: int, seed: int,
+                        band: float = CONTAINMENT_BAND) -> list[RowSweep]:
+    """random_phase_sweep of every row of an (n_rows, n) rapidity array.
+
+    Each block is drawn and reduced to rotors once for all rows; row j is
+    bit-identical to random_phase_sweep(RapiditySequence(thetas[j])).  A row
+    escaping [B_n, S_n] by more than ``band`` keeps its BoundViolationError
+    (first escaping block) and is not sampled further; other rows go on.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise DimensionError(f"need an (n_rows, n) rapidity array, got shape {thetas.shape}")
+    n = thetas.shape[1]
+    if n == 0:
+        raise EmptySequenceError("sweep needs at least one rapidity")
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples!r}")
+    edges = [(b_n_closed(seq), s_n(seq))
+             for seq in (RapiditySequence(tuple(row.tolist())) for row in thetas)]
+    rows = len(edges)
+    low, high = [math.inf] * rows, [-math.inf] * rows
+    low_at: list[tuple[int, int] | None] = [None] * rows
+    high_at: list[tuple[int, int] | None] = [None] * rows
+    violations: list[BoundViolationError | None] = [None] * rows
+
+    for block, count in _blocks(samples):
+        rotors = gauge_rotors(_block_phases(seed, block, count, n))
+        for j, (b, s) in enumerate(edges):
+            if violations[j] is not None:
+                continue
+            observed = boost_fold(thetas[j], rotors)
+            lo_i, hi_i = int(np.argmin(observed)), int(np.argmax(observed))
+            worst_low, worst_high = float(observed[lo_i]), float(observed[hi_i])
+            if worst_low < b - band or worst_high > s + band:
+                violations[j] = BoundViolationError(
+                    f"sampled rapidity escaped [{b}, {s}] (band {band}): "
+                    f"observed [{worst_low}, {worst_high}] in block {block}"
+                )
+                low[j] = high[j] = math.nan
+                low_at[j] = high_at[j] = None
+                continue
+            if worst_low < low[j]:
+                low[j], low_at[j] = worst_low, (block, lo_i)
+            if worst_high > high[j]:
+                high[j], high_at[j] = worst_high, (block, hi_i)
+
+    return [RowSweep(*fields) for fields in zip(low, high, low_at, high_at, violations)]
+
+
 def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int,
                        band: float = CONTAINMENT_BAND) -> SweepResult:
     """Uniform random phases; every composed rapidity must stay in [B_n, S_n].
@@ -133,40 +210,23 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int,
     Deterministic for a fixed seed regardless of how blocks would be
     scheduled.  A sample escaping the interval by more than ``band`` raises
     BoundViolationError: the bounds are theorems, so that is a bug, not a
-    statistic.
+    statistic.  The one-row call of random_phase_sweeps; the extreme
+    assignments are redrawn from their blocks.
     """
-    if len(seq) == 0:
-        raise EmptySequenceError("sweep needs at least one rapidity")
-    if samples < 1:
-        raise DomainError(f"need samples >= 1, got {samples!r}")
-    b, s = b_n_closed(seq), s_n(seq)
-    n = len(seq)
+    (row,) = random_phase_sweeps([seq.thetas], samples, seed, band)
+    if row.violation is not None:
+        raise row.violation
 
-    theta_min, theta_max = math.inf, -math.inf
-    arg_min = arg_max = None
-    for block, count in _blocks(samples):
-        rng = _block_rng(seed, block)
-        phases = rng.uniform(-math.pi, math.pi, size=(count, n, 2))
-        thetas = compose_polar(seq.thetas, phases[:, :, 0], phases[:, :, 1])
-        lo_i, hi_i = int(np.argmin(thetas)), int(np.argmax(thetas))
-        worst_low, worst_high = float(thetas[lo_i]), float(thetas[hi_i])
-        if worst_low < b - band or worst_high > s + band:
-            raise BoundViolationError(
-                f"sampled rapidity escaped [{b}, {s}] (band {band}): "
-                f"observed [{worst_low}, {worst_high}] in block {block}"
-            )
-        if worst_low < theta_min:
-            theta_min = worst_low
-            arg_min = phases[lo_i]
-        if worst_high > theta_max:
-            theta_max = worst_high
-            arg_max = phases[hi_i]
+    def drawn(at: tuple[int, int]) -> PhaseAssignment:
+        block, index = at
+        count = min(_BLOCK, samples - block * _BLOCK)
+        return PhaseAssignment(_block_phases(seed, block, count, len(seq))[index])
 
     return SweepResult(
-        theta_min_observed=theta_min,
-        theta_max_observed=theta_max,
-        argmin=PhaseAssignment(arg_min),
-        argmax=PhaseAssignment(arg_max),
+        theta_min_observed=row.theta_min_observed,
+        theta_max_observed=row.theta_max_observed,
+        argmin=drawn(row.argmin_at),
+        argmax=drawn(row.argmax_at),
         sample_count=samples,
         seed=seed,
     )
@@ -304,8 +364,17 @@ def attain(seq: RapiditySequence, target: float,
         if big_b == 0.0:
             phi = 0.0
         else:
-            cos_psi = (math.cosh(x) ** 2 - big_a * big_a - big_b * big_b) / (2.0 * big_a * big_b)
-            psi = math.acos(min(1.0, max(-1.0, cos_psi)))
+            # at a reachable corner acos would turn one ulp of cos_psi into
+            # ~1e-8 of phase; the corners are exactly aligned / anti-aligned.
+            # x within the rounding of cur (i factors composed) is at the corner.
+            slop = _theta_error(cur, _C_EPS * i * math.cosh(cur)) + _C_EPS * (cur + t_i)
+            if x >= cur + t_i - slop:
+                psi = 0.0
+            elif x <= abs(cur - t_i) + slop:
+                psi = math.pi
+            else:
+                cos_psi = (math.cosh(x) ** 2 - big_a * big_a - big_b * big_b) / (2.0 * big_a * big_b)
+                psi = math.acos(min(1.0, max(-1.0, cos_psi)))
             phi = cmath.phase(current.beta) - cmath.phase(current.alpha) - psi
         phis.append((0.0, phi))
         current = compose(current, from_polar(HyperbolicParams(t_i, 0.0, phi)))
@@ -370,7 +439,7 @@ def equivalence_audit(n_max: int, trials: int, seed: int,
 
 @dataclass(frozen=True, slots=True)
 class ContainmentRow:
-    """One wavenumber of a scenario audit: exact values vs envelopes (from ``seq``)."""
+    """One wavenumber of a scenario audit: exact values vs envelopes (from ``thetas``)."""
 
     k: float
     t_exact: float
@@ -379,10 +448,6 @@ class ContainmentRow:
     report: BoundsReport
     contained: bool
     thetas: np.ndarray = field(compare=False)  # row of the per-barrier rapidities
-
-    @property
-    def seq(self) -> RapiditySequence:
-        return RapiditySequence(tuple(self.thetas.tolist()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,8 +18,10 @@ from compound_barriers import (
     Rectangular,
     parse_scenario,
 )
+from compound_barriers.barriers import scenario_arrays
 from compound_barriers.cli import main
 from compound_barriers.errors import BoundViolationError
+from compound_barriers.transfer import rapidity
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -248,10 +250,49 @@ class TestCli:
         def explode(*args, **kwargs):
             raise BoundViolationError("injected violation")
 
-        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweep", explode)
+        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweeps", explode)
         path = tmp_path / "case.scn"
         path.write_text(MINIMAL)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
+
+    def test_violation_exit_code_in_production_mode(self, tmp_path, monkeypatch, capsys):
+        def explode(*args, **kwargs):
+            raise BoundViolationError("injected violation")
+
+        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweep", explode)
+        path = tmp_path / "case.scn"
+        path.write_text(PRODUCTION)
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
+        _, header, body = read_csv(capsys.readouterr().out)
+        assert dict(zip(header, body[0]))["sweep_ok"] == "false"
+
+    def test_violating_row_stays_in_its_own_row(self, tmp_path, monkeypatch, capsys):
+        # shrink S_n of the middle wavenumber only: that row, and no other,
+        # is reported as a failed sweep with NaN extremes
+        path = tmp_path / "case.scn"
+        path.write_text(DOUBLE_RECT.replace("0.4:2.2:400", "0.4:2.2:5"))
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 0
+        _, header, clean = read_csv(capsys.readouterr().out)
+        scenario = parse_scenario(path.read_text())
+        alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
+        middle = tuple(rapidity(alpha)[2].tolist())
+        edge = compound_barriers.verify.s_n
+
+        def shrunk(seq):
+            return edge(seq) - (1.0 if seq.thetas == middle else 0.0)
+
+        monkeypatch.setattr(compound_barriers.verify, "s_n", shrunk)
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
+        captured = capsys.readouterr()
+        _, _, body = read_csv(captured.out)
+        assert "escaped" in captured.err and "in block 0" in captured.err
+        for j, (before, after) in enumerate(zip(clean, body)):
+            row = dict(zip(header, after))
+            if j == 2:
+                assert row["sweep_ok"] == "false"
+                assert row["theta_min_observed"] == row["theta_max_observed"] == "nan"
+            else:
+                assert after == before
 
     def test_env_overrides_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "case.scn"

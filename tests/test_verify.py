@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+
+import compound_barriers.verify
 
 from compound_barriers import (
     Delta,
@@ -19,12 +22,16 @@ from compound_barriers import (
     extremal_phase_search,
     from_polar,
     random_phase_sweep,
+    random_phase_sweeps,
     s_n,
     scenario_containment_audit,
     to_polar,
 )
 from compound_barriers.transfer import compose_polar
-from compound_barriers.verify import _block_rng, _blocks
+from compound_barriers.errors import BoundViolationError
+from compound_barriers.verify import _block_phases, _block_rng, _blocks, _theta_error
+
+EPS = float(np.finfo(float).eps)
 
 
 def seq(*thetas):
@@ -33,6 +40,24 @@ def seq(*thetas):
 
 def recompose_theta(sequence, assignment):
     return to_polar(compose_sequence(assignment.matrices(sequence))).theta
+
+
+def mp_theta(thetas, phases):
+    """50-digit rapidity of the product of the dressed factors (n, 2) phases."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(1), mpmath.mpc(0)
+        for t, (pa, pb) in zip(thetas, phases):
+            a2 = mpmath.cosh(t) * mpmath.expj(pa)
+            b2 = mpmath.sinh(t) * mpmath.expj(pb)
+            a, b = a * a2 + b * mpmath.conj(b2), a * b2 + b * mpmath.conj(a2)
+        return float(mpmath.acosh(abs(a)))
+
+
+def log_uniform_sequences(seed):
+    """One sequence per n = 2..20, theta log-uniform in [1e-3, 300/n]."""
+    rng = np.random.default_rng(seed)
+    return [seq(*np.exp(rng.uniform(math.log(1e-3), math.log(300.0 / n), n)))
+            for n in range(2, 21)]
 
 
 class TestBatchKernel:
@@ -49,6 +74,19 @@ class TestBatchKernel:
                   for t, (pa, pb) in zip(thetas, phases[0])]
             assert batch == pytest.approx(
                 to_polar(compose_sequence(ms)).theta, rel=1e-12, abs=1e-9)
+
+
+    def test_matches_mpmath_at_scale(self):
+        # theta log-uniform up to the trusted range: the extreme samples of a
+        # block sit within the audit's rounding bound of a 50-digit value
+        for i, s in enumerate(log_uniform_sequences(5)):
+            n = len(s)
+            phases = _block_phases(i, 0, 4096, n)
+            got = compose_polar(s.thetas, phases[:, :, 0], phases[:, :, 1])
+            delta = 8.0 * n * EPS * math.cosh(s_n(s))
+            for j in (int(np.argmin(got)), int(np.argmax(got))):
+                ref = mp_theta(s.thetas, phases[j])
+                assert abs(got[j] - ref) <= _theta_error(ref, delta), (n, j)
 
 
 class TestExactCompositionContainment:
@@ -115,6 +153,52 @@ class TestRandomPhaseSweep:
         assert (lo, hi) == (whole.theta_min_observed, whole.theta_max_observed)
 
 
+    def test_no_false_violation_at_scale(self):
+        for i, s in enumerate(log_uniform_sequences(5)):
+            res = random_phase_sweep(s, samples=4096, seed=i)
+            assert b_n_closed(s) - 1e-10 <= res.theta_min_observed
+            assert res.theta_max_observed <= s_n(s) + 1e-10
+
+
+class TestRandomPhaseSweeps:
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_rows_equal_the_one_row_call(self, n):
+        rows = np.random.default_rng(n).uniform(0.0, 3.0, (5, n))
+        samples, seed = 10_000, 41  # two full blocks and a partial one
+        batch = random_phase_sweeps(rows, samples, seed)
+        assert len(batch) == len(rows)
+        for row, got in zip(rows, batch):
+            one = random_phase_sweep(seq(*row), samples, seed)
+            assert got.violation is None
+            assert got.theta_min_observed == one.theta_min_observed
+            assert got.theta_max_observed == one.theta_max_observed
+            for (block, index), assignment in ((got.argmin_at, one.argmin),
+                                               (got.argmax_at, one.argmax)):
+                count = min(4096, samples - 4096 * block)
+                drawn = _block_phases(seed, block, count, n)[index]
+                assert tuple(map(tuple, drawn.tolist())) == assignment.phis
+
+    def test_violation_stays_in_its_own_row(self, monkeypatch):
+        rows = np.random.default_rng(3).uniform(0.2, 2.0, (5, 4))
+        samples, seed = 9000, 8
+        clean = random_phase_sweeps(rows, samples, seed)
+        middle = tuple(rows[2].tolist())
+        edge = compound_barriers.verify.s_n
+
+        def shrunk(sequence):
+            return edge(sequence) - (0.1 if sequence.thetas == middle else 0.0)
+
+        monkeypatch.setattr(compound_barriers.verify, "s_n", shrunk)
+        batch = random_phase_sweeps(rows, samples, seed)
+        with pytest.raises(BoundViolationError) as one:
+            random_phase_sweep(seq(*middle), samples, seed)
+        assert str(batch[2].violation) == str(one.value)
+        assert "in block" in str(one.value)
+        assert math.isnan(batch[2].theta_min_observed)
+        assert math.isnan(batch[2].theta_max_observed)
+        assert batch[:2] + batch[3:] == clean[:2] + clean[3:]
+
+
 class TestExtremalPhaseSearch:
     def test_single_barrier_degenerate(self):
         res = extremal_phase_search(seq(2.5), 720)
@@ -177,6 +261,16 @@ class TestAttain:
         for _, phi_b in assignment.phis:
             assert phi_b == pytest.approx(0.0, abs=1e-9)
         assert recompose_theta(s, assignment) == pytest.approx(s_n(s), abs=1e-8)
+
+    def test_upper_edge_is_exactly_aligned_for_random_sequences(self):
+        # the corner x = cur + theta_i must give psi = 0 exactly: acos of a
+        # cos_psi one ulp below 1 gave phases of up to ~1e-7
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            s = seq(*rng.uniform(0.05, 4.0, int(rng.integers(2, 7))))
+            assignment = attain(s, s_n(s))
+            assert max(abs(phi_b) for _, phi_b in assignment.phis) <= 1e-9
+            assert recompose_theta(s, assignment) == pytest.approx(s_n(s), abs=1e-8)
 
     def test_lower_edge_of_dominated_sequence(self):
         s = seq(3.0, 1.0, 1.0)
