@@ -8,7 +8,8 @@ reproducible from the file alone.  Exit codes: 0 all checks pass, 2 a
 containment/equivalence check failed, 3 bad input.
 
 ``--seed`` and ``--samples`` fall back to the CB_SEED / CB_SAMPLES
-environment variables, then to the scenario file, then to defaults.
+environment variables, then to the scenario file, then to defaults; a seed
+below 0 or fewer than 1 sample is bad input.
 """
 
 from __future__ import annotations
@@ -267,6 +268,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
         seed = _resolve(args.seed, "CB_SEED", scenario.seed, DEFAULT_SEED)
         samples = _resolve(args.samples, "CB_SAMPLES", scenario.samples, DEFAULT_SAMPLES)
+        if seed < 0:
+            raise CompoundBarrierError(f"seed must be >= 0, got {seed}")
         if samples < 1:
             raise CompoundBarrierError(f"samples must be >= 1, got {samples}")
         table = _RUNNERS[analysis](scenario, seed, samples)

@@ -6,7 +6,7 @@ Grammar (one statement per line, ``#`` starts a comment anywhere):
     analyses = bounds, sweep      # subset of bounds/sweep/verify/resonance
     k = 0.4:2.0:200               # sweep start:stop:steps (inclusive), or
     k = 0.5 1.0 1.5               # an explicit list
-    seed = 7                      # optional, verify/sweep reproducibility
+    seed = 7                      # optional (>= 0), verify/sweep reproducibility
     samples = 20000               # optional, random-sweep sample count
 
     barrier rect  position=-2.0 height=2.0 width=1.0
@@ -227,6 +227,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
     seed_raw, seed_line = scalar("seed")
     seed = _parse_int(seed_raw, seed_line, "seed") if seed_raw is not None else None
+    if seed is not None and seed < 0:
+        raise ParseError(f"seed must be >= 0, got {seed}", seed_line, "seed")
 
     samples_raw, samples_line = scalar("samples")
     samples = _parse_int(samples_raw, samples_line, "samples") if samples_raw is not None else None

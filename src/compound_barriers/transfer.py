@@ -117,33 +117,53 @@ def rapidity(alpha):
 
 
 def gauge_rotors(phases):
-    """Rotors e^{i w_i} of (samples, n, 2) phases (phi_alpha, phi_beta), built
-    in place: the block is overwritten and an (n-1, samples) complex view of it
-    is returned.
+    """Rotors rho_i = e^{2i w_i} of (samples, n, 2) phases (phi_alpha, phi_beta):
+    a C-contiguous (n-1, samples) complex array, so a fold reads each row in
+    order, written over the block's own memory (the phases are consumed).
 
     Factor i is R(u_i) B(theta_i) R(v_i), with R(x) = diag(e^{ix}, e^{-ix}),
     B the real boost, u = (phi_alpha + phi_beta)/2, v = (phi_alpha - phi_beta)/2.
     The outer R(u_1), R(v_n) only rotate alpha_total, so |alpha_total| sees
-    the n-1 relative angles w_i = v_i + u_{i+1} alone: one sin and one cos
-    per gap, written over the phase pair i once pairs i and i+1 are read."""
-    for i in range(phases.shape[1] - 1):
-        w = phases[:, i + 1, 0] + phases[:, i + 1, 1]
-        w += phases[:, i, 0]
-        w -= phases[:, i, 1]
-        w *= 0.5
-        np.sin(w, out=phases[:, i, 1])
-        np.cos(w, out=phases[:, i, 0])
-    return phases.view(complex)[:, :-1, 0].T
+    the n-1 relative angles w_i = v_i + u_{i+1} alone: one cos and one sin
+    of w_i per gap, then squared (numpy's cos and sin take ~30% longer on
+    2 w_i, whose range is twice as wide)."""
+    samples, n = phases.shape[:2]
+    w = np.add(phases[:, 1:, 0].T, phases[:, 1:, 1].T, out=np.empty((n - 1, samples)))
+    w += phases[:, :-1, 0].T
+    w -= phases[:, :-1, 1].T
+    w *= 0.5
+    rho = phases.reshape(-1)[:2 * w.size].view(complex).reshape(w.shape)
+    np.cos(w, out=rho.real)
+    np.sin(w, out=rho.imag)
+    rho *= rho
+    return rho
 
 
-def boost_fold(thetas, rotors):
+def boost_fold(thetas, rho):
     """Composed rapidity of B(theta_1) R(w_1) B(theta_2) ... R(w_{n-1}) B(theta_n)
-    per column of the (n-1, samples) rotors, unguarded.  R(w) B(theta) is the
-    pair (cosh theta e^{iw}, sinh theta e^{iw}), so each step is one product()."""
-    a, b = math.cosh(thetas[0]), math.sinh(thetas[0])
-    for t, r in zip(thetas[1:], rotors):
-        a, b = product(a, b, math.cosh(t) * r, math.sinh(t) * r)
-    return rapidity(np.broadcast_to(a, rotors.shape[1:]))
+    per column of the (n-1, samples) rotors rho = e^{2iw}, unguarded.
+
+    Step i multiplies (a, b) by the pair (cosh theta_i e^{iw_i}, sinh theta_i
+    e^{iw_i}); by product() that is cosh theta_i e^{-iw_i} (a rho_i + tau_i b,
+    tau_i a rho_i + b) with tau = tanh theta.  The common phase is a left
+    rotation and the common factor a scale, which only rotate and scale
+    alpha_total, so each step drops both: q = a rho_i, a <- q + tau_i b,
+    b <- tau_i q + b, one complex multiply per sample, and at the end
+    |alpha_total| = |a| prod cosh theta_i.  From (1, tanh theta_1)."""
+    taus = np.tanh(thetas)
+    a = np.ones(rho.shape[1], complex)
+    b = np.full_like(a, taus[0])
+    q = np.empty_like(a)
+    a_re, b_re, q_re = a.view(float), b.view(float), q.view(float)  # real scalings
+    for tau, r in zip(taus[1:], rho):
+        np.multiply(a, r, out=q)
+        np.multiply(b_re, tau, out=a_re)
+        a += q
+        q_re *= tau
+        b += q
+    modulus = np.abs(a)
+    modulus *= np.prod(np.cosh(thetas))
+    return rapidity(modulus)
 
 
 def compose_polar(thetas, phi_alpha, phi_beta):

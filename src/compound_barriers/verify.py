@@ -14,8 +14,12 @@ diag(e^{ix}, e^{-ix}), B(theta) the real boost, u = (phi_alpha + phi_beta)/2
 and v = (phi_alpha - phi_beta)/2.  The outer R(u_1) and R(v_n) only rotate
 alpha_total, so the composed modulus depends on the n-1 relative angles
 w_i = v_i + u_{i+1} alone.  The arithmetic uses exactly that: a sweep turns
-each sample's 2n phases into n-1 rotors e^{i w_i} (transfer.gauge_rotors)
-and folds the boosts through them (transfer.boost_fold).  Grids fix
+each sample's 2n phases into n-1 rotors e^{2i w_i} (transfer.gauge_rotors)
+and folds the boosts through them (transfer.boost_fold).  The fold drops
+more of what cannot change the modulus: at step i, the left phase e^{i w_i}
+(it only rotates alpha_total) and the factor cosh(theta_i) (it only scales
+it), leaving one complex multiply per sample and barrier; the product of
+the cosh(theta_i) is put back at the end.  Grids fix
 phi_alpha = 0 and phi_beta of the first barrier, leaving n-1 free angles.
 That this loses nothing is itself covered by a test comparing full-phase
 random sampling against reduced-gauge grid extremes.
@@ -180,11 +184,11 @@ def random_phase_sweeps(thetas, samples: int, seed: int,
     violations: list[BoundViolationError | None] = [None] * rows
 
     for block, count in _blocks(samples):
-        rotors = gauge_rotors(_block_phases(seed, block, count, n))
+        rho = gauge_rotors(_block_phases(seed, block, count, n))
         for j, (b, s) in enumerate(edges):
             if violations[j] is not None:
                 continue
-            observed = boost_fold(thetas[j], rotors)
+            observed = boost_fold(thetas[j], rho)
             lo_i, hi_i = int(np.argmin(observed)), int(np.argmax(observed))
             worst_low, worst_high = float(observed[lo_i]), float(observed[hi_i])
             if worst_low < b - band or worst_high > s + band:

@@ -140,6 +140,16 @@ class TestParsing:
         with pytest.raises(DomainError):
             parse_scenario("barrier delta position=0 strength=1\n")
 
+    def test_negative_seed_rejected_with_line_number(self, tmp_path, capsys):
+        with pytest.raises(ParseError) as err:
+            parse_scenario("k = 1.0\nseed = -1\nbarrier delta position=0 strength=1\n")
+        assert err.value.line == 2 and err.value.field == "seed"
+        path = tmp_path / "case.scn"
+        path.write_text(MINIMAL + "seed = -1\n")
+        for analysis in ("bounds", "sweep", "verify", "resonance"):
+            assert main(["--scenario", str(path), "--analysis", analysis]) == 3
+            assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_committed_examples_parse(self):
         for name in ("double_rect.scn", "mixed_chain.scn", "production_pair.scn",
                      "opaque_rect.scn"):
@@ -305,6 +315,19 @@ class TestCli:
                      "--seed", "123"]) == 0
         meta, _, _ = read_csv(capsys.readouterr().out)
         assert meta["seed"] == "123"
+
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_negative_seed_flag_is_input_error(self, analysis, tmp_path, capsys):
+        # unchecked, numpy's SeedSequence would refuse it without naming the
+        # seed, and analyses that draw nothing would print it as the run's seed
+        self.run(tmp_path, MINIMAL, "--analysis", analysis, "--seed", "-1", expect=3)
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_negative_seed_env_is_input_error(self, analysis, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CB_SEED", "-3")
+        self.run(tmp_path, MINIMAL, "--analysis", analysis, expect=3)
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_committed_scenarios_run(self, capsys):
         for name, analysis in (("double_rect.scn", "bounds"),
