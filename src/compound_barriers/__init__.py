@@ -18,6 +18,7 @@ from .barriers import (
     transfer_of,
 )
 from .bounds import (
+    BoundsColumns,
     BoundsReport,
     N_from_theta,
     ProductionAssessment,
@@ -93,6 +94,7 @@ from .verify import (
     extremal_phase_search,
     random_phase_sweep,
     random_phase_sweeps,
+    recursion_audit,
     scenario_containment_audit,
 )
 

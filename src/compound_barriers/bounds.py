@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DomainError, EmptySequenceError, RapidityOverflowError
+import numpy as np
+
+from .errors import DimensionError, DomainError, EmptySequenceError, RapidityOverflowError
 from .transfer import RAPIDITY_LIMIT, TransferMatrix, to_polar
 
 __all__ = [
     "RapiditySequence",
+    "BoundsColumns",
     "BoundsReport",
     "ResonanceAssessment",
     "ProductionAssessment",
@@ -310,6 +314,71 @@ def b_n_closed(seq: RapiditySequence) -> float:
     return max(2.0 * max(seq.thetas) - math.fsum(seq.thetas), 0.0)
 
 
+class BoundsColumns:
+    """[B_n, S_n], the six envelopes and the resonance verdict of every row of
+    an (n_rows, n) rapidity array, one list per quantity, one entry per row.
+
+    S_n (math.fsum per row), B_n, theta_peak and the verdict are computed on
+    construction; the other columns on first use, once, by mapping this
+    module's scalar formulas over the rows, so entry j equals bit for bit
+    what bounds_report and resonance_assessment (the one-row calls) give
+    for row j.  (numpy's exp/tanh/sinh/cosh differ from libm in the last
+    ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.
+    """
+
+    def __init__(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2:
+            raise DimensionError(f"need an (n_rows, n) rapidity array, got shape {thetas.shape}")
+        if thetas.shape[1] == 0:
+            raise EmptySequenceError("bounds need at least one rapidity per row")
+        bad = ~np.isfinite(thetas) | (thetas < 0.0)
+        if bad.any():
+            raise DomainError(f"rapidities must be finite and >= 0, got {float(thetas[bad][0])!r}")
+        rows = thetas.tolist()
+        self.thetas = thetas
+        self.s_n = list(map(math.fsum, rows))
+        for s in self.s_n:
+            if s > RAPIDITY_LIMIT:
+                raise RapidityOverflowError(f"S_n = {s!r} exceeds trusted range {RAPIDITY_LIMIT}")
+        self.theta_peak = list(map(max, rows))
+        self.b_n = [max(2.0 * p - s, 0.0) for p, s in zip(self.theta_peak, self.s_n)]
+        self.possible = [b == 0.0 for b in self.b_n]  # B_n = 0: T = 1 not excluded
+
+    @cached_property
+    def t_min(self) -> list[float]:
+        return list(map(T_from_theta, self.s_n))
+
+    @cached_property
+    def envelopes(self) -> tuple[list[float], ...]:
+        """T_min, T_upper, R_low, R_high, N_low, N_high:
+
+            T in [sech^2 S_n, sech^2 B_n]      R in [tanh^2 B_n, tanh^2 S_n]
+            N in [sinh^2 B_n, sinh^2 S_n]
+        """
+        b, s = self.b_n, self.s_n
+        return (self.t_min, list(map(T_from_theta, b)), list(map(R_from_theta, b)),
+                list(map(R_from_theta, s)), list(map(N_from_theta, b)),
+                list(map(N_from_theta, s)))
+
+    @cached_property
+    def resonance(self) -> tuple[list[float], ...]:
+        """T_peak = sech^2(theta_peak), T_min, threshold = 2 sqrt(T_min) / (1 +
+        sqrt(T_min)) and margin = T_peak - threshold: see resonance_assessment."""
+        t_peak = list(map(T_from_theta, self.theta_peak))
+        threshold = [2.0 * root / (1.0 + root) for root in map(math.sqrt, self.t_min)]
+        return t_peak, self.t_min, threshold, [t - h for t, h in zip(t_peak, threshold)]
+
+    @cached_property
+    def transmissions(self) -> list[list[float]]:
+        """Per-barrier T_i, one column per barrier."""
+        return [list(map(T_from_theta, column)) for column in self.thetas.T.tolist()]
+
+    @property
+    def t_classical(self) -> list[float]:
+        return list(map(classical_transmission, zip(*self.transmissions)))
+
+
 @dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Interval [b_n, s_n] and the derived T/R/N/|alpha|/|beta| envelopes."""
@@ -339,27 +408,22 @@ class BoundsReport:
 
 
 def bounds_report(seq: RapiditySequence) -> BoundsReport:
-    """Full envelope report for a barrier/episode sequence.
+    """Full envelope report for a barrier/episode sequence: the one-row call
+    of BoundsColumns, plus
 
-        T in [sech^2 S_n, sech^2 B_n]      R in [tanh^2 B_n, tanh^2 S_n]
-        N in [sinh^2 B_n, sinh^2 S_n]      |alpha| in [cosh B_n, cosh S_n]
-                                           |beta|  in [sinh B_n, sinh S_n]
+        |alpha| in [cosh B_n, cosh S_n]    |beta| in [sinh B_n, sinh S_n]
     """
-    if len(seq) == 0:
-        raise EmptySequenceError("a bounds report needs at least one rapidity")
-    s = s_n(seq)
-    if s > RAPIDITY_LIMIT:
-        raise RapidityOverflowError(f"S_n = {s!r} exceeds trusted range {RAPIDITY_LIMIT}")
-    b = b_n_closed(seq)
-    peak = max(seq.thetas)
+    columns = BoundsColumns([seq.thetas])
+    (s,), (b,), (peak,) = columns.s_n, columns.b_n, columns.theta_peak
+    t_lo, t_hi, r_lo, r_hi, n_lo, n_hi = (column[0] for column in columns.envelopes)
     return BoundsReport(
         s_n=s,
         b_n=b,
         theta_peak=peak,
         theta_off_peak=s - peak,
-        t_interval=(T_from_theta(s), T_from_theta(b)),
-        r_interval=(R_from_theta(b), R_from_theta(s)),
-        n_interval=(N_from_theta(b), N_from_theta(s)),
+        t_interval=(t_lo, t_hi),
+        r_interval=(r_lo, r_hi),
+        n_interval=(n_lo, n_hi),
         alpha_mod_interval=(math.cosh(b), math.cosh(s)),
         beta_mod_interval=(math.sinh(b), math.sinh(s)),
     )
@@ -404,16 +468,13 @@ def resonance_assessment(seq: RapiditySequence) -> ResonanceAssessment:
     with T_min = sech^2(S_n) (sech^2 falls with theta, so the rapidity
     inequality flips when converted); margin = t_peak - threshold, so
     possible <=> margin >= 0 up to float rounding at the exact boundary.
+    The one-row call of BoundsColumns.
     """
-    if len(seq) == 0:
-        raise EmptySequenceError("resonance check needs at least one barrier")
-    t_min = T_from_theta(s_n(seq))
-    root = math.sqrt(t_min)
-    threshold = 2.0 * root / (1.0 + root)
-    t_peak = T_from_theta(max(seq.thetas))
+    columns = BoundsColumns([seq.thetas])
+    (t_peak,), (t_min,), (threshold,), (margin,) = columns.resonance
     return ResonanceAssessment(
-        possible=b_n_closed(seq) == 0.0,
-        margin=t_peak - threshold,
+        possible=columns.possible[0],
+        margin=margin,
         t_peak=t_peak,
         t_min=t_min,
         threshold=threshold,
@@ -442,16 +503,14 @@ def production_guaranteed(ns: Sequence[float]) -> ProductionAssessment:
     Complete cancellation requires 2 theta_peak <= S_n, so B_n > 0 (checked
     exactly in rapidity space) guarantees N >= sinh^2(B_n) > 0.  In terms
     of the episode numbers this is N_peak > (sqrt(N_max + 1) - 1)/2 with
-    N_max = sinh^2(S_n); that threshold is reported alongside.
+    N_max = sinh^2(S_n); that threshold is reported alongside.  The one-row
+    call of BoundsColumns.
     """
-    if len(ns) == 0:
-        raise EmptySequenceError("production check needs at least one episode")
-    seq = RapiditySequence.from_particle_numbers(ns)
-    b = b_n_closed(seq)
-    n_max = N_from_theta(s_n(seq))
+    columns = BoundsColumns([RapiditySequence.from_particle_numbers(ns).thetas])
+    (b,), (n_min,), (n_max,) = columns.b_n, *columns.envelopes[4:]
     return ProductionAssessment(
         guaranteed=b > 0.0,
-        n_min=N_from_theta(b),
+        n_min=n_min,
         n_peak=max(ns),
         n_max=n_max,
         threshold=(math.sqrt(n_max + 1.0) - 1.0) / 2.0,

@@ -16,104 +16,85 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .barriers import scenario_arrays
-from .bounds import (
-    BoundsReport,
-    RapiditySequence,
-    T_from_theta,
-    bounds_report,
-    classical_transmission,
-    production_guaranteed,
-    resonance_assessment,
-)
+from .bounds import BoundsColumns, RapiditySequence, production_guaranteed
 from .errors import BoundViolationError, CompoundBarrierError
 from .scenario import Scenario, load_scenario
 from .transfer import rapidity
 from .verify import (
     GENERATOR_NAME,
-    equivalence_audit,
-    random_phase_sweep,
     random_phase_sweeps,
+    recursion_audit,
     scenario_containment_audit,
 )
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10_000
-_EQUIVALENCE_N_MAX = 8
-_EQUIVALENCE_TRIALS = 200
+_ENVELOPES = ("T_min", "T_upper", "R_low", "R_high", "N_low", "N_high")
 
 
 @dataclass
 class Table:
-    columns: list[str]
-    rows: list[list[object]]
+    """CSV columns by name, each an iterable of fields read once, as the
+    table is written."""
+
+    columns: dict[str, Iterable[str]]
     meta: dict[str, object]
     failures: list[str]
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _floats(values: Iterable[float]) -> Iterator[str]:
+    """repr: the shortest string that reads back as the same float."""
+    return map(repr, values)
 
 
-def _envelopes(report: BoundsReport) -> list[float]:
-    """The six envelope columns T_min, T_upper, R_low, R_high, N_low, N_high."""
-    return [*report.t_interval, *report.r_interval, *report.n_interval]
+def _flags(values: Iterable[bool]) -> Iterator[str]:
+    return ("true" if value else "false" for value in values)
 
 
-def _rapidities(scenario: Scenario) -> Iterator[RapiditySequence]:
-    """Per-barrier rapidities at every k, from one scenario build."""
+def _bounds(scenario: Scenario) -> BoundsColumns:
+    """The bounds at every k, from one scenario build."""
     alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
-    return (RapiditySequence(tuple(row.tolist())) for row in rapidity(alpha))
+    return BoundsColumns(rapidity(alpha))
 
 
 def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
     """Envelope table: per-barrier data and the six bounds at each k."""
     if scenario.mode == "production":
-        n = len(scenario.episodes)
         check = production_guaranteed(scenario.episodes)
-        columns = [f"N_{i + 1}" for i in range(n)] + [
-            "N_low", "N_high", "threshold", "production_guaranteed"]
-        row = [*scenario.episodes, check.n_min, check.n_max, check.threshold,
-               check.guaranteed]
-        return Table(columns, [row], {}, [])
+        names = [f"N_{i + 1}" for i in range(len(scenario.episodes))]
+        values = [*scenario.episodes, check.n_min, check.n_max, check.threshold]
+        columns = {name: _floats([value]) for name, value
+                   in zip(names + ["N_low", "N_high", "threshold"], values)}
+        columns["production_guaranteed"] = _flags([check.guaranteed])
+        return Table(columns, {}, [])
 
-    n = len(scenario.barriers)
-    columns = (["k"] + [f"T_{i + 1}" for i in range(n)]
-               + ["T_min", "T_upper", "R_low", "R_high", "N_low", "N_high",
-                  "T_classical", "resonance_possible"])
-    rows = []
-    for k, seq in zip(scenario.k_values, _rapidities(scenario)):
-        # per-barrier T_i through the same rapidities as the envelopes, so a
-        # one-barrier table degenerates to exact equality of all three columns
-        ts = [T_from_theta(t) for t in seq.thetas]
-        report = bounds_report(seq)
-        res = resonance_assessment(seq)
-        rows.append([k, *ts, *_envelopes(report), classical_transmission(ts),
-                     res.possible])
-    return Table(columns, rows, {}, [])
+    bounds = _bounds(scenario)
+    # per-barrier T_i through the same rapidities as the envelopes, so a
+    # one-barrier table degenerates to exact equality of all three columns
+    columns = {"k": _floats(scenario.k_values)}
+    columns.update((f"T_{i + 1}", _floats(ts)) for i, ts in enumerate(bounds.transmissions))
+    columns.update(zip(_ENVELOPES, map(_floats, bounds.envelopes)))
+    columns["T_classical"] = _floats(bounds.t_classical)
+    columns["resonance_possible"] = _flags(bounds.possible)
+    return Table(columns, {}, [])
 
 
 def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
     """Exact compound T/R/N next to the envelopes, with a containment verdict."""
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
-    columns = ["k", "T_exact", "R_exact", "N_exact",
-               "T_min", "T_upper", "R_low", "R_high", "N_low", "N_high",
-               "contained"]
-    rows = []
-    for row in audit.rows:
-        rows.append([row.k, row.t_exact, row.r_exact, row.n_exact,
-                     *_envelopes(row.report), row.contained])
+    columns = {"k": _floats(scenario.k_values),
+               "T_exact": _floats(row.t_exact for row in audit.rows),
+               "R_exact": _floats(row.r_exact for row in audit.rows),
+               "N_exact": _floats(row.n_exact for row in audit.rows)}
+    columns.update(zip(_ENVELOPES, map(_floats, audit.bounds.envelopes)))
+    columns["contained"] = _flags(row.contained for row in audit.rows)
     meta = {
         "k_at_max_T": audit.k_at_max_t,
         "k_at_min_T": audit.k_at_min_t,
@@ -122,56 +103,41 @@ def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
                           f"N:[{audit.n_low_margin!r},{audit.n_high_margin!r}]"),
     }
     failures = [] if audit.all_contained else ["containment violation in sweep"]
-    return Table(columns, rows, meta, failures)
+    return Table(columns, meta, failures)
 
 
 def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
-    """Random-phase sweeps plus the iterative/closed-form audit.
+    """Random-phase sweeps and the B_n recursion audit of every printed row.
 
     For scattering scenarios the exact compound values are audited too.
     Any violation is reported and drives a nonzero exit status.
     """
-    failures: list[str] = []
-    eq = equivalence_audit(_EQUIVALENCE_N_MAX, _EQUIVALENCE_TRIALS, seed)
-    meta: dict[str, object] = {
-        "equivalence_audit": (f"{'pass' if eq.all_pass else 'FAIL'} "
-                              f"(n=2..{_EQUIVALENCE_N_MAX}, trials={eq.trials_per_n}, "
-                              f"max_discrepancy={eq.max_discrepancy!r})"),
-    }
-    if not eq.all_pass:
-        failures.append("iterative/closed-form equivalence audit failed")
-
-    columns = ["k", "B_n", "S_n", "theta_min_observed", "theta_max_observed",
-               "sweep_ok", "exact_contained"]
-    rows: list[list[object]] = []
-
     if scenario.mode == "production":
-        seq = RapiditySequence.from_particle_numbers(scenario.episodes)
-        report = bounds_report(seq)
-        sweep_ok, verdict = _sweep_row(seq, samples, seed, failures)
-        rows.append(["-", report.b_n, report.s_n, *verdict, sweep_ok, "-"])
-        return Table(columns, rows, meta, failures)
+        bounds = BoundsColumns([RapiditySequence.from_particle_numbers(scenario.episodes).thetas])
+        k = contained = ["-"]
+        failures = []
+    else:
+        audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
+        bounds = audit.bounds
+        k, contained = _floats(scenario.k_values), _flags(row.contained for row in audit.rows)
+        failures = [] if audit.all_contained else ["exact compound values escaped the envelopes"]
 
-    audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
-    if not audit.all_contained:
-        failures.append("exact compound values escaped the envelopes")
-    sweeps = random_phase_sweeps([row.thetas for row in audit.rows], samples, seed)
-    for row, sweep in zip(audit.rows, sweeps):
-        if sweep.violation is not None:
-            failures.append(str(sweep.violation))
-        rows.append([row.k, row.report.b_n, row.report.s_n, sweep.theta_min_observed,
-                     sweep.theta_max_observed, sweep.violation is None, row.contained])
-    return Table(columns, rows, meta, failures)
-
-
-def _sweep_row(seq: RapiditySequence, samples: int, seed: int,
-               failures: list[str]) -> tuple[bool, list[float]]:
-    try:
-        res = random_phase_sweep(seq, samples, seed)
-    except BoundViolationError as exc:
-        failures.append(str(exc))
-        return False, [math.nan, math.nan]
-    return True, [res.theta_min_observed, res.theta_max_observed]
+    worst, failing = recursion_audit(bounds)
+    meta = {
+        "equivalence_audit": (f"{'FAIL' if failing else 'pass'} (B_n vs b_n_iterative on each "
+                              f"row and its reverse, rows={len(bounds.b_n)}, "
+                              f"max_discrepancy={worst!r})"),
+    }
+    if failing:
+        failures.append(f"iterative/closed-form equivalence audit failed in rows {failing}")
+    sweeps = random_phase_sweeps(bounds.thetas, samples, seed)
+    failures += [str(sweep.violation) for sweep in sweeps if sweep.violation is not None]
+    columns = {"k": k, "B_n": _floats(bounds.b_n), "S_n": _floats(bounds.s_n),
+               "theta_min_observed": _floats(sweep.theta_min_observed for sweep in sweeps),
+               "theta_max_observed": _floats(sweep.theta_max_observed for sweep in sweeps),
+               "sweep_ok": _flags(sweep.violation is None for sweep in sweeps),
+               "exact_contained": contained}
+    return Table(columns, meta, failures)
 
 
 def run_resonance(scenario: Scenario, seed: int, samples: int) -> Table:
@@ -179,19 +145,18 @@ def run_resonance(scenario: Scenario, seed: int, samples: int) -> Table:
     condition for nonzero production (production mode)."""
     if scenario.mode == "production":
         check = production_guaranteed(scenario.episodes)
-        columns = ["N_peak", "N_max", "threshold", "margin",
-                   "production_guaranteed", "N_min_guaranteed"]
-        row = [check.n_peak, check.n_max, check.threshold,
-               check.n_peak - check.threshold, check.guaranteed, check.n_min]
-        return Table(columns, [row], {}, [])
+        columns = {"N_peak": _floats([check.n_peak]), "N_max": _floats([check.n_max]),
+                   "threshold": _floats([check.threshold]),
+                   "margin": _floats([check.n_peak - check.threshold]),
+                   "production_guaranteed": _flags([check.guaranteed]),
+                   "N_min_guaranteed": _floats([check.n_min])}
+        return Table(columns, {}, [])
 
-    columns = ["k", "T_peak", "T_min", "threshold", "margin", "resonance_possible"]
-    rows = []
-    for k, seq in zip(scenario.k_values, _rapidities(scenario)):
-        res = resonance_assessment(seq)
-        rows.append([k, res.t_peak, res.t_min, res.threshold, res.margin,
-                     res.possible])
-    return Table(columns, rows, {}, [])
+    bounds = _bounds(scenario)
+    columns = {"k": _floats(scenario.k_values)}
+    columns.update(zip(("T_peak", "T_min", "threshold", "margin"), map(_floats, bounds.resonance)))
+    columns["resonance_possible"] = _flags(bounds.possible)
+    return Table(columns, {}, [])
 
 
 _RUNNERS = {
@@ -234,8 +199,7 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
         stream.write(f"# {key}: {value}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(zip(*table.columns.values()))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

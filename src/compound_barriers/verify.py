@@ -45,6 +45,7 @@ import numpy as np
 
 from .barriers import BarrierSpec, scenario_arrays
 from .bounds import (
+    BoundsColumns,
     BoundsReport,
     RapiditySequence,
     b_n_closed,
@@ -77,13 +78,15 @@ __all__ = [
     "extremal_phase_search",
     "attain",
     "equivalence_audit",
+    "recursion_audit",
     "scenario_containment_audit",
 ]
 
 GENERATOR_NAME = "PCG64"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
-_C_EPS = 8.0 * float(np.finfo(float).eps)  # c eps of the audit's rounding bound
+_EPS = float(np.finfo(float).eps)
+_C_EPS = 8.0 * _EPS  # c eps of the audit's rounding bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,6 +140,8 @@ def _blocks(samples: int) -> Iterator[tuple[int, int]]:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
@@ -163,20 +168,16 @@ def random_phase_sweeps(thetas, samples: int, seed: int,
     """random_phase_sweep of every row of an (n_rows, n) rapidity array.
 
     Each block is drawn and reduced to rotors once for all rows; row j is
-    bit-identical to random_phase_sweep(RapiditySequence(thetas[j])).  A row
-    escaping [B_n, S_n] by more than ``band`` keeps its BoundViolationError
-    (first escaping block) and is not sampled further; other rows go on.
+    bit-identical to random_phase_sweep(RapiditySequence(thetas[j])).  The
+    edges [B_n, S_n] come from BoundsColumns.  A row escaping them by more
+    than ``band`` keeps its BoundViolationError (first escaping block) and
+    is not sampled further; other rows go on.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2:
-        raise DimensionError(f"need an (n_rows, n) rapidity array, got shape {thetas.shape}")
-    n = thetas.shape[1]
-    if n == 0:
-        raise EmptySequenceError("sweep needs at least one rapidity")
+    bounds = BoundsColumns(thetas)
+    thetas, n = bounds.thetas, bounds.thetas.shape[1]
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
-    edges = [(b_n_closed(seq), s_n(seq))
-             for seq in (RapiditySequence(tuple(row.tolist())) for row in thetas)]
+    edges = list(zip(bounds.b_n, bounds.s_n))
     rows = len(edges)
     low, high = [math.inf] * rows, [-math.inf] * rows
     low_at: list[tuple[int, int] | None] = [None] * rows
@@ -441,6 +442,25 @@ def equivalence_audit(n_max: int, trials: int, seed: int,
     )
 
 
+def recursion_audit(bounds: BoundsColumns) -> tuple[float, list[int]]:
+    """Each row's B_n against b_n_iterative on the row and on the reversed row.
+
+    Returns the largest gap and the rows where it exceeds 2 n eps max(1, S_n).
+    The recursion sums plainly: its running sum is off by at most (n - 1) u S_n
+    (u = eps/2) and its n - 1 subtractions add at most (n - 1) u S_n, since
+    B_{m+1} = max(t - S_m, B_m - t, 0) moves no more than its arguments; B_n
+    (fsum, one subtraction) is off by at most 2 u S_n.  So the gap is at most
+    n eps S_n, doubled for the tolerance.  An absolute tolerance fails long
+    chains: 2123 barriers at S_n ~ 316 show gaps above 2e-12.
+    """
+    n = bounds.thetas.shape[1]
+    gaps = [max(abs(b_n_iterative(RapiditySequence(tuple(r))) - b) for r in (row, row[::-1]))
+            for row, b in zip(bounds.thetas.tolist(), bounds.b_n)]
+    tolerances = (2.0 * n * _EPS * max(1.0, s) for s in bounds.s_n)
+    failing = [j for j, (gap, tol) in enumerate(zip(gaps, tolerances)) if gap > tol]
+    return max(gaps, default=0.0), failing
+
+
 @dataclass(frozen=True, slots=True)
 class ContainmentRow:
     """One wavenumber of a scenario audit: exact values vs envelopes (from ``thetas``)."""
@@ -449,14 +469,19 @@ class ContainmentRow:
     t_exact: float
     r_exact: float
     n_exact: float
-    report: BoundsReport
     contained: bool
     thetas: np.ndarray = field(compare=False)  # row of the per-barrier rapidities
+
+    @property
+    def report(self) -> BoundsReport:
+        """bounds_report of this row's rapidities."""
+        return bounds_report(RapiditySequence(tuple(self.thetas.tolist())))
 
 
 @dataclass(frozen=True, slots=True)
 class ContainmentReport:
-    """Scenario-wide audit, worst margins over the sweep; tolerance = widest band."""
+    """Scenario-wide audit, worst margins over the sweep; tolerance = widest band;
+    ``bounds`` holds the rows' [B_n, S_n] and envelopes as columns."""
 
     rows: tuple[ContainmentRow, ...]
     all_contained: bool
@@ -469,6 +494,7 @@ class ContainmentReport:
     k_at_max_t: float
     k_at_min_t: float
     tolerance: float
+    bounds: BoundsColumns = field(compare=False)
 
 
 def _theta_error(theta, delta):
@@ -501,8 +527,9 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
                                k_sweep: Sequence[float]) -> ContainmentReport:
     """Exact compound T/R/N versus the six envelopes at every wavenumber.
 
-    One scenario_arrays build gives each row's rapidities and envelopes
-    and, folded, the exact compound pair.  A row is contained when
+    One scenario_arrays build gives each row's rapidities, whose
+    BoundsColumns give the edges and envelopes, and, folded, the exact
+    compound pair.  A row is contained when
     theta_exact = acosh|alpha_total| lies in [B_n - band, S_n + band], the
     band from _containment_band (the widest is reported as ``tolerance``).
     The T/R/N margins, (exact - lower edge) and (upper edge - exact)
@@ -511,22 +538,21 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     if len(k_sweep) == 0:
         raise EmptySequenceError("audit needs at least one wavenumber")
     alpha, beta = scenario_arrays(specs, k_sweep)
-    thetas = rapidity(alpha)
-    reports = [bounds_report(RapiditySequence(tuple(row.tolist()))) for row in thetas]
+    bounds = BoundsColumns(rapidity(alpha))
     total_alpha, total_beta = fold(alpha, beta)
     del alpha, beta  # the (n_k, n) build is not needed past this point
     t, r = scattering_amplitudes(total_alpha, total_beta)
     exact = np.stack([np.abs(t) ** 2, np.abs(r) ** 2, np.abs(total_beta) ** 2], axis=1)
-    edges = np.array([(*rep.t_interval, *rep.r_interval, *rep.n_interval) for rep in reports])
+    edges = np.array(bounds.envelopes).T
     # (T, R, N) x (low, high) worst margins, in ContainmentReport's field order
     margins = np.stack([exact - edges[:, 0::2], edges[:, 1::2] - exact], axis=-1).min(axis=0)
     theta_exact = rapidity(total_alpha)
-    low, high = np.array([(rep.b_n, rep.s_n) for rep in reports]).T
-    band = _containment_band(thetas, theta_exact, high)
+    low, high = np.array(bounds.b_n), np.array(bounds.s_n)
+    band = _containment_band(bounds.thetas, theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
-    rows = tuple(ContainmentRow(k, *values, rep, ok, row) for k, values, rep, ok, row
-                 in zip(k_sweep, exact.tolist(), reports, contained.tolist(), thetas))
+    rows = tuple(ContainmentRow(k, *values, ok, row) for k, values, ok, row
+                 in zip(k_sweep, exact.tolist(), contained.tolist(), bounds.thetas))
     return ContainmentReport(rows, bool(contained.all()), *margins.ravel().tolist(),
                              k_at_max_t=k_sweep[int(np.argmax(exact[:, 0]))],
                              k_at_min_t=k_sweep[int(np.argmin(exact[:, 0]))],
-                             tolerance=float(band.max()))
+                             tolerance=float(band.max()), bounds=bounds)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compound_barriers import (
+    BoundsColumns,
     DomainError,
     EmptySequenceError,
     N_from_theta,
@@ -20,6 +21,7 @@ from compound_barriers import (
     bounds_report,
     classical_transmission,
     production_guaranteed,
+    resonance_assessment,
     resonance_possible,
     s_n,
     theta_from_N,
@@ -325,6 +327,87 @@ class TestBoundsReport:
         assert a_lo * a_lo - b_lo * b_lo == pytest.approx(
             1.0, abs=1e-14 * max(1.0, a_lo * a_lo))
         assert 0.0 <= report.b_n <= report.s_n
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def columns_test_rows(n):
+    """Eight rows with theta up to 300/n: four balanced ones (B_n = 0 for
+    n > 2, and for the equal first row) and four where the first barrier
+    outweighs the rest (B_n > 0)."""
+    rng = np.random.default_rng(n)
+    top = 300.0 / n
+    rows = rng.uniform(top / 2, top, (8, n))
+    rows[0] = rows[0, 0]
+    rows[4:, 1:] /= n * n
+    return rows
+
+
+class TestBoundsColumns:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+    def test_columns_equal_the_scalar_formulas_bit_for_bit(self, n):
+        rows = columns_test_rows(n)
+        columns = BoundsColumns(rows)
+        assert any(b > 0.0 for b in columns.b_n)
+        assert n == 1 or any(b == 0.0 for b in columns.b_n)
+        for j, row in enumerate(rows.tolist()):
+            s, b, peak = math.fsum(row), b_n_closed(seq(*row)), max(row)
+            ts = [T_from_theta(t) for t in row]
+            root = math.sqrt(T_from_theta(s))
+            want = [s, b, peak, T_from_theta(s), T_from_theta(b), R_from_theta(b),
+                    R_from_theta(s), N_from_theta(b), N_from_theta(s), T_from_theta(peak),
+                    2.0 * root / (1.0 + root), classical_transmission(ts), *ts]
+            t_peak, _, threshold, _ = (column[j] for column in columns.resonance)
+            got = [columns.s_n[j], columns.b_n[j], columns.theta_peak[j],
+                   *(column[j] for column in columns.envelopes), t_peak, threshold,
+                   columns.t_classical[j],
+                   *(column[j] for column in columns.transmissions)]
+            assert bits(got) == bits(want)
+            assert columns.possible[j] == (b == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+    def test_one_row_calls_equal_the_columns_bit_for_bit(self, n):
+        rows = columns_test_rows(n)
+        columns = BoundsColumns(rows)
+        for j, row in enumerate(rows.tolist()):
+            report, res = bounds_report(seq(*row)), resonance_assessment(seq(*row))
+            s, b, peak = columns.s_n[j], columns.b_n[j], columns.theta_peak[j]
+            assert bits([report.s_n, report.b_n, report.theta_peak, report.theta_off_peak,
+                         *report.t_interval, *report.r_interval, *report.n_interval,
+                         *report.alpha_mod_interval, *report.beta_mod_interval]) == bits(
+                [s, b, peak, s - peak, *(column[j] for column in columns.envelopes),
+                 math.cosh(b), math.cosh(s), math.sinh(b), math.sinh(s)])
+            assert res.possible == columns.possible[j]
+            assert bits([res.t_peak, res.t_min, res.threshold, res.margin]) == bits(
+                [column[j] for column in columns.resonance])
+
+    def test_permuted_rows_give_identical_edges(self):
+        rows = columns_test_rows(20)
+        permuted = np.random.default_rng(1).permuted(rows, axis=1)
+        assert not np.array_equal(rows, permuted)
+        columns, again = BoundsColumns(rows), BoundsColumns(permuted)
+        assert bits(again.s_n) == bits(columns.s_n)
+        assert bits(again.b_n) == bits(columns.b_n)
+
+    def test_production_is_the_one_row_call(self):
+        ns = [3.0, 0.1, 0.2]
+        check = production_guaranteed(ns)
+        columns = BoundsColumns([RapiditySequence.from_particle_numbers(ns).thetas])
+        assert check.guaranteed == (columns.b_n[0] > 0.0)
+        assert bits([check.n_min, check.n_max]) == bits(
+            [columns.envelopes[4][0], columns.envelopes[5][0]])
+
+    def test_bad_rows_are_refused(self):
+        with pytest.raises(DomainError):
+            BoundsColumns([[1.0, -0.5]])
+        with pytest.raises(DomainError):
+            BoundsColumns([[1.0, math.nan]])
+        with pytest.raises(EmptySequenceError):
+            BoundsColumns(np.zeros((3, 0)))
+        with pytest.raises(RapidityOverflowError):
+            BoundsColumns([[1.0, 2.0], [200.0, 200.0]])
 
 
 class TestClassical:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from compound_barriers.barriers import scenario_arrays
 from compound_barriers.cli import main
 from compound_barriers.errors import BoundViolationError
 from compound_barriers.transfer import rapidity
+from compound_barriers.verify import RowSweep
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -266,10 +268,11 @@ class TestCli:
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
 
     def test_violation_exit_code_in_production_mode(self, tmp_path, monkeypatch, capsys):
-        def explode(*args, **kwargs):
-            raise BoundViolationError("injected violation")
+        def violated(thetas, samples, seed):
+            return [RowSweep(math.nan, math.nan, None, None,
+                             BoundViolationError("injected violation"))]
 
-        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweep", explode)
+        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweeps", violated)
         path = tmp_path / "case.scn"
         path.write_text(PRODUCTION)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
@@ -285,13 +288,15 @@ class TestCli:
         _, header, clean = read_csv(capsys.readouterr().out)
         scenario = parse_scenario(path.read_text())
         alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
-        middle = tuple(rapidity(alpha)[2].tolist())
-        edge = compound_barriers.verify.s_n
+        middle = rapidity(alpha)[2].tolist()
 
-        def shrunk(seq):
-            return edge(seq) - (1.0 if seq.thetas == middle else 0.0)
+        class Shrunk(compound_barriers.verify.BoundsColumns):
+            def __init__(self, thetas):
+                super().__init__(thetas)
+                self.s_n = [s - (1.0 if row == middle else 0.0)
+                            for s, row in zip(self.s_n, self.thetas.tolist())]
 
-        monkeypatch.setattr(compound_barriers.verify, "s_n", shrunk)
+        monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", Shrunk)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
         captured = capsys.readouterr()
         _, _, body = read_csv(captured.out)
@@ -303,6 +308,27 @@ class TestCli:
                 assert row["theta_min_observed"] == row["theta_max_observed"] == "nan"
             else:
                 assert after == before
+
+    def test_equivalence_failure_on_one_row_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the audit compares each printed B_n with the recursion; a
+        # disagreement injected on one row fails the run and names the row
+        path = tmp_path / "case.scn"
+        path.write_text(DOUBLE_RECT.replace("0.4:2.2:400", "0.4:2.2:5"))
+        scenario = parse_scenario(path.read_text())
+        alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
+        middle = tuple(rapidity(alpha)[2].tolist())
+        recursion = compound_barriers.verify.b_n_iterative
+
+        def off(seq):
+            return recursion(seq) + (1e-6 if seq.thetas == middle else 0.0)
+
+        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative", off)
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
+        captured = capsys.readouterr()
+        meta, _, body = read_csv(captured.out)
+        assert meta["equivalence_audit"].startswith("FAIL")
+        assert "rows [2]" in captured.err
+        assert len(body) == 5
 
     def test_env_overrides_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "case.scn"

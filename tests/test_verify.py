@@ -9,8 +9,10 @@ import pytest
 import compound_barriers.verify
 
 from compound_barriers import (
+    BoundsColumns,
     Delta,
     DimensionError,
+    DomainError,
     HyperbolicParams,
     Rectangular,
     RapiditySequence,
@@ -23,6 +25,7 @@ from compound_barriers import (
     from_polar,
     random_phase_sweep,
     random_phase_sweeps,
+    recursion_audit,
     s_n,
     scenario_containment_audit,
     to_polar,
@@ -208,13 +211,15 @@ class TestRandomPhaseSweeps:
         rows = np.random.default_rng(3).uniform(0.2, 2.0, (5, 4))
         samples, seed = 9000, 8
         clean = random_phase_sweeps(rows, samples, seed)
-        middle = tuple(rows[2].tolist())
-        edge = compound_barriers.verify.s_n
+        middle = rows[2].tolist()
 
-        def shrunk(sequence):
-            return edge(sequence) - (0.1 if sequence.thetas == middle else 0.0)
+        class Shrunk(compound_barriers.verify.BoundsColumns):
+            def __init__(self, thetas):
+                super().__init__(thetas)
+                self.s_n = [s - (0.1 if row == middle else 0.0)
+                            for s, row in zip(self.s_n, self.thetas.tolist())]
 
-        monkeypatch.setattr(compound_barriers.verify, "s_n", shrunk)
+        monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", Shrunk)
         batch = random_phase_sweeps(rows, samples, seed)
         with pytest.raises(BoundViolationError) as one:
             random_phase_sweep(seq(*middle), samples, seed)
@@ -223,6 +228,17 @@ class TestRandomPhaseSweeps:
         assert math.isnan(batch[2].theta_min_observed)
         assert math.isnan(batch[2].theta_max_observed)
         assert batch[:2] + batch[3:] == clean[:2] + clean[3:]
+
+
+class TestLibrarySeeds:
+    @pytest.mark.parametrize("call", [
+        lambda: random_phase_sweeps([[1.0, 2.0]], 10, -1),
+        lambda: random_phase_sweep(seq(1.0, 2.0), 10, -1),
+        lambda: equivalence_audit(4, 5, -1),
+    ], ids=["random_phase_sweeps", "random_phase_sweep", "equivalence_audit"])
+    def test_negative_seed_is_refused_by_name(self, call):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            call()
 
 
 class TestExtremalPhaseSearch:
@@ -369,6 +385,32 @@ class TestEquivalenceAudit:
     def test_counts_add_up(self):
         report = equivalence_audit(n_max=4, trials=50, seed=2)
         assert report.passes + report.failures == 3 * 50
+
+
+class TestRecursionAudit:
+    def test_long_chain_with_an_opaque_peak_passes(self):
+        # one barrier at theta 311.5 among 2122 thin ones: the recursion's
+        # plain running sum drifts by ulps of S_n ~ 316, past an absolute 1e-12
+        rng = np.random.default_rng(184)
+        row = rng.uniform(0.0, 10.0 / 2123, 2123)
+        row[rng.integers(2123)] = 311.5
+        worst, failing = recursion_audit(BoundsColumns([row]))
+        assert failing == []
+        assert worst > 1e-12
+
+    def test_flags_the_disagreeing_row(self, monkeypatch):
+        rows = np.random.default_rng(4).uniform(0.0, 3.0, (5, 6))
+        assert recursion_audit(BoundsColumns(rows))[1] == []
+        recursion = compound_barriers.verify.b_n_iterative
+        middle = tuple(rows[3].tolist())
+
+        def off(sequence):
+            return recursion(sequence) + (1e-9 if sequence.thetas == middle else 0.0)
+
+        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative", off)
+        worst, failing = recursion_audit(BoundsColumns(rows))
+        assert failing == [3]
+        assert worst == pytest.approx(1e-9, rel=1e-3)
 
 
 class TestScenarioContainmentAudit:
