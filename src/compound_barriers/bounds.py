@@ -50,6 +50,7 @@ __all__ = [
     "two_barrier_N_bounds_rational",
     "s_n",
     "b_n_iterative",
+    "b_n_iterative_rows",
     "b_n_closed",
     "bounds_report",
     "classical_transmission",
@@ -134,26 +135,36 @@ def _check_theta(theta: float) -> float:
     return t
 
 
-def T_from_theta(theta: float) -> float:
-    """T = sech^2(theta), computed overflow-free."""
-    t = _check_theta(theta)
+def _sech2(t: float) -> float:
+    """sech^2(t) for a checked t, overflow-free."""
     e = math.exp(-t)
     sech = 2.0 * e / (1.0 + e * e)
     return sech * sech
 
 
-def R_from_theta(theta: float) -> float:
-    """R = tanh^2(theta)."""
-    t = _check_theta(theta)
+def _tanh2(t: float) -> float:
     th = math.tanh(t)
     return th * th
 
 
-def N_from_theta(theta: float) -> float:
-    """N = sinh^2(theta)."""
-    t = _check_theta(theta)
+def _sinh2(t: float) -> float:
     s = math.sinh(t)
     return s * s
+
+
+def T_from_theta(theta: float) -> float:
+    """T = sech^2(theta), computed overflow-free."""
+    return _sech2(_check_theta(theta))
+
+
+def R_from_theta(theta: float) -> float:
+    """R = tanh^2(theta)."""
+    return _tanh2(_check_theta(theta))
+
+
+def N_from_theta(theta: float) -> float:
+    """N = sinh^2(theta)."""
+    return _sinh2(_check_theta(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +297,29 @@ def b_n_iterative(seq: RapiditySequence) -> float:
         B_1 = theta_1,
         B_{m+1} = (t - S_m) H(t - S_m) + (B_m - t) H(B_m - t),  t = theta_{m+1}.
 
-    Kept deliberately literal as an independent route to b_n_closed.
+    Kept deliberately literal as an independent route to b_n_closed; the
+    one-row call of b_n_iterative_rows.
     """
-    if len(seq) == 0:
+    return float(b_n_iterative_rows([seq.thetas])[0])
+
+
+def b_n_iterative_rows(thetas) -> np.ndarray:
+    """b_n_iterative of every row of an (n_rows, n) rapidity array.
+
+    The same operations in the same order, one barrier column at a time and
+    elementwise over the rows (H(0) = 0, as in the recursion), so entry j
+    equals b_n_iterative of row j bit for bit.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise DimensionError(f"need an (n_rows, n) rapidity array, got shape {thetas.shape}")
+    if thetas.shape[1] == 0:
         raise EmptySequenceError("B_n needs at least one rapidity")
-
-    def heaviside(x: float) -> float:
-        return 1.0 if x > 0.0 else 0.0
-
-    b = seq.thetas[0]
-    s = seq.thetas[0]
-    for t in seq.thetas[1:]:
-        b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
-        s += t
+    b = thetas[:, 0].copy()
+    s = thetas[:, 0]
+    for t in thetas.T[1:]:
+        b = (t - s) * np.heaviside(t - s, 0.0) + (b - t) * np.heaviside(b - t, 0.0)
+        s = s + t
     return b
 
 
@@ -320,10 +341,13 @@ class BoundsColumns:
 
     S_n (math.fsum per row), B_n, theta_peak and the verdict are computed on
     construction; the other columns on first use, once, by mapping this
-    module's scalar formulas over the rows, so entry j equals bit for bit
+    module's formula kernels over the rows, so entry j equals bit for bit
     what bounds_report and resonance_assessment (the one-row calls) give
     for row j.  (numpy's exp/tanh/sinh/cosh differ from libm in the last
-    ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.
+    ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.  That check
+    covers every cell the kernels see, so they skip the per-value checks of
+    T_from_theta and friends: each theta_i, theta_peak and B_n lies in
+    [0, S_n], and sech^2 keeps each T_i in [0, 1] for classical_transmission.
     """
 
     def __init__(self, thetas):
@@ -347,7 +371,7 @@ class BoundsColumns:
 
     @cached_property
     def t_min(self) -> list[float]:
-        return list(map(T_from_theta, self.s_n))
+        return list(map(_sech2, self.s_n))
 
     @cached_property
     def envelopes(self) -> tuple[list[float], ...]:
@@ -357,26 +381,26 @@ class BoundsColumns:
             N in [sinh^2 B_n, sinh^2 S_n]
         """
         b, s = self.b_n, self.s_n
-        return (self.t_min, list(map(T_from_theta, b)), list(map(R_from_theta, b)),
-                list(map(R_from_theta, s)), list(map(N_from_theta, b)),
-                list(map(N_from_theta, s)))
+        return (self.t_min, list(map(_sech2, b)), list(map(_tanh2, b)),
+                list(map(_tanh2, s)), list(map(_sinh2, b)), list(map(_sinh2, s)))
 
     @cached_property
     def resonance(self) -> tuple[list[float], ...]:
         """T_peak = sech^2(theta_peak), T_min, threshold = 2 sqrt(T_min) / (1 +
         sqrt(T_min)) and margin = T_peak - threshold: see resonance_assessment."""
-        t_peak = list(map(T_from_theta, self.theta_peak))
+        t_peak = list(map(_sech2, self.theta_peak))
         threshold = [2.0 * root / (1.0 + root) for root in map(math.sqrt, self.t_min)]
         return t_peak, self.t_min, threshold, [t - h for t, h in zip(t_peak, threshold)]
 
     @cached_property
     def transmissions(self) -> list[list[float]]:
         """Per-barrier T_i, one column per barrier."""
-        return [list(map(T_from_theta, column)) for column in self.thetas.T.tolist()]
+        return [list(map(_sech2, column)) for column in self.thetas.T.tolist()]
 
     @property
     def t_classical(self) -> list[float]:
-        return list(map(classical_transmission, zip(*self.transmissions)))
+        """classical_transmission of each row."""
+        return list(map(math.prod, zip(*self.transmissions)))
 
 
 @dataclass(frozen=True, slots=True)

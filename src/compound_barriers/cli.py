@@ -15,7 +15,6 @@ below 0 or fewer than 1 sample is bad input.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -184,6 +183,14 @@ def _resolve(flag: int | None, env_name: str, file_value: int | None,
 
 def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
                  seed: int, samples: int) -> None:
+    """The '#' metadata, then the header and one joined line per row, streamed.
+
+    No header or field needs CSV quoting: headers are plain identifiers and
+    every field is a float repr, true/false or '-', none holding a comma, a
+    quote or a line break.  So joining with commas writes exactly what
+    csv.writer with a newline line terminator would.  A column shorter than
+    the others raises ValueError instead of dropping rows.
+    """
     meta = {
         "tool": f"compound-barriers {__version__}",
         "units": "hbar = 2m = 1, energy E = k^2",
@@ -197,9 +204,9 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
     }
     for key, value in meta.items():
         stream.write(f"# {key}: {value}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerows(zip(*table.columns.values()))
+    stream.write(",".join(table.columns) + "\n")
+    rows = zip(*table.columns.values(), strict=True)
+    stream.writelines(",".join(fields) + "\n" for fields in rows)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from compound_barriers import (
     BoundsColumns,
+    DimensionError,
     DomainError,
     EmptySequenceError,
     N_from_theta,
@@ -34,6 +35,7 @@ from compound_barriers import (
     two_barrier_T_bounds,
     two_barrier_T_bounds_rational,
 )
+from compound_barriers.bounds import b_n_iterative_rows
 from oracles import grid_N_interval, grid_T_interval
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
@@ -283,6 +285,38 @@ class TestIntervalEdges:
         assert s_n(extended) >= s_n(base) - 1e-12
         assert b_n_closed(extended) <= b_n_closed(base) + theta + 1e-12
         assert b_n_closed(extended) >= b_n_closed(base) - theta - 1e-12
+
+
+def literal_recursion(thetas):
+    """b_n_iterative's recursion in plain Python floats, as its docstring writes it."""
+    def heaviside(x):
+        return 1.0 if x > 0.0 else 0.0
+
+    b = s = thetas[0]
+    for t in thetas[1:]:
+        b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
+        s += t
+    return b
+
+
+class TestRecursionRows:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_rows_equal_the_recursion_bit_for_bit(self, n):
+        rng = np.random.default_rng(300 + n)
+        rows = rng.uniform(0.0, 300.0 / n, (40, n))
+        rows[:8, 0] *= n        # an outweighing first barrier: B_n > 0
+        rows[8] = rows[8, 0]    # equal barriers: exact ties, H(0)
+        rows[9] = 0.0
+        rows = np.concatenate([rows, rng.permuted(rows, axis=1)])
+        got = bits(b_n_iterative_rows(rows))
+        assert got == bits(literal_recursion(row) for row in rows.tolist())
+        assert got == bits(b_n_iterative(seq(*row)) for row in rows.tolist())
+
+    def test_bad_shapes_are_refused(self):
+        with pytest.raises(DimensionError):
+            b_n_iterative_rows([1.0, 2.0])
+        with pytest.raises(EmptySequenceError):
+            b_n_iterative_rows(np.zeros((3, 0)))
 
 
 class TestBoundsReport:

@@ -22,6 +22,7 @@ from compound_barriers import (
 from compound_barriers.barriers import scenario_arrays
 from compound_barriers.cli import main
 from compound_barriers.errors import BoundViolationError
+from compound_barriers.scenario import load_scenario
 from compound_barriers.transfer import rapidity
 from compound_barriers.verify import RowSweep
 
@@ -316,13 +317,13 @@ class TestCli:
         path.write_text(DOUBLE_RECT.replace("0.4:2.2:400", "0.4:2.2:5"))
         scenario = parse_scenario(path.read_text())
         alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
-        middle = tuple(rapidity(alpha)[2].tolist())
-        recursion = compound_barriers.verify.b_n_iterative
+        middle = rapidity(alpha)[2]
+        recursion = compound_barriers.verify.b_n_iterative_rows
 
-        def off(seq):
-            return recursion(seq) + (1e-6 if seq.thetas == middle else 0.0)
+        def off(thetas):
+            return recursion(thetas) + 1e-6 * (thetas == middle).all(axis=1)
 
-        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative", off)
+        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative_rows", off)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
         captured = capsys.readouterr()
         meta, _, body = read_csv(captured.out)
@@ -374,6 +375,39 @@ class TestCli:
         _, header, body = read_csv(capsys.readouterr().out)
         assert len(body) == 40
         assert all(dict(zip(header, raw))["contained"] == "true" for raw in body)
+
+
+# every table the committed scenarios print (a production scenario has no sweep)
+WRITTEN_TABLES = [(path.name, analysis) for path in sorted(SCENARIO_DIR.glob("*.scn"))
+                  for analysis in ("bounds", "sweep", "verify", "resonance")
+                  if not (analysis == "sweep" and load_scenario(path).mode == "production")]
+
+
+class TestWriter:
+    @pytest.mark.parametrize("name, analysis", WRITTEN_TABLES)
+    def test_body_is_what_csv_writer_writes(self, name, analysis):
+        scenario = load_scenario(SCENARIO_DIR / name)
+        table = compound_barriers.cli._RUNNERS[analysis](scenario, 1, 500)
+        table.columns = {key: list(fields) for key, fields in table.columns.items()}
+        for header, fields in table.columns.items():
+            for text in (header, *fields):  # nothing csv.writer would quote
+                assert text and not set(text) & set(',"\r\n'), text
+        written = io.StringIO()
+        compound_barriers.cli._write_table(written, table, scenario, analysis, 1, 500)
+        oracle = io.StringIO()
+        writer = csv.writer(oracle, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows(zip(*table.columns.values()))
+        body = [line for line in written.getvalue().split("\n") if not line.startswith("# ")]
+        assert body == oracle.getvalue().split("\n")
+        assert len(body) > 2  # header, at least one row, the empty rest after the last "\n"
+
+    def test_ragged_table_fails_loudly(self):
+        scenario = parse_scenario(MINIMAL)
+        table = compound_barriers.cli.Table({"k": ["1.0", "2.0"], "T_min": ["0.5"],
+                                             "contained": ["true", "true"]}, {}, [])
+        with pytest.raises(ValueError, match="shorter"):
+            compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
 
 
 def refuse_scalar_path(monkeypatch):

@@ -401,13 +401,13 @@ class TestRecursionAudit:
     def test_flags_the_disagreeing_row(self, monkeypatch):
         rows = np.random.default_rng(4).uniform(0.0, 3.0, (5, 6))
         assert recursion_audit(BoundsColumns(rows))[1] == []
-        recursion = compound_barriers.verify.b_n_iterative
-        middle = tuple(rows[3].tolist())
+        recursion = compound_barriers.verify.b_n_iterative_rows
+        middle = rows[3]
 
-        def off(sequence):
-            return recursion(sequence) + (1e-9 if sequence.thetas == middle else 0.0)
+        def off(thetas):
+            return recursion(thetas) + 1e-9 * (thetas == middle).all(axis=1)
 
-        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative", off)
+        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative_rows", off)
         worst, failing = recursion_audit(BoundsColumns(rows))
         assert failing == [3]
         assert worst == pytest.approx(1e-9, rel=1e-3)
