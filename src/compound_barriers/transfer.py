@@ -45,7 +45,6 @@ NORM_TOL = 1e-10
 # Rapidities beyond this are refused outright: cosh overflows doubles near
 # 710 and composition round-off is already enormous well before that.
 RAPIDITY_LIMIT = 350.0
-_ALPHA_LIMIT = math.cosh(RAPIDITY_LIMIT)
 
 # Composition results are only rejected when the invariant error exceeds
 # what honest double-precision round-off could produce, i.e. when the
@@ -77,51 +76,25 @@ def product(a1, b1, a2, b2):
     return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
 
 
-def _scalar(*zs) -> bool:
-    """Python complex numbers: validated with cmath and float arithmetic, as
-    numpy's per-call overhead dwarfs the check of one element."""
-    return all(type(z) is complex for z in zs)
-
-
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
-
-
 def check_pairs(alpha, beta) -> None:
     """Validate pairs elementwise, once per array: DomainError if non-finite,
     NormalizationError if | |alpha|^2 - |beta|^2 - 1 | > _SANITY_TOL max(1, |alpha|^2)."""
-    if _scalar(alpha, beta):
-        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-            raise DomainError(f"non-finite Bogoliubov coefficients: alpha={alpha}, beta={beta}")
-        a2 = _abs2(alpha)
-        err = abs(a2 - _abs2(beta) - 1.0)
-        if err > _SANITY_TOL * max(1.0, a2):
-            raise NormalizationError(f"|alpha|^2 - |beta|^2 off 1 by {err!r}")
-        return
     if not _finite(alpha, beta):
         raise DomainError(f"non-finite Bogoliubov coefficients: alpha={alpha}, beta={beta}")
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = _abs2(alpha)
-        err = np.abs(a2 - _abs2(beta) - 1.0)
+        a2 = alpha.real * alpha.real + alpha.imag * alpha.imag
+        err = np.abs(a2 - (beta.real * beta.real + beta.imag * beta.imag) - 1.0)
         if (err > _SANITY_TOL * np.maximum(1.0, a2)).any():
             raise NormalizationError(f"|alpha|^2 - |beta|^2 off 1 by {np.max(err)!r}")
 
 
 def _guarded_product(a1, b1, a2, b2):
     """product() under the guards of a composition step (RapidityOverflowError)."""
-    if _scalar(a1, b1, a2, b2):
+    with np.errstate(over="ignore", invalid="ignore"):
         alpha, beta = product(a1, b1, a2, b2)
-        finite = cmath.isfinite(alpha) and cmath.isfinite(beta)
-        # hypot, not abs(): abs raises OverflowError past the largest double
-        too_far = finite and math.hypot(alpha.real, alpha.imag) > _ALPHA_LIMIT
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            alpha, beta = product(a1, b1, a2, b2)
-        finite = _finite(alpha, beta)
-        too_far = finite and (np.abs(alpha) > _ALPHA_LIMIT).any()
-    if not finite:
+    if not _finite(alpha, beta):
         raise RapidityOverflowError("composition overflowed double precision")
-    if too_far:
+    if (np.abs(alpha) > math.cosh(RAPIDITY_LIMIT)).any():
         raise RapidityOverflowError(f"composed rapidity exceeds trusted range {RAPIDITY_LIMIT}")
     return alpha, beta
 
@@ -178,11 +151,9 @@ def boost_fold(thetas, rho):
     b <- tau_i q + b, one complex multiply per sample, and at the end
     |alpha_total| = |a| prod cosh theta_i.  From (1, tanh theta_1)."""
     taus = np.tanh(thetas)
-    # one block puts a, b and q at one page offset; three allocations land
-    # wherever earlier ones left the heap, and some offsets slow the loop ~10 %
-    a, b, q = np.empty((3, rho.shape[1]), complex)
-    a.fill(1.0)
-    b.fill(taus[0])
+    a = np.ones(rho.shape[1], complex)
+    b = np.full_like(a, taus[0])
+    q = np.empty_like(a)
     a_re, b_re, q_re = a.view(float), b.view(float), q.view(float)  # real scalings
     for tau, r in zip(taus[1:], rho):
         np.multiply(a, r, out=q)

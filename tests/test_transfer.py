@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,8 +26,6 @@ from compound_barriers import (
     shift,
     to_polar,
 )
-from compound_barriers.errors import CompoundBarrierError
-from compound_barriers.transfer import _guarded_product, check_pairs
 from conftest import boost
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
@@ -178,45 +175,6 @@ class TestCompose:
     def test_overflow_is_loud(self):
         with pytest.raises(RapidityOverflowError):
             compose(boost(200.0), boost(200.0))
-
-
-def outcome(check, *zs):
-    """The error class a check raises, or None."""
-    try:
-        check(*zs)
-    except CompoundBarrierError as exc:
-        return type(exc)
-    return None
-
-
-HUGE = complex(1.7e308, 1.7e308)  # finite, but abs() of it overflows
-
-
-class TestScalarValidation:
-    """Python complex is validated without numpy; a one-element array takes
-    the numpy route; both must refuse the same pairs the same way."""
-
-    @pytest.mark.parametrize("alpha, beta", [
-        (cmath.rect(math.cosh(1.0), 0.3), cmath.rect(math.sinh(1.0), 1.1)),
-        (1.0, 1.0), (complex("nan"), 0.0), (complex("inf"), 0.0), (HUGE, 0.0),
-        (cmath.rect(math.cosh(300.0), 0.1), cmath.rect(math.sinh(300.0), 0.2)),
-    ])
-    def test_check_pairs_agrees_with_the_array_route(self, alpha, beta):
-        scalar = outcome(check_pairs, complex(alpha), complex(beta))
-        array = outcome(check_pairs, np.array([alpha], complex), np.array([beta], complex))
-        assert scalar == array
-
-    @pytest.mark.parametrize("factors, expected", [
-        ((cmath.rect(math.cosh(1.0), 0.3), cmath.rect(math.sinh(1.0), 1.1),
-          math.cosh(0.5), math.sinh(0.5)), None),
-        ((math.cosh(200.0), math.sinh(200.0)) * 2, RapidityOverflowError),
-        ((HUGE, 0.0, 1.0, 0.0), RapidityOverflowError),
-        ((HUGE, 0.0, HUGE, 0.0), RapidityOverflowError),
-    ])
-    def test_guarded_product_agrees_with_the_array_route(self, factors, expected):
-        scalar = outcome(_guarded_product, *map(complex, factors))
-        array = outcome(_guarded_product, *(np.array([z], complex) for z in factors))
-        assert scalar == array == expected
 
 
 class TestComposeSequence:
