@@ -38,11 +38,8 @@ from .bounds import (
     theta_from_R,
     theta_from_T,
     two_barrier_N_bounds,
-    two_barrier_N_bounds_rational,
     two_barrier_R_bounds,
-    two_barrier_R_bounds_rational,
     two_barrier_T_bounds,
-    two_barrier_T_bounds_rational,
 )
 from .errors import (
     BoundViolationError,
@@ -55,13 +52,6 @@ from .errors import (
     ParseError,
     RapidityOverflowError,
     TargetOutOfRangeError,
-)
-from .identities import (
-    cosh_sum_acosh,
-    cosh_sum_asinh,
-    sech_sum_asech,
-    sinh_sum_asinh,
-    tanh_sum_atanh,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
 from .transfer import (

@@ -45,9 +45,6 @@ __all__ = [
     "two_barrier_T_bounds",
     "two_barrier_R_bounds",
     "two_barrier_N_bounds",
-    "two_barrier_T_bounds_rational",
-    "two_barrier_R_bounds_rational",
-    "two_barrier_N_bounds_rational",
     "s_n",
     "b_n_iterative",
     "b_n_iterative_rows",
@@ -188,28 +185,6 @@ def two_barrier_T_bounds(T1: float, T2: float) -> tuple[float, float]:
     return T_from_theta(t1 + t2), T_from_theta(abs(t1 - t2))
 
 
-def two_barrier_T_bounds_rational(T1: float, T2: float) -> tuple[float, float]:
-    """Rational-algebraic cross-check of two_barrier_T_bounds.
-
-        T_low  = T1 T2 / (1 + sqrt(1-T1) sqrt(1-T2))^2
-        T_high = min(1, T1 T2 / (1 - sqrt(1-T1) sqrt(1-T2))^2)
-
-    The subtracted denominator is evaluated as
-    (T1 + T2 - T1 T2) / (1 + sqrt(1-T1) sqrt(1-T2)) to dodge cancellation
-    for small T.  T1 == T2 yields exactly 1 (the 0-width resonance case).
-    """
-    _check_T(T1, "T1")
-    _check_T(T2, "T2")
-    s1s2 = math.sqrt(1.0 - T1) * math.sqrt(1.0 - T2)
-    low = T1 * T2 / (1.0 + s1s2) ** 2
-    if T1 == T2:
-        high = 1.0
-    else:
-        denom = (T1 + T2 - T1 * T2) / (1.0 + s1s2)
-        high = min(1.0, T1 * T2 / (denom * denom))
-    return low, high
-
-
 def _check_R(R: float, name: str) -> None:
     if not math.isfinite(R) or not (0.0 <= R < 1.0):
         raise DomainError(f"{name} must lie in [0, 1), got {R!r}")
@@ -221,28 +196,6 @@ def two_barrier_R_bounds(R1: float, R2: float) -> tuple[float, float]:
     _check_R(R2, "R2")
     t1, t2 = theta_from_R(R1), theta_from_R(R2)
     return R_from_theta(abs(t1 - t2)), R_from_theta(t1 + t2)
-
-
-def two_barrier_R_bounds_rational(R1: float, R2: float) -> tuple[float, float]:
-    """Rational-algebraic cross-check of two_barrier_R_bounds.
-
-        R_high = ((sqrt R1 + sqrt R2) / (1 + sqrt(R1 R2)))^2
-        R_low  = ((sqrt R1 - sqrt R2) / (1 - sqrt(R1 R2)))^2
-
-    Differences are evaluated cancellation-free; equal reflections give an
-    exact lower edge of 0 (total destructive interference is possible).
-    """
-    _check_R(R1, "R1")
-    _check_R(R2, "R2")
-    r1, r2 = math.sqrt(R1), math.sqrt(R2)
-    high = ((r1 + r2) / (1.0 + r1 * r2)) ** 2
-    if R1 == R2:
-        low = 0.0
-    else:
-        num = (R1 - R2) / (r1 + r2)
-        den = (1.0 - R1 * R2) / (1.0 + r1 * r2)
-        low = (num / den) ** 2
-    return low, high
 
 
 def _check_N(N: float, name: str) -> None:
@@ -260,26 +213,6 @@ def two_barrier_N_bounds(N1: float, N2: float) -> tuple[float, float]:
     _check_N(N2, "N2")
     t1, t2 = theta_from_N(N1), theta_from_N(N2)
     return N_from_theta(abs(t1 - t2)), N_from_theta(t1 + t2)
-
-
-def two_barrier_N_bounds_rational(N1: float, N2: float) -> tuple[float, float]:
-    """Rational-algebraic cross-check of two_barrier_N_bounds.
-
-        N_hi/lo = (sqrt(N1 (N2+1)) +- sqrt(N2 (N1+1)))^2
-
-    expanded to N1 + N2 + 2 N1 N2 +- 2 sqrt(N1 N2 (N1+1)(N2+1)), which for
-    the difference is evaluated through (N1 - N2)/(x + y) to stay exact
-    near N1 = N2.
-    """
-    _check_N(N1, "N1")
-    _check_N(N2, "N2")
-    x = math.sqrt(N1 * (N2 + 1.0))
-    y = math.sqrt(N2 * (N1 + 1.0))
-    if x + y == 0.0:
-        return 0.0, 0.0
-    low = ((N1 - N2) / (x + y)) ** 2
-    high = N1 + N2 + 2.0 * N1 * N2 + 2.0 * math.sqrt(N1 * N2 * (N1 + 1.0) * (N2 + 1.0))
-    return low, high
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 Output is RFC-4180-style CSV preceded by '#'-prefixed metadata lines
 (units convention, seed, generator, tool version), so a table is fully
 reproducible from the file alone.  Exit codes: 0 all checks pass, 2 a
-containment/equivalence check failed, 3 bad input.
+containment/equivalence check failed, 3 bad input (an unreadable or
+invalid scenario, an analysis its mode cannot run, an --out that cannot be
+opened).
 
 ``--seed`` and ``--samples`` fall back to the CB_SEED / CB_SAMPLES
 environment variables, then to the scenario file, then to defaults; a seed
@@ -15,6 +17,7 @@ below 0 or fewer than 1 sample is bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from . import __version__
 from .barriers import scenario_arrays
 from .bounds import BoundsColumns, RapiditySequence, production_guaranteed
-from .errors import BoundViolationError, CompoundBarrierError
+from .errors import BoundViolationError, CompoundBarrierError, DomainError
 from .scenario import Scenario, load_scenario
 from .transfer import rapidity
 from .verify import (
@@ -87,6 +90,8 @@ def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
 
 def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
     """Exact compound T/R/N next to the envelopes, with a containment verdict."""
+    if scenario.mode == "production":
+        raise DomainError("sweep analysis needs a spatial model (scattering mode)")
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
     columns = {"k": _floats(scenario.k_values),
                "T_exact": _floats(row.t_exact for row in audit.rows),
@@ -129,7 +134,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     }
     if failing:
         failures.append(f"iterative/closed-form equivalence audit failed in rows {failing}")
-    sweeps = random_phase_sweeps(bounds.thetas, samples, seed)
+    sweeps = random_phase_sweeps(bounds, samples, seed)
     failures += [str(sweep.violation) for sweep in sweeps if sweep.violation is not None]
     columns = {"k": k, "B_n": _floats(bounds.b_n), "S_n": _floats(bounds.s_n),
                "theta_min_observed": _floats(sweep.theta_min_observed for sweep in sweeps),
@@ -244,6 +249,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if samples < 1:
             raise CompoundBarrierError(f"samples must be >= 1, got {samples}")
         table = _RUNNERS[analysis](scenario, seed, samples)
+        out = (contextlib.nullcontext(sys.stdout) if args.out in ("-", "stdout")
+               else open(args.out, "w", encoding="utf-8", newline=""))
     except BoundViolationError as exc:
         print(f"compound-barriers: containment violation: {exc}", file=sys.stderr)
         return 2
@@ -251,11 +258,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"compound-barriers: error: {exc}", file=sys.stderr)
         return 3
 
-    if args.out in ("-", "stdout"):
-        _write_table(sys.stdout, table, scenario, analysis, seed, samples)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_table(fh, table, scenario, analysis, seed, samples)
+    with out as stream:
+        _write_table(stream, table, scenario, analysis, seed, samples)
 
     if table.failures:
         for failure in table.failures:

@@ -30,7 +30,8 @@ class OverlapError(CompoundBarrierError, ValueError):
 
 
 class DimensionError(CompoundBarrierError, ValueError):
-    """Too many phase dimensions for an exhaustive grid search."""
+    """An array or search has the wrong number of dimensions: a rapidity array
+    that is not (n_rows, n), or too many phases for an exhaustive grid search."""
 
 
 class TargetOutOfRangeError(CompoundBarrierError, ValueError):

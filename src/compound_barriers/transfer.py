@@ -19,7 +19,9 @@ with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
   r = beta/alpha = tanh(theta) e^{-i(phi_alpha - phi_beta)}.
 
 The algebra is array-valued (an entry per wavenumber, sample, ...); the scalar
-API wraps it.  Everything is pure, so the module is thread-safe without qualification.
+API wraps it.  No function keeps state, and each leaves its arguments as they
+were, except gauge_rotors, which turns the phase block it is given into rotors
+in place; so concurrent calls are safe unless they share such a block.
 """
 
 from __future__ import annotations

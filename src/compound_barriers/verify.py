@@ -44,15 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .barriers import BarrierSpec, scenario_arrays
-from .bounds import (
-    BoundsColumns,
-    BoundsReport,
-    RapiditySequence,
-    b_n_closed,
-    b_n_iterative_rows,
-    bounds_report,
-    s_n,
-)
+from .bounds import BoundsColumns, RapiditySequence, b_n_closed, b_n_iterative_rows, s_n
 from .errors import (
     BoundViolationError,
     CompoundBarrierError,
@@ -85,6 +77,8 @@ __all__ = [
 GENERATOR_NAME = "PCG64"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
+_ATTAIN_TOLERANCE = 1e-8  # |achieved - target| that attain accepts on recomposition
+_EQUIVALENCE_TOLERANCE = 1e-12  # largest B_n gap equivalence_audit counts as a pass
 _EPS = float(np.finfo(float).eps)
 _C_EPS = 8.0 * _EPS  # c eps of the audit's rounding bound
 
@@ -163,17 +157,15 @@ class RowSweep:
     violation: BoundViolationError | None
 
 
-def random_phase_sweeps(thetas, samples: int, seed: int,
-                        band: float = CONTAINMENT_BAND) -> list[RowSweep]:
-    """random_phase_sweep of every row of an (n_rows, n) rapidity array.
+def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[RowSweep]:
+    """random_phase_sweep of every row of the caller's BoundsColumns.
 
     Each block is drawn and reduced to rotors once for all rows; row j is
-    bit-identical to random_phase_sweep(RapiditySequence(thetas[j])).  The
-    edges [B_n, S_n] come from BoundsColumns.  A row escaping them by more
-    than ``band`` keeps its BoundViolationError (first escaping block) and
-    is not sampled further; other rows go on.
+    bit-identical to random_phase_sweep(RapiditySequence(bounds.thetas[j])).
+    The edges are the columns' [B_n, S_n].  A row escaping them by more
+    than CONTAINMENT_BAND keeps its BoundViolationError (first escaping
+    block) and is not sampled further; other rows go on.
     """
-    bounds = BoundsColumns(thetas)
     thetas, n = bounds.thetas, bounds.thetas.shape[1]
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
@@ -192,9 +184,9 @@ def random_phase_sweeps(thetas, samples: int, seed: int,
             observed = boost_fold(thetas[j], rho)
             lo_i, hi_i = int(np.argmin(observed)), int(np.argmax(observed))
             worst_low, worst_high = float(observed[lo_i]), float(observed[hi_i])
-            if worst_low < b - band or worst_high > s + band:
+            if worst_low < b - CONTAINMENT_BAND or worst_high > s + CONTAINMENT_BAND:
                 violations[j] = BoundViolationError(
-                    f"sampled rapidity escaped [{b}, {s}] (band {band}): "
+                    f"sampled rapidity escaped [{b}, {s}] (band {CONTAINMENT_BAND}): "
                     f"observed [{worst_low}, {worst_high}] in block {block}"
                 )
                 low[j] = high[j] = math.nan
@@ -208,17 +200,16 @@ def random_phase_sweeps(thetas, samples: int, seed: int,
     return [RowSweep(*fields) for fields in zip(low, high, low_at, high_at, violations)]
 
 
-def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int,
-                       band: float = CONTAINMENT_BAND) -> SweepResult:
+def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepResult:
     """Uniform random phases; every composed rapidity must stay in [B_n, S_n].
 
     Deterministic for a fixed seed regardless of how blocks would be
-    scheduled.  A sample escaping the interval by more than ``band`` raises
-    BoundViolationError: the bounds are theorems, so that is a bug, not a
-    statistic.  The one-row call of random_phase_sweeps; the extreme
+    scheduled.  A sample escaping the interval by more than CONTAINMENT_BAND
+    raises BoundViolationError: the bounds are theorems, so that is a bug,
+    not a statistic.  The one-row call of random_phase_sweeps; the extreme
     assignments are redrawn from their blocks.
     """
-    (row,) = random_phase_sweeps([seq.thetas], samples, seed, band)
+    (row,) = random_phase_sweeps(BoundsColumns([seq.thetas]), samples, seed)
     if row.violation is not None:
         raise row.violation
 
@@ -318,8 +309,7 @@ def extremal_phase_search(seq: RapiditySequence, grid_points_per_phase: int,
     )
 
 
-def attain(seq: RapiditySequence, target: float,
-           tolerance: float = 1e-8) -> PhaseAssignment:
+def attain(seq: RapiditySequence, target: float) -> PhaseAssignment:
     """Construct phases whose composition has rapidity ``target``.
 
     Walks the barriers left to right; before absorbing barrier m it picks
@@ -328,7 +318,8 @@ def attain(seq: RapiditySequence, target: float,
     what keeps the target reachable with the barriers still to come.  The
     relative phase follows from |alpha_new|^2 = A^2 + B^2 + 2AB cos(psi)
     with A = cosh(cur) cosh(theta_m), B = sinh(cur) sinh(theta_m).  The
-    result is verified by recomposition before being returned.
+    result is verified by recomposition, to within 1e-8, before being
+    returned.
     """
     if len(seq) == 0:
         raise EmptySequenceError("attain needs at least one rapidity")
@@ -385,10 +376,10 @@ def attain(seq: RapiditySequence, target: float,
         current = compose(current, from_polar(HyperbolicParams(t_i, 0.0, phi)))
 
     achieved = to_polar(current).theta
-    if abs(achieved - target) > tolerance:
+    if abs(achieved - target) > _ATTAIN_TOLERANCE:
         raise CompoundBarrierError(
             f"attain construction reached {achieved!r}, target {target!r} "
-            f"(tolerance {tolerance})"
+            f"(tolerance {_ATTAIN_TOLERANCE})"
         )
     return PhaseAssignment(tuple(phis))
 
@@ -409,10 +400,10 @@ class EquivalenceReport:
         return self.failures == 0
 
 
-def equivalence_audit(n_max: int, trials: int, seed: int,
-                      tolerance: float = 1e-12) -> EquivalenceReport:
+def equivalence_audit(n_max: int, trials: int, seed: int) -> EquivalenceReport:
     """Random sequences: the Heaviside recursion (b_n_iterative_rows, all of
-    one n's trials at once) == b_n_closed, and shuffle invariance."""
+    one n's trials at once) == b_n_closed, and shuffle invariance, each to
+    within 1e-12."""
     if n_max < 2:
         raise DomainError(f"need n_max >= 2, got {n_max!r}")
     if trials < 1:
@@ -431,7 +422,7 @@ def equivalence_audit(n_max: int, trials: int, seed: int,
             closed = b_n_closed(seq)
             gap = max(abs(recursion - closed), abs(b_n_closed(shuffled) - closed))
             worst = max(worst, gap)
-            if gap <= tolerance:
+            if gap <= _EQUIVALENCE_TOLERANCE:
                 passes += 1
             else:
                 failures += 1
@@ -466,19 +457,14 @@ def recursion_audit(bounds: BoundsColumns) -> tuple[float, list[int]]:
 
 @dataclass(frozen=True, slots=True)
 class ContainmentRow:
-    """One wavenumber of a scenario audit: exact values vs envelopes (from ``thetas``)."""
+    """One wavenumber of a scenario audit: the exact values and whether they
+    lie within the row's envelopes (ContainmentReport.bounds)."""
 
     k: float
     t_exact: float
     r_exact: float
     n_exact: float
     contained: bool
-    thetas: np.ndarray = field(compare=False)  # row of the per-barrier rapidities
-
-    @property
-    def report(self) -> BoundsReport:
-        """bounds_report of this row's rapidities."""
-        return bounds_report(RapiditySequence(tuple(self.thetas.tolist())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -553,8 +539,8 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     low, high = np.array(bounds.b_n), np.array(bounds.s_n)
     band = _containment_band(bounds.thetas, theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
-    rows = tuple(ContainmentRow(k, *values, ok, row) for k, values, ok, row
-                 in zip(k_sweep, exact.tolist(), contained.tolist(), bounds.thetas))
+    rows = tuple(ContainmentRow(k, *values, ok)
+                 for k, values, ok in zip(k_sweep, exact.tolist(), contained.tolist()))
     return ContainmentReport(rows, bool(contained.all()), *margins.ravel().tolist(),
                              k_at_max_t=k_sweep[int(np.argmax(exact[:, 0]))],
                              k_at_min_t=k_sweep[int(np.argmin(exact[:, 0]))],

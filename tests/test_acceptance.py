@@ -22,24 +22,27 @@ from compound_barriers import (
     b_n_closed,
     b_n_iterative,
     compose_sequence,
-    cosh_sum_acosh,
-    cosh_sum_asinh,
     production_guaranteed,
     random_phase_sweep,
     s_n,
     scenario_transfer,
-    sech_sum_asech,
-    sinh_sum_asinh,
-    tanh_sum_atanh,
     to_polar,
     transfer_of,
     two_barrier_N_bounds,
-    two_barrier_N_bounds_rational,
     two_barrier_T_bounds,
-    two_barrier_T_bounds_rational,
     extremal_phase_search,
 )
-from oracles import ode_transmission, pieces_for
+from oracles import (
+    cosh_sum_acosh,
+    cosh_sum_asinh,
+    ode_transmission,
+    pieces_for,
+    sech_sum_asech,
+    sinh_sum_asinh,
+    tanh_sum_atanh,
+    two_barrier_N_bounds_rational,
+    two_barrier_T_bounds_rational,
+)
 
 
 @contextlib.contextmanager

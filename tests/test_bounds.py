@@ -29,14 +29,17 @@ from compound_barriers import (
     theta_from_R,
     theta_from_T,
     two_barrier_N_bounds,
-    two_barrier_N_bounds_rational,
     two_barrier_R_bounds,
-    two_barrier_R_bounds_rational,
     two_barrier_T_bounds,
-    two_barrier_T_bounds_rational,
 )
 from compound_barriers.bounds import b_n_iterative_rows
-from oracles import grid_N_interval, grid_T_interval
+from oracles import (
+    grid_N_interval,
+    grid_T_interval,
+    two_barrier_N_bounds_rational,
+    two_barrier_R_bounds_rational,
+    two_barrier_T_bounds_rational,
+)
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
 ASINH_1 = 0.881373587019543

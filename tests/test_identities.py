@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compound_barriers import (
-    DomainError,
+from compound_barriers import DomainError
+from oracles import (
     cosh_sum_acosh,
     cosh_sum_asinh,
     sech_sum_asech,

@@ -246,6 +246,22 @@ class TestCli:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["--scenario", "/nonexistent.scn"]) == 3
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "case.scn"
+        path.write_text(MINIMAL)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("compound-barriers: error:")
+        assert str(out) in captured.err
+        assert captured.out == ""
+
+    def test_sweep_of_a_production_scenario_names_the_rule(self, capsys):
+        path = SCENARIO_DIR / "production_pair.scn"
+        assert main(["--scenario", str(path), "--analysis", "sweep"]) == 3
+        assert capsys.readouterr().err == ("compound-barriers: error: sweep analysis needs a "
+                                           "spatial model (scattering mode)\n")
+
     def test_bad_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text("k = -1.0\nbarrier delta position=0 strength=1\n")
@@ -269,7 +285,7 @@ class TestCli:
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
 
     def test_violation_exit_code_in_production_mode(self, tmp_path, monkeypatch, capsys):
-        def violated(thetas, samples, seed):
+        def violated(bounds, samples, seed):
             return [RowSweep(math.nan, math.nan, None, None,
                              BoundViolationError("injected violation"))]
 

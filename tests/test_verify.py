@@ -194,7 +194,7 @@ class TestRandomPhaseSweeps:
     def test_rows_equal_the_one_row_call(self, n):
         rows = np.random.default_rng(n).uniform(0.0, 3.0, (5, n))
         samples, seed = 10_000, 41  # two full blocks and a partial one
-        batch = random_phase_sweeps(rows, samples, seed)
+        batch = random_phase_sweeps(BoundsColumns(rows), samples, seed)
         assert len(batch) == len(rows)
         for row, got in zip(rows, batch):
             one = random_phase_sweep(seq(*row), samples, seed)
@@ -210,19 +210,16 @@ class TestRandomPhaseSweeps:
     def test_violation_stays_in_its_own_row(self, monkeypatch):
         rows = np.random.default_rng(3).uniform(0.2, 2.0, (5, 4))
         samples, seed = 9000, 8
-        clean = random_phase_sweeps(rows, samples, seed)
-        middle = rows[2].tolist()
-
-        class Shrunk(compound_barriers.verify.BoundsColumns):
-            def __init__(self, thetas):
-                super().__init__(thetas)
-                self.s_n = [s - (0.1 if row == middle else 0.0)
-                            for s, row in zip(self.s_n, self.thetas.tolist())]
-
-        monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", Shrunk)
-        batch = random_phase_sweeps(rows, samples, seed)
+        clean = random_phase_sweeps(BoundsColumns(rows), samples, seed)
+        shrunk = BoundsColumns(rows)
+        shrunk.s_n[2] -= 0.1
+        batch = random_phase_sweeps(shrunk, samples, seed)
+        # the one-row call builds its own columns: hand it the middle row's, shrunk alike
+        alone = BoundsColumns(rows[2:3])
+        alone.s_n[0] -= 0.1
+        monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", lambda thetas: alone)
         with pytest.raises(BoundViolationError) as one:
-            random_phase_sweep(seq(*middle), samples, seed)
+            random_phase_sweep(seq(*rows[2]), samples, seed)
         assert str(batch[2].violation) == str(one.value)
         assert "in block" in str(one.value)
         assert math.isnan(batch[2].theta_min_observed)
@@ -232,7 +229,7 @@ class TestRandomPhaseSweeps:
 
 class TestLibrarySeeds:
     @pytest.mark.parametrize("call", [
-        lambda: random_phase_sweeps([[1.0, 2.0]], 10, -1),
+        lambda: random_phase_sweeps(BoundsColumns([[1.0, 2.0]]), 10, -1),
         lambda: random_phase_sweep(seq(1.0, 2.0), 10, -1),
         lambda: equivalence_audit(4, 5, -1),
     ], ids=["random_phase_sweeps", "random_phase_sweep", "equivalence_audit"])
@@ -435,9 +432,9 @@ class TestScenarioContainmentAudit:
                  Rectangular(height=2.0, width=1.5, position=2.5)]
         audit = scenario_containment_audit(specs, np.linspace(0.4, 2.4, 120))
         assert audit.all_contained
-        for row in audit.rows:
-            assert row.t_exact < row.report.t_interval[1]
-            assert row.report.t_interval[1] < 1.0
+        for row, t_upper in zip(audit.rows, audit.bounds.envelopes[1]):
+            assert row.t_exact < t_upper
+            assert t_upper < 1.0
 
     def test_mixed_kinds(self):
         specs = [Delta(strength=1.5, position=-2.0),
