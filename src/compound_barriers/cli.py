@@ -7,7 +7,7 @@ Output is RFC-4180-style CSV preceded by '#'-prefixed metadata lines
 reproducible from the file alone.  Exit codes: 0 all checks pass, 2 a
 containment/equivalence check failed, 3 bad input (an unreadable or
 invalid scenario, an analysis its mode cannot run, an --out that cannot be
-opened).
+opened or written; a partial table in a file the call created is removed).
 
 ``--seed`` and ``--samples`` fall back to the CB_SEED / CB_SAMPLES
 environment variables, then to the scenario file, then to defaults; a seed
@@ -214,6 +214,15 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
     stream.writelines(",".join(fields) + "\n" for fields in rows)
 
 
+def _open_out(path: str):
+    """The --out file for writing, and whether this call created it (a new
+    regular file) rather than opened what was there (a file, /dev/full, ...)."""
+    try:
+        return open(path, "x", encoding="utf-8", newline=""), True
+    except FileExistsError:
+        return open(path, "w", encoding="utf-8", newline=""), False
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="compound-barriers",
@@ -249,8 +258,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if samples < 1:
             raise CompoundBarrierError(f"samples must be >= 1, got {samples}")
         table = _RUNNERS[analysis](scenario, seed, samples)
-        out = (contextlib.nullcontext(sys.stdout) if args.out in ("-", "stdout")
-               else open(args.out, "w", encoding="utf-8", newline=""))
+        out, created = ((contextlib.nullcontext(sys.stdout), False) if args.out in ("-", "stdout")
+                        else _open_out(args.out))
     except BoundViolationError as exc:
         print(f"compound-barriers: containment violation: {exc}", file=sys.stderr)
         return 2
@@ -258,8 +267,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"compound-barriers: error: {exc}", file=sys.stderr)
         return 3
 
-    with out as stream:
-        _write_table(stream, table, scenario, analysis, seed, samples)
+    try:
+        with out as stream:
+            _write_table(stream, table, scenario, analysis, seed, samples)
+    except OSError as exc:
+        if created:  # a partial table this call started; nothing else is removed
+            with contextlib.suppress(OSError):
+                os.unlink(args.out)
+        print(f"compound-barriers: error: {exc}", file=sys.stderr)
+        return 3
 
     if table.failures:
         for failure in table.failures:

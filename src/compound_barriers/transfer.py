@@ -21,7 +21,8 @@ with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
 The algebra is array-valued (an entry per wavenumber, sample, ...); the scalar
 API wraps it.  No function keeps state, and each leaves its arguments as they
 were, except gauge_rotors, which turns the phase block it is given into rotors
-in place; so concurrent calls are safe unless they share such a block.
+in place, and boost_fold, which works in the scratch array it may be given;
+so concurrent calls are safe unless they share such an array.
 """
 
 from __future__ import annotations
@@ -141,9 +142,12 @@ def gauge_rotors(phases):
     return rho
 
 
-def boost_fold(thetas, rho):
+def boost_fold(thetas, rho, work=None):
     """Composed rapidity of B(theta_1) R(w_1) B(theta_2) ... R(w_{n-1}) B(theta_n)
     per column of the (n-1, samples) rotors rho = e^{2iw}, unguarded.
+    Rapidities (n,) give (samples,); (rows, n), one sequence per row, give
+    (rows, samples), each row bit-identical to its own (n,) call, since every
+    step is elementwise.
 
     Step i multiplies (a, b) by the pair (cosh theta_i e^{iw_i}, sinh theta_i
     e^{iw_i}); by product() that is cosh theta_i e^{-iw_i} (a rho_i + tau_i b,
@@ -151,21 +155,34 @@ def boost_fold(thetas, rho):
     rotation and the common factor a scale, which only rotate and scale
     alpha_total, so each step drops both: q = a rho_i, a <- q + tau_i b,
     b <- tau_i q + b, one complex multiply per sample, and at the end
-    |alpha_total| = |a| prod cosh theta_i.  From (1, tanh theta_1)."""
+    |alpha_total| = |a| prod cosh theta_i.  From (1, tanh theta_1).
+
+    a, b and q are consecutive thirds of ``work``, a complex scratch array
+    of at least 3 rows samples elements, so a caller folding tile after tile
+    passes one allocation for all of them (by default one is made).  The
+    result is written over q's memory: a view into ``work``, valid until
+    the next fold into it."""
     taus = np.tanh(thetas)
-    a = np.ones(rho.shape[1], complex)
-    b = np.full_like(a, taus[0])
-    q = np.empty_like(a)
+    shape = taus.shape[:-1] + rho.shape[1:]
+    size = math.prod(shape)
+    if work is None:
+        work = np.empty(3 * size, complex)
+    a, b, q = (work[i * size:(i + 1) * size].reshape(shape) for i in range(3))
+    a.fill(1.0)
+    b[...] = taus[..., :1]
     a_re, b_re, q_re = a.view(float), b.view(float), q.view(float)  # real scalings
-    for tau, r in zip(taus[1:], rho):
+    # tau_i as a column against the (..., samples) state
+    for tau, r in zip(np.moveaxis(taus, -1, 0)[1:, ..., None], rho):
         np.multiply(a, r, out=q)
         np.multiply(b_re, tau, out=a_re)
         a += q
         q_re *= tau
         b += q
-    modulus = np.abs(a)
-    modulus *= np.prod(np.cosh(thetas))
-    return rapidity(modulus)
+    # rapidity(|a| prod cosh theta_i), in place
+    theta = np.abs(a, out=q_re.reshape(-1)[:size].reshape(shape))
+    theta *= np.prod(np.cosh(thetas), axis=-1)[..., None]
+    np.maximum(theta, 1.0, out=theta)
+    return np.arccosh(theta, out=theta)
 
 
 def compose_polar(thetas, phi_alpha, phi_beta):

@@ -27,11 +27,18 @@ random sampling against reduced-gauge grid extremes.
 Sampling contract: samples are split into fixed blocks of 4096; block j of
 a sweep seeded s draws from PCG64(SeedSequence(s, spawn_key=(j,))).  Rows
 swept together on one seed (random_phase_sweeps, one row per wavenumber)
-share each block's draw: it is drawn and turned into rotors once, and only
-the boost fold runs per row, so every row gets exactly the result of
-random_phase_sweep on that row alone.  The reduction over blocks is
-order-independent, so any parallel schedule gives bit-identical results;
-the implementation here is sequential.
+share each block's draw: only the boost fold runs per row, so every row
+gets exactly the result of random_phase_sweep on that row alone.
+
+Schedule: random_phase_sweeps runs units of (block, row slice) on a thread
+per CPU the process may use (its affinity mask, so taskset narrows it; no
+option sets it), the calling thread among them.  A unit draws its block
+into rotors and folds its rows; numpy releases the GIL inside each call,
+and the calls are made long (tiles of rows) so that threads rarely wait
+for it.  The calling thread then reduces the units' extremes in (block,
+row) order, as a sequential loop would: ties go to the first sample, and a
+row's violation is the first block that escapes, however the units ran.
+The output is bit-identical under any number of threads.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +84,11 @@ __all__ = [
 GENERATOR_NAME = "PCG64"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
+# Threaded sweeps (random_phase_sweeps): sizes that keep each worker's
+# memory near what the sequential sweep held for one block
+_ROTORS = 16384  # complex rotors a worker holds; a larger block is drawn in parts
+_TILE = 12288  # complex elements per fold call (a tile of rows x part samples)
+_MAX_WORKERS = 4
 _ATTAIN_TOLERANCE = 1e-8  # |achieved - target| that attain accepts on recomposition
 _EQUIVALENCE_TOLERANCE = 1e-12  # largest B_n gap equivalence_audit counts as a pass
 _EPS = float(np.finfo(float).eps)
@@ -157,33 +169,163 @@ class RowSweep:
     violation: BoundViolationError | None
 
 
+def _worker_count() -> int:
+    """Threads a sweep may run on: the CPUs this process may use (its
+    affinity mask, which taskset sets, where the OS has one), at most
+    _MAX_WORKERS."""
+    import os
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
+
+
+def _spans(total: int, parts: int) -> list[tuple[int, int]]:
+    """[0, total) cut into ``parts`` consecutive (start, stop) spans, as even as can be."""
+    edges = [total * i // parts for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _fold_extremes(thetas: np.ndarray, parts: Iterable[tuple[int, np.ndarray]],
+                   work: np.ndarray, tile_size: int) -> tuple[list, list, list, list]:
+    """Per row of thetas (rows, n), the index and value of the first minimum
+    and of the first maximum of boost_fold over a block's samples, as
+    np.argmin/np.argmax over the whole block give them.  The block comes as
+    ``parts`` in sample order, (start, rotors of the samples from start on);
+    the first part holding a row's minimum (np.argmin over the part minima),
+    and the first index within it, is the block's.  Rows are folded in tiles
+    of at most tile_size complex elements (one row at least), which with
+    _TILE keeps each fold call long enough to leave the GIL to the other
+    threads; ``work``, if given, holds a tile's a, b and q."""
+    rows = len(thetas)
+    at, value = [], []  # per part: (2, rows) indices and values of (min, max)
+    for start, rho in parts:
+        step = max(1, tile_size // rho.shape[1])
+        span = np.arange(min(step, rows))
+        at.append(np.empty((2, rows), np.intp))
+        value.append(np.empty((2, rows)))
+        for r0, r1 in _spans(rows, -(-rows // step)):
+            if r1 == r0 + 1:  # one row folds as a rapidity row: scalar steps, scalar bookkeeping
+                observed = boost_fold(thetas[r0], rho, work)
+                lo, hi = observed.argmin(), observed.argmax()
+                at[-1][:, r0] = lo, hi
+                value[-1][:, r0] = observed[lo], observed[hi]
+                continue
+            observed = boost_fold(thetas[r0:r1], rho, work)
+            lo, hi, k = observed.argmin(axis=1), observed.argmax(axis=1), span[:r1 - r0]
+            at[-1][:, r0:r1] = lo, hi
+            value[-1][:, r0:r1] = observed[k, lo], observed[k, hi]
+        at[-1] += start
+    at_, value_ = np.stack(at, axis=-1), np.stack(value, axis=-1)  # (2, rows, parts)
+    every = np.arange(rows)
+    lo, hi = value_[0].argmin(axis=1), value_[1].argmax(axis=1)
+    return (at_[0, every, lo].tolist(), value_[0, every, lo].tolist(),
+            at_[1, every, hi].tolist(), value_[1, every, hi].tolist())
+
+
+def _run_units(units: list, workers: int, make_worker) -> list:
+    """Each unit's result, in unit order, computed by ``workers`` threads, the
+    calling thread among them.  ``make_worker()`` gives each thread its
+    function of a unit (and so its own scratch).  A failure stops the other
+    threads after their current unit and is raised here.  No name the
+    benchmark's tracer wraps runs on these threads."""
+    import threading
+
+    results: list = [None] * len(units)
+    failures: list[BaseException] = []
+    pending = iter(range(len(units)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        try:
+            run = make_worker()
+            while not failures:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                results[i] = run(units[i])
+        except BaseException as exc:
+            failures.append(exc)
+
+    # daemon: an interrupt while joining must not keep the process alive
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[RowSweep]:
     """random_phase_sweep of every row of the caller's BoundsColumns.
 
-    Each block is drawn and reduced to rotors once for all rows; row j is
-    bit-identical to random_phase_sweep(RapiditySequence(bounds.thetas[j])).
-    The edges are the columns' [B_n, S_n].  A row escaping them by more
-    than CONTAINMENT_BAND keeps its BoundViolationError (first escaping
-    block) and is not sampled further; other rows go on.
+    Row j is bit-identical to random_phase_sweep(RapiditySequence(
+    bounds.thetas[j])).  The edges are the columns' [B_n, S_n].  A row
+    escaping them by more than CONTAINMENT_BAND keeps its
+    BoundViolationError (first escaping block) and no later block counts
+    for it; other rows go on.
+
+    Units of (block, row slice) run on _worker_count() threads.  Rows are
+    sliced only when there are fewer blocks than threads; such blocks are
+    drawn once, up front, and shared by their slices.  Otherwise a thread
+    draws its block in parts of at most _ROTORS rotors and folds tiles of
+    at most _TILE elements.  One thread folds as the sequential sweep
+    always did: whole blocks, one row per fold call, the cheapest per
+    sample without threads.  The extremes are reduced here in (block, row)
+    order, so none of this shows in the result.
     """
     thetas, n = bounds.thetas, bounds.thetas.shape[1]
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
     edges = list(zip(bounds.b_n, bounds.s_n))
     rows = len(edges)
+    if not rows:
+        return []
     low, high = [math.inf] * rows, [-math.inf] * rows
     low_at: list[tuple[int, int] | None] = [None] * rows
     high_at: list[tuple[int, int] | None] = [None] * rows
     violations: list[BoundViolationError | None] = [None] * rows
 
-    for block, count in _blocks(samples):
-        rho = gauge_rotors(_block_phases(seed, block, count, n))
-        for j, (b, s) in enumerate(edges):
+    blocks = list(_blocks(samples))
+    workers = _worker_count()
+    slices = _spans(rows, min(rows, -(-workers // len(blocks))))
+    units = [(block, count, first, stop) for block, count in blocks for first, stop in slices]
+    threads = min(workers, len(units))
+    shared = {block: gauge_rotors(_block_phases(seed, block, count, n))
+              for block, count in blocks} if len(slices) > 1 else {}
+    width = min(samples, _BLOCK)
+    part = width if threads == 1 else min(width, max(1, _ROTORS // max(n - 1, 1)))
+    tile = _TILE if threads > 1 else 1
+
+    def make_worker():
+        # threads reuse one scratch each (memory); one thread lets each fold
+        # allocate its own, which measured faster there
+        work = np.empty(3 * min(rows * width, max(tile, width)), complex) if threads > 1 else None
+
+        def run(unit):
+            block, count, first, stop = unit
+            if shared:
+                parts = [(0, shared[block])]
+            else:  # drawn part by part: one generator's draws in sequence are its one draw
+                rng = _block_rng(seed, block)
+                parts = ((start, gauge_rotors(rng.uniform(-math.pi, math.pi, (end - start, n, 2))))
+                         for start, end in _spans(count, -(-count // part)))
+            return _fold_extremes(thetas[first:stop], parts, work, tile)
+
+        return run
+
+    results = _run_units(units, threads, make_worker)
+    for (block, _, first, _), extremes in zip(units, results):
+        for j, lo_i, worst_low, hi_i, worst_high in zip(range(first, rows), *extremes):
             if violations[j] is not None:
                 continue
-            observed = boost_fold(thetas[j], rho)
-            lo_i, hi_i = int(np.argmin(observed)), int(np.argmax(observed))
-            worst_low, worst_high = float(observed[lo_i]), float(observed[hi_i])
+            b, s = edges[j]
             if worst_low < b - CONTAINMENT_BAND or worst_high > s + CONTAINMENT_BAND:
                 violations[j] = BoundViolationError(
                     f"sampled rapidity escaped [{b}, {s}] (band {CONTAINMENT_BAND}): "

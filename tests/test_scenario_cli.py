@@ -1,8 +1,11 @@
 """Scenario parsing and the CLI harness (CSV output, exit codes, env vars)."""
 
 import csv
+import errno
 import io
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -255,6 +258,51 @@ class TestCli:
         assert captured.err.startswith("compound-barriers: error:")
         assert str(out) in captured.err
         assert captured.out == ""
+
+    def test_failed_write_is_input_error(self, tmp_path, monkeypatch, capsys):
+        # the disk fills after the header: exit 3 with the error, and the
+        # partial table goes only if this call created the file
+        path = tmp_path / "case.scn"
+        path.write_text(DOUBLE_RECT)
+        real_open = open
+
+        class Filling:
+            def __init__(self, *args, **kwargs):
+                self.file = real_open(*args, **kwargs)
+
+            def write(self, text):
+                return self.file.write(text)
+
+            def writelines(self, lines):
+                self.file.write(next(iter(lines)))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+        monkeypatch.setattr(compound_barriers.cli, "open", Filling, raising=False)
+        created, kept = tmp_path / "new.csv", tmp_path / "old.csv"
+        kept.write_text("an earlier table\n")
+        for out in (created, kept):
+            assert main(["--scenario", str(path), "--out", str(out)]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == "compound-barriers: error: [Errno 28] No space left on device\n"
+            assert captured.out == ""
+        assert not created.exists()
+        assert kept.is_file()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_device_is_input_error_and_stays(self, tmp_path, capsys):
+        path = tmp_path / "case.scn"
+        path.write_text(DOUBLE_RECT)
+        assert main(["--scenario", str(path), "--out", "/dev/full"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("compound-barriers: error:")
+        assert "No space left on device" in captured.err
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
     def test_sweep_of_a_production_scenario_names_the_rule(self, capsys):
         path = SCENARIO_DIR / "production_pair.scn"

@@ -1,6 +1,9 @@
 """Verification machinery: sweeps, grid extremes, attainment, audits."""
 
 import math
+import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -30,9 +33,10 @@ from compound_barriers import (
     scenario_containment_audit,
     to_polar,
 )
-from compound_barriers.transfer import compose_polar, gauge_rotors
+from compound_barriers.transfer import boost_fold, compose_polar, gauge_rotors
 from compound_barriers.errors import BoundViolationError
-from compound_barriers.verify import _block_phases, _block_rng, _blocks, _theta_error
+from compound_barriers.verify import (_block_phases, _block_rng, _blocks, _fold_extremes,
+                                      _run_units, _theta_error)
 
 EPS = float(np.finfo(float).eps)
 
@@ -59,12 +63,24 @@ def mp_theta(thetas, phases, digits=50):
 
 def assert_block_matches_mpmath(thetas, phases, samples=(), digits=50):
     """compose_polar of a (count, n, 2) phase block, at its argmin, its argmax
-    and ``samples``, within the audit's rounding bound of mp_theta."""
+    and ``samples``, within the audit's rounding bound of mp_theta.
+
+    Two terms.  The fold leaves |alpha_total| off by at most delta = 8 n eps
+    cosh(S_n), which moves theta by _theta_error(ref, delta).  Then theta
+    itself is rounded: arccosh of the computed modulus is within 2 ulps of
+    theta, and float() of the mpmath value within half an ulp, where an ulp
+    of theta is at most eps max(1, theta) and theta <= S_n.  So 4 eps max(1,
+    S_n), the term _containment_band carries for the same last rounding.
+    Without it the bound drops below half an ulp of theta once theta > ~16
+    n, and an extreme next to a rounding midpoint passes or fails on the
+    last bit."""
     got = compose_polar(thetas, phases[:, :, 0], phases[:, :, 1])
-    delta = 8.0 * len(thetas) * EPS * math.cosh(s_n(seq(*thetas)))
+    s = s_n(seq(*thetas))
+    delta = 8.0 * len(thetas) * EPS * math.cosh(s)
     for j in {int(np.argmin(got)), int(np.argmax(got)), *samples}:
         ref = mp_theta(thetas, phases[j], digits)
-        assert abs(got[j] - ref) <= _theta_error(ref, delta), (j, got[j], ref)
+        bound = _theta_error(ref, delta) + 4.0 * EPS * max(1.0, s)
+        assert abs(got[j] - ref) <= bound, (j, got[j], ref)
 
 
 def log_uniform_sequences(seed):
@@ -108,6 +124,18 @@ class TestBatchKernel:
         digits = 30 + int(s_n(seq(*thetas)) / math.log(10))
         phases = _block_phases(len(thetas), 0, 4096, len(thetas))
         assert_block_matches_mpmath(thetas, phases, range(8), digits)
+
+    def test_row_tiles_equal_one_row_calls(self):
+        # 11 rows folded as one (rows, n) call and in tiles of 4 (the last
+        # holds 3), through one reused scratch, are each row's own fold
+        thetas = np.random.default_rng(9).uniform(0.0, 3.0, (11, 6))
+        rho = gauge_rotors(_block_phases(9, 0, 1000, 6))
+        alone = [boost_fold(row, rho).tobytes() for row in thetas]
+        assert [row.tobytes() for row in boost_fold(thetas, rho)] == alone
+        work = np.empty(3 * 4 * 1000, complex)
+        tiled = [row.tobytes() for r in range(0, 11, 4)
+                 for row in boost_fold(thetas[r:r + 4], rho, work)]
+        assert tiled == alone
 
     def test_rotors_are_contiguous_and_in_place(self):
         # a second block-sized array per block is what pushes peak RSS up
@@ -225,6 +253,124 @@ class TestRandomPhaseSweeps:
         assert math.isnan(batch[2].theta_min_observed)
         assert math.isnan(batch[2].theta_max_observed)
         assert batch[:2] + batch[3:] == clean[:2] + clean[3:]
+
+
+def block_extremes(thetas, samples, seed):
+    """Per block of the sampling contract, the (min, argmin, max, argmax) of
+    one row's composed rapidities, block by block as the contract states it."""
+    out = []
+    for block, count in _blocks(samples):
+        phases = _block_phases(seed, block, count, len(thetas))
+        got = compose_polar(thetas, phases[:, :, 0], phases[:, :, 1])
+        lo, hi = int(np.argmin(got)), int(np.argmax(got))
+        out.append((float(got[lo]), lo, float(got[hi]), hi))
+    return out
+
+
+def sweep_key(sweeps):
+    return [(s.theta_min_observed.hex(), s.theta_max_observed.hex(), s.argmin_at, s.argmax_at,
+             str(s.violation)) for s in sweeps]
+
+
+class TestSweepSchedule:
+    """The (block, row slice) units may run on any number of threads; the
+    rows must not notice."""
+
+    @pytest.mark.parametrize("rows, n, samples", [
+        (11, 7, 9000),          # three blocks; tiles of 6 rows do not divide 11
+        (40, 20, 2000),         # one block: rows sliced, its rotors shared
+        (3, 20, 3 * 4096 + 5),  # blocks folded in parts, a 5-sample last block
+        (2, 1, 500),            # no rotors at all
+    ])
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, rows, n, samples):
+        thetas = np.random.default_rng(rows * n).uniform(0.0, 3.0, (rows, n))
+        seen = {}
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            seen[workers] = sweep_key(random_phase_sweeps(BoundsColumns(thetas), samples, 17))
+        assert seen[1] == seen[2] == seen[4]
+        for row, (lo, hi, lo_at, hi_at, _) in zip(thetas, seen[1]):
+            per_block = block_extremes(row, samples, 17)
+            low = min(range(len(per_block)), key=lambda b: (per_block[b][0], b))
+            high = min(range(len(per_block)), key=lambda b: (-per_block[b][2], b))
+            assert (lo, lo_at) == (per_block[low][0].hex(), (low, per_block[low][1]))
+            assert (hi, hi_at) == (per_block[high][2].hex(), (high, per_block[high][3]))
+
+    def test_ties_go_to_the_first_sample(self, monkeypatch):
+        # one barrier: every sample of every block composes to theta exactly
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            for sweep in random_phase_sweeps(BoundsColumns([[2.5], [0.0]]), 3 * 4096, 5):
+                assert sweep.theta_min_observed == sweep.theta_max_observed
+                assert sweep.argmin_at == sweep.argmax_at == (0, 0)
+
+    def test_ties_across_the_parts_of_a_block_go_to_the_first(self):
+        # rotors all 1: every sample of each row is the same, in both parts
+        thetas = np.random.default_rng(2).uniform(0.0, 2.0, (5, 4))
+        rho = np.ones((3, 8), complex)
+        work = np.empty(3 * 5 * 8, complex)
+        parts = [(0, rho[:, :3]), (3, rho[:, 3:])]
+        at_min, low, at_max, high = _fold_extremes(thetas, parts, work, 8)
+        assert at_min == at_max == [0] * 5
+        assert low == high
+
+    def test_violation_in_a_later_block_is_reported_there(self, monkeypatch):
+        # shrink one row's S_n to its largest rapidity in blocks 0-2: block 3
+        # escapes, while blocks 4 and 5 are still being folded by other threads
+        rows = np.random.default_rng(21).uniform(0.2, 2.0, (6, 4))
+        samples, seed, j = 6 * 4096, 5, 2
+        per_row = [block_extremes(row, samples, seed) for row in rows]
+        assert per_row[j][3][2] > max(b[2] for b in per_row[j][:3]) + 1e-9
+        monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: 4)
+        clean = random_phase_sweeps(BoundsColumns(rows), samples, seed)
+        shrunk = BoundsColumns(rows)
+        shrunk.s_n[j] = max(b[2] for b in per_row[j][:3])
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            batch = random_phase_sweeps(shrunk, samples, seed)
+            assert str(batch[j].violation).endswith("in block 3")
+            assert math.isnan(batch[j].theta_min_observed)
+            assert math.isnan(batch[j].theta_max_observed)
+            assert batch[j].argmin_at is batch[j].argmax_at is None
+            assert batch[:j] + batch[j + 1:] == clean[:j] + clean[j + 1:]
+
+
+class TestRunUnits:
+    """The thread pool under the sweep: every unit once, results in unit order."""
+
+    def test_more_threads_than_cores_with_fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = threading.active_count()
+            done = []
+
+            def make_worker():
+                return lambda unit: (done.append(unit), unit * unit)[-1]
+
+            assert _run_units(list(range(500)), 8, make_worker) == [u * u for u in range(500)]
+            assert sorted(done) == list(range(500))
+            assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failing_unit_is_raised_and_stops_the_rest(self):
+        before = threading.active_count()
+        started = []
+
+        def make_worker():
+            def run(unit):
+                started.append(unit)
+                if unit == 5:
+                    raise ValueError("unit 5")
+                time.sleep(0.001)
+                return unit
+            return run
+
+        with pytest.raises(ValueError, match="unit 5"):
+            _run_units(list(range(10_000)), 4, make_worker)
+        assert len(started) < 10_000
+        assert threading.active_count() == before
 
 
 class TestLibrarySeeds:
