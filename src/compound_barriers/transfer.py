@@ -114,9 +114,13 @@ def fold(alpha, beta):
     return a, b
 
 
-def rapidity(alpha):
-    """theta = acosh|alpha| elementwise, float noise below |alpha| = 1 clamped."""
-    return np.arccosh(np.maximum(np.abs(alpha), 1.0))
+def rapidity(alpha, out=None):
+    """theta = acosh|alpha| elementwise, float noise below |alpha| = 1 clamped;
+    written into ``out`` (a float array of alpha's shape, alpha itself if it
+    is one) when given."""
+    theta = np.abs(alpha, out=out)
+    theta = np.maximum(theta, 1.0, out=out)
+    return np.arccosh(theta, out=out)
 
 
 def gauge_rotors(phases):
@@ -159,13 +163,14 @@ def boost_fold(thetas, rho, work=None):
 
     a, b and q are consecutive thirds of ``work``, a complex scratch array
     of at least 3 rows samples elements, so a caller folding tile after tile
-    passes one allocation for all of them (by default one is made).  The
-    result is written over q's memory: a view into ``work``, valid until
-    the next fold into it."""
+    passes one allocation for all of them (by default one is made).  With
+    ``work`` the result is written over q's memory: a view into ``work``,
+    valid until the next fold into it; without, it is an array of its own."""
     taus = np.tanh(thetas)
     shape = taus.shape[:-1] + rho.shape[1:]
     size = math.prod(shape)
-    if work is None:
+    own = work is None
+    if own:
         work = np.empty(3 * size, complex)
     a, b, q = (work[i * size:(i + 1) * size].reshape(shape) for i in range(3))
     a.fill(1.0)
@@ -178,11 +183,10 @@ def boost_fold(thetas, rho, work=None):
         a += q
         q_re *= tau
         b += q
-    # rapidity(|a| prod cosh theta_i), in place
-    theta = np.abs(a, out=q_re.reshape(-1)[:size].reshape(shape))
+    # rapidity(|a| prod cosh theta_i), written over q when work is the caller's
+    theta = np.abs(a, out=None if own else q_re.reshape(-1)[:size].reshape(shape))
     theta *= np.prod(np.cosh(thetas), axis=-1)[..., None]
-    np.maximum(theta, 1.0, out=theta)
-    return np.arccosh(theta, out=theta)
+    return rapidity(theta, out=theta)
 
 
 def compose_polar(thetas, phi_alpha, phi_beta):

@@ -31,14 +31,15 @@ share each block's draw: only the boost fold runs per row, so every row
 gets exactly the result of random_phase_sweep on that row alone.
 
 Schedule: random_phase_sweeps runs units of (block, row slice) on a thread
-per CPU the process may use (its affinity mask, so taskset narrows it; no
-option sets it), the calling thread among them.  A unit draws its block
-into rotors and folds its rows; numpy releases the GIL inside each call,
-and the calls are made long (tiles of rows) so that threads rarely wait
-for it.  The calling thread then reduces the units' extremes in (block,
-row) order, as a sequential loop would: ties go to the first sample, and a
-row's violation is the first block that escapes, however the units ran.
-The output is bit-identical under any number of threads.
+per CPU the process may use, up to two (its affinity mask, so taskset
+narrows it; no option sets it), the calling thread among them.  A unit
+draws its block into rotors and folds its rows; numpy releases the GIL
+inside each call, and the calls are made long (tiles of rows) so that
+threads rarely wait for it.  The calling thread then reduces the units'
+extremes in (block, row) order, as a sequential loop would: ties go to
+the first sample, and a row's violation is the first block that escapes,
+however the units ran.  The output is bit-identical under any number of
+threads.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ _BLOCK = 4096
 # memory near what the sequential sweep held for one block
 _ROTORS = 16384  # complex rotors a worker holds; a larger block is drawn in parts
 _TILE = 12288  # complex elements per fold call (a tile of rows x part samples)
-_MAX_WORKERS = 4
+_MAX_WORKERS = 2  # the most threads whose speed and memory were measured
 _ATTAIN_TOLERANCE = 1e-8  # |achieved - target| that attain accepts on recomposition
 _EQUIVALENCE_TOLERANCE = 1e-12  # largest B_n gap equivalence_audit counts as a pass
 _EPS = float(np.finfo(float).eps)
@@ -171,8 +172,8 @@ class RowSweep:
 
 def _worker_count() -> int:
     """Threads a sweep may run on: the CPUs this process may use (its
-    affinity mask, which taskset sets, where the OS has one), at most
-    _MAX_WORKERS."""
+    affinity mask, which taskset sets, where the OS has one; a cgroup CPU
+    quota is not read), at most _MAX_WORKERS."""
     import os
 
     try:
@@ -272,12 +273,11 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
     for it; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
-    sliced only when there are fewer blocks than threads; such blocks are
-    drawn once, up front, and shared by their slices.  Otherwise a thread
-    draws its block in parts of at most _ROTORS rotors and folds tiles of
-    at most _TILE elements.  One thread folds as the sequential sweep
-    always did: whole blocks, one row per fold call, the cheapest per
-    sample without threads.  The extremes are reduced here in (block, row)
+    sliced only when the sweep is one block, which is then drawn once, up
+    front, and shared by the slices.  Otherwise a unit is a whole block,
+    which its thread draws in parts of at most _ROTORS rotors.  Each thread
+    folds tiles of at most _TILE elements in a scratch of its own, one
+    thread as any other.  The extremes are reduced here in (block, row)
     order, so none of this shows in the result.
     """
     thetas, n = bounds.thetas, bounds.thetas.shape[1]
@@ -294,29 +294,25 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
 
     blocks = list(_blocks(samples))
     workers = _worker_count()
-    slices = _spans(rows, min(rows, -(-workers // len(blocks))))
+    slices = _spans(rows, min(rows, workers)) if len(blocks) == 1 else [(0, rows)]
     units = [(block, count, first, stop) for block, count in blocks for first, stop in slices]
     threads = min(workers, len(units))
-    shared = {block: gauge_rotors(_block_phases(seed, block, count, n))
-              for block, count in blocks} if len(slices) > 1 else {}
+    shared = gauge_rotors(_block_phases(seed, 0, samples, n)) if len(slices) > 1 else None
     width = min(samples, _BLOCK)
-    part = width if threads == 1 else min(width, max(1, _ROTORS // max(n - 1, 1)))
-    tile = _TILE if threads > 1 else 1
+    part = min(width, max(1, _ROTORS // max(n - 1, 1)))
 
     def make_worker():
-        # threads reuse one scratch each (memory); one thread lets each fold
-        # allocate its own, which measured faster there
-        work = np.empty(3 * min(rows * width, max(tile, width)), complex) if threads > 1 else None
+        work = np.empty(3 * min(rows * width, max(_TILE, width)), complex)
 
         def run(unit):
             block, count, first, stop = unit
-            if shared:
-                parts = [(0, shared[block])]
+            if shared is not None:
+                parts = [(0, shared)]
             else:  # drawn part by part: one generator's draws in sequence are its one draw
                 rng = _block_rng(seed, block)
                 parts = ((start, gauge_rotors(rng.uniform(-math.pi, math.pi, (end - start, n, 2))))
                          for start, end in _spans(count, -(-count // part)))
-            return _fold_extremes(thetas[first:stop], parts, work, tile)
+            return _fold_extremes(thetas[first:stop], parts, work, _TILE)
 
         return run
 

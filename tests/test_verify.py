@@ -277,7 +277,7 @@ class TestSweepSchedule:
     rows must not notice."""
 
     @pytest.mark.parametrize("rows, n, samples", [
-        (11, 7, 9000),          # three blocks; tiles of 6 rows do not divide 11
+        (11, 7, 9000),          # three blocks, whole-block units; tiles of 6 rows do not divide 11
         (40, 20, 2000),         # one block: rows sliced, its rotors shared
         (3, 20, 3 * 4096 + 5),  # blocks folded in parts, a 5-sample last block
         (2, 1, 500),            # no rotors at all
