@@ -33,7 +33,10 @@ gets exactly the result of random_phase_sweep on that row alone.
 Schedule: random_phase_sweeps runs units of (block, row slice) on a thread
 per CPU the process may use, up to two (its affinity mask, so taskset
 narrows it; no option sets it), the calling thread among them.  A unit
-draws its block into rotors and folds its rows; numpy releases the GIL
+draws its whole block into rotors, in one call (_block_phases, the draw
+random_phase_sweep redraws an extreme from), and folds its rows over
+them: no block is drawn in parts, and none is drawn once and shared (a
+one-block sweep's row slices each draw it).  numpy releases the GIL
 inside each call, and the calls are made long (tiles of rows) so that
 threads rarely wait for it.  The calling thread then reduces the units'
 extremes in (block, row) order, as a sequential loop would: ties go to
@@ -47,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +88,7 @@ __all__ = [
 GENERATOR_NAME = "PCG64"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
-# Threaded sweeps (random_phase_sweeps): sizes that keep each worker's
-# memory near what the sequential sweep held for one block
-_ROTORS = 16384  # complex rotors a worker holds; a larger block is drawn in parts
-_TILE = 12288  # complex elements per fold call (a tile of rows x part samples)
+_TILE = 12288  # complex elements per fold call of a threaded sweep (a tile of rows x samples)
 _MAX_WORKERS = 2  # the most threads whose speed and memory were measured
 _ATTAIN_TOLERANCE = 1e-8  # |achieved - target| that attain accepts on recomposition
 _EQUIVALENCE_TOLERANCE = 1e-12  # largest B_n gap equivalence_audit counts as a pass
@@ -147,8 +147,6 @@ def _blocks(samples: int) -> Iterator[tuple[int, int]]:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
@@ -189,41 +187,30 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _fold_extremes(thetas: np.ndarray, parts: Iterable[tuple[int, np.ndarray]],
+def _fold_extremes(thetas: np.ndarray, rho: np.ndarray,
                    work: np.ndarray, tile_size: int) -> tuple[list, list, list, list]:
     """Per row of thetas (rows, n), the index and value of the first minimum
-    and of the first maximum of boost_fold over a block's samples, as
-    np.argmin/np.argmax over the whole block give them.  The block comes as
-    ``parts`` in sample order, (start, rotors of the samples from start on);
-    the first part holding a row's minimum (np.argmin over the part minima),
-    and the first index within it, is the block's.  Rows are folded in tiles
-    of at most tile_size complex elements (one row at least), which with
-    _TILE keeps each fold call long enough to leave the GIL to the other
-    threads; ``work``, if given, holds a tile's a, b and q."""
+    and of the first maximum of boost_fold over a block's rotors rho, as
+    np.argmin/np.argmax give them.  Rows are folded in tiles of at most
+    tile_size complex elements (one row at least), which with _TILE keeps
+    each fold call long enough to leave the GIL to the other threads;
+    ``work``, if given, holds a tile's a, b and q."""
     rows = len(thetas)
-    at, value = [], []  # per part: (2, rows) indices and values of (min, max)
-    for start, rho in parts:
-        step = max(1, tile_size // rho.shape[1])
-        span = np.arange(min(step, rows))
-        at.append(np.empty((2, rows), np.intp))
-        value.append(np.empty((2, rows)))
-        for r0, r1 in _spans(rows, -(-rows // step)):
-            if r1 == r0 + 1:  # one row folds as a rapidity row: scalar steps, scalar bookkeeping
-                observed = boost_fold(thetas[r0], rho, work)
-                lo, hi = observed.argmin(), observed.argmax()
-                at[-1][:, r0] = lo, hi
-                value[-1][:, r0] = observed[lo], observed[hi]
-                continue
-            observed = boost_fold(thetas[r0:r1], rho, work)
-            lo, hi, k = observed.argmin(axis=1), observed.argmax(axis=1), span[:r1 - r0]
-            at[-1][:, r0:r1] = lo, hi
-            value[-1][:, r0:r1] = observed[k, lo], observed[k, hi]
-        at[-1] += start
-    at_, value_ = np.stack(at, axis=-1), np.stack(value, axis=-1)  # (2, rows, parts)
-    every = np.arange(rows)
-    lo, hi = value_[0].argmin(axis=1), value_[1].argmax(axis=1)
-    return (at_[0, every, lo].tolist(), value_[0, every, lo].tolist(),
-            at_[1, every, hi].tolist(), value_[1, every, hi].tolist())
+    step = max(1, tile_size // rho.shape[1])
+    span = np.arange(min(step, rows))
+    at, value = np.empty((2, rows), np.intp), np.empty((2, rows))  # (min, max) per row
+    for r0, r1 in _spans(rows, -(-rows // step)):
+        if r1 == r0 + 1:  # one row folds as a rapidity row: scalar steps, scalar bookkeeping
+            observed = boost_fold(thetas[r0], rho, work)
+            lo, hi = observed.argmin(), observed.argmax()
+            at[:, r0] = lo, hi
+            value[:, r0] = observed[lo], observed[hi]
+            continue
+        observed = boost_fold(thetas[r0:r1], rho, work)
+        lo, hi, k = observed.argmin(axis=1), observed.argmax(axis=1), span[:r1 - r0]
+        at[:, r0:r1] = lo, hi
+        value[:, r0:r1] = observed[k, lo], observed[k, hi]
+    return at[0].tolist(), value[0].tolist(), at[1].tolist(), value[1].tolist()
 
 
 def _run_units(units: list, workers: int, make_worker) -> list:
@@ -273,16 +260,18 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
     for it; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
-    sliced only when the sweep is one block, which is then drawn once, up
-    front, and shared by the slices.  Otherwise a unit is a whole block,
-    which its thread draws in parts of at most _ROTORS rotors.  Each thread
-    folds tiles of at most _TILE elements in a scratch of its own, one
-    thread as any other.  The extremes are reduced here in (block, row)
-    order, so none of this shows in the result.
+    sliced only when the sweep is one block.  Each unit draws its whole
+    block through _block_phases, the draw random_phase_sweep redraws an
+    extreme from, so a one-block sweep draws its block once per slice.
+    Each thread folds tiles of at most _TILE elements in a scratch of its
+    own, one thread as any other.  The extremes are reduced here in
+    (block, row) order, so none of this shows in the result.
     """
     thetas, n = bounds.thetas, bounds.thetas.shape[1]
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     edges = list(zip(bounds.b_n, bounds.s_n))
     rows = len(edges)
     if not rows:
@@ -297,22 +286,15 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
     slices = _spans(rows, min(rows, workers)) if len(blocks) == 1 else [(0, rows)]
     units = [(block, count, first, stop) for block, count in blocks for first, stop in slices]
     threads = min(workers, len(units))
-    shared = gauge_rotors(_block_phases(seed, 0, samples, n)) if len(slices) > 1 else None
     width = min(samples, _BLOCK)
-    part = min(width, max(1, _ROTORS // max(n - 1, 1)))
 
     def make_worker():
         work = np.empty(3 * min(rows * width, max(_TILE, width)), complex)
 
         def run(unit):
             block, count, first, stop = unit
-            if shared is not None:
-                parts = [(0, shared)]
-            else:  # drawn part by part: one generator's draws in sequence are its one draw
-                rng = _block_rng(seed, block)
-                parts = ((start, gauge_rotors(rng.uniform(-math.pi, math.pi, (end - start, n, 2))))
-                         for start, end in _spans(count, -(-count // part)))
-            return _fold_extremes(thetas[first:stop], parts, work, _TILE)
+            rho = gauge_rotors(_block_phases(seed, block, count, n))
+            return _fold_extremes(thetas[first:stop], rho, work, _TILE)
 
         return run
 
@@ -546,6 +528,8 @@ def equivalence_audit(n_max: int, trials: int, seed: int) -> EquivalenceReport:
         raise DomainError(f"need n_max >= 2, got {n_max!r}")
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = _block_rng(seed, 0)
     passes = failures = 0
     worst = 0.0

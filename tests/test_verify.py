@@ -278,8 +278,8 @@ class TestSweepSchedule:
 
     @pytest.mark.parametrize("rows, n, samples", [
         (11, 7, 9000),          # three blocks, whole-block units; tiles of 6 rows do not divide 11
-        (40, 20, 2000),         # one block: rows sliced, its rotors shared
-        (3, 20, 3 * 4096 + 5),  # blocks folded in parts, a 5-sample last block
+        (40, 20, 2000),         # one block: rows sliced, each slice draws the block
+        (3, 20, 3 * 4096 + 5),  # four blocks, a 5-sample last block
         (2, 1, 500),            # no rotors at all
     ])
     def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, rows, n, samples):
@@ -304,15 +304,32 @@ class TestSweepSchedule:
                 assert sweep.theta_min_observed == sweep.theta_max_observed
                 assert sweep.argmin_at == sweep.argmax_at == (0, 0)
 
-    def test_ties_across_the_parts_of_a_block_go_to_the_first(self):
-        # rotors all 1: every sample of each row is the same, in both parts
+    def test_ties_within_a_block_go_to_the_first(self):
+        # rotors all 1: every sample of each row is the same; tiles of one row and of several
         thetas = np.random.default_rng(2).uniform(0.0, 2.0, (5, 4))
         rho = np.ones((3, 8), complex)
         work = np.empty(3 * 5 * 8, complex)
-        parts = [(0, rho[:, :3]), (3, rho[:, 3:])]
-        at_min, low, at_max, high = _fold_extremes(thetas, parts, work, 8)
-        assert at_min == at_max == [0] * 5
-        assert low == high
+        for tile_size in (8, 16):
+            at_min, low, at_max, high = _fold_extremes(thetas, rho, work, tile_size)
+            assert at_min == at_max == [0] * 5
+            assert low == high
+
+    @pytest.mark.parametrize("workers, samples, draws", [
+        (1, 2 * 4096 + 5, [(0, 4096), (1, 4096), (2, 5)]),
+        (2, 2000, [(0, 2000), (0, 2000)]),  # one block: each row slice draws it
+    ])
+    def test_each_unit_draws_its_whole_block_once(self, monkeypatch, workers, samples, draws):
+        seen = []
+
+        def counted(seed, block, count, n):
+            seen.append((block, count))
+            return _block_phases(seed, block, count, n)
+
+        monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+        monkeypatch.setattr(compound_barriers.verify, "_block_phases", counted)
+        thetas = np.random.default_rng(4).uniform(0.0, 3.0, (4, 6))
+        random_phase_sweeps(BoundsColumns(thetas), samples, 3)
+        assert sorted(seen) == draws
 
     def test_violation_in_a_later_block_is_reported_there(self, monkeypatch):
         # shrink one row's S_n to its largest rapidity in blocks 0-2: block 3
@@ -376,9 +393,11 @@ class TestRunUnits:
 class TestLibrarySeeds:
     @pytest.mark.parametrize("call", [
         lambda: random_phase_sweeps(BoundsColumns([[1.0, 2.0]]), 10, -1),
+        lambda: random_phase_sweeps(BoundsColumns(np.empty((0, 2))), 10, -1),
         lambda: random_phase_sweep(seq(1.0, 2.0), 10, -1),
         lambda: equivalence_audit(4, 5, -1),
-    ], ids=["random_phase_sweeps", "random_phase_sweep", "equivalence_audit"])
+    ], ids=["random_phase_sweeps", "random_phase_sweeps_no_rows", "random_phase_sweep",
+            "equivalence_audit"])
     def test_negative_seed_is_refused_by_name(self, call):
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             call()
