@@ -7,7 +7,10 @@ Output is RFC-4180-style CSV preceded by '#'-prefixed metadata lines
 reproducible from the file alone.  Exit codes: 0 all checks pass, 2 a
 containment/equivalence check failed, 3 bad input (an unreadable or
 invalid scenario, an analysis its mode cannot run, an --out that cannot be
-opened or written; a partial table in a file the call created is removed).
+opened or written; a partial table in a file the call created is removed),
+141 (128 + SIGPIPE, as a shell reports a pipeline writer its reader
+closed) the reader of the table closed it early, as `| head` does: writing
+stops with no message.
 
 ``--seed`` and ``--samples`` fall back to the CB_SEED / CB_SAMPLES
 environment variables, then to the scenario file, then to defaults; a seed
@@ -31,6 +34,7 @@ from .scenario import Scenario, load_scenario
 from .transfer import rapidity
 from .verify import (
     GENERATOR_NAME,
+    SAMPLING_CONTRACT,
     random_phase_sweeps,
     recursion_audit,
     scenario_containment_audit,
@@ -38,6 +42,7 @@ from .verify import (
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10_000
+EXIT_BROKEN_PIPE = 141
 _ENVELOPES = ("T_min", "T_upper", "R_low", "R_high", "N_low", "N_high")
 
 
@@ -128,9 +133,9 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
 
     worst, failing = recursion_audit(bounds)
     meta = {
-        "equivalence_audit": (f"{'FAIL' if failing else 'pass'} (B_n vs b_n_iterative on each "
-                              f"row and its reverse, rows={len(bounds.b_n)}, "
-                              f"max_discrepancy={worst!r})"),
+        "recursion_audit": (f"{'FAIL' if failing else 'pass'} (B_n vs b_n_iterative on each "
+                            f"row and its reverse, rows={len(bounds.b_n)}, "
+                            f"max_discrepancy={worst!r})"),
     }
     if failing:
         failures.append(f"iterative/closed-form equivalence audit failed in rows {failing}")
@@ -204,7 +209,8 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
         "analysis": analysis,
         "seed": seed,
         "samples": samples,
-        "rng": f"numpy {GENERATOR_NAME}, block-seeded SeedSequence(seed, spawn_key=(block,))",
+        "rng": (f"numpy {GENERATOR_NAME}, block-seeded SeedSequence(seed, spawn_key=(block,)), "
+                f"sampling contract {SAMPLING_CONTRACT}"),
         **table.meta,
     }
     for key, value in meta.items():
@@ -258,7 +264,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if samples < 1:
             raise CompoundBarrierError(f"samples must be >= 1, got {samples}")
         table = _RUNNERS[analysis](scenario, seed, samples)
-        out, created = ((contextlib.nullcontext(sys.stdout), False) if args.out in ("-", "stdout")
+        out_is_stdout = args.out in ("-", "stdout")
+        out, created = ((contextlib.nullcontext(sys.stdout), False) if out_is_stdout
                         else _open_out(args.out))
     except BoundViolationError as exc:
         print(f"compound-barriers: containment violation: {exc}", file=sys.stderr)
@@ -270,6 +277,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with out as stream:
             _write_table(stream, table, scenario, analysis, seed, samples)
+            stream.flush()  # stdout too, so that a closed reader shows here
+    except BrokenPipeError:
+        # not bad input: stop quietly, and point stdout at the null device so
+        # the interpreter's last flush of what is buffered does not raise again
+        if out_is_stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         if created:  # a partial table this call started; nothing else is removed
             with contextlib.suppress(OSError):

@@ -13,41 +13,59 @@ Phase gauge: factor i is R(u_i) B(theta_i) R(v_i), with R(x) =
 diag(e^{ix}, e^{-ix}), B(theta) the real boost, u = (phi_alpha + phi_beta)/2
 and v = (phi_alpha - phi_beta)/2.  The outer R(u_1) and R(v_n) only rotate
 alpha_total, so the composed modulus depends on the n-1 relative angles
-w_i = v_i + u_{i+1} alone.  The arithmetic uses exactly that: a sweep turns
-each sample's 2n phases into n-1 rotors e^{2i w_i} (transfer.gauge_rotors)
-and folds the boosts through them (transfer.boost_fold).  The fold drops
-more of what cannot change the modulus: at step i, the left phase e^{i w_i}
-(it only rotates alpha_total) and the factor cosh(theta_i) (it only scales
-it), leaving one complex multiply per sample and barrier; the product of
-the cosh(theta_i) is put back at the end.  Grids fix
+w_i = v_i + u_{i+1} alone.  The arithmetic uses exactly that: a sweep folds
+the boosts through n-1 rotors e^{2i w_i} (transfer.boost_fold).  The fold
+drops more of what cannot change the modulus: at step i, the left phase
+e^{i w_i} (it only rotates alpha_total) and the factor cosh(theta_i) (it
+only scales it), leaving one complex multiply per sample and barrier; the
+product of the cosh(theta_i) is put back at the end.  Grids fix
 phi_alpha = 0 and phi_beta of the first barrier, leaving n-1 free angles.
 That this loses nothing is itself covered by a test comparing full-phase
 random sampling against reduced-gauge grid extremes.
 
-Sampling contract: samples are split into fixed blocks of 4096; block j of
-a sweep seeded s draws from PCG64(SeedSequence(s, spawn_key=(j,))).  Rows
-swept together on one seed (random_phase_sweeps, one row per wavenumber)
-share each block's draw: only the boost fold runs per row, so every row
-gets exactly the result of random_phase_sweep on that row alone.
+Sampling contract (version 2): samples are split into fixed blocks of
+4096; block j of a sweep seeded s draws from PCG64(SeedSequence(s,
+spawn_key=(j,))) the quarter angles h ~ U[-pi/4, pi/4), an (n-1, count)
+array (Generator.uniform, gap by gap), and sample c has the rotors
+rho_i = e^{4i h_i} = (cos h_i + i sin h_i)^4 (_block_angles,
+_quarter_rotors).  That is the law of uniform phases: (phi_alpha,
+phi_beta) -> (phi_alpha - phi_beta, phi_alpha + phi_beta) preserves the
+Haar measure of the torus, so with all 2n phases independent and uniform
+the n-1 angles 2w_i = (phi_alpha_i - phi_beta_i) + (phi_alpha_{i+1} +
+phi_beta_{i+1}) mod 2 pi are independent and uniform too, and so is
+4h_i.  The law of |alpha_total|, and with it the phase-averaged Landauer
+resistance (Anderson, Thouless, Abrahams & Fisher, PRB 22, 3519 (1980)),
+is the same either way; a test checks the mean of a bounded statistic of
+it against its exact value.  Drawing the angles takes one uniform per
+rotor instead of 2n/(n-1), and cos/sin see only |h| <= pi/4, where they
+are cheapest.  An extreme is reported in the reduced gauge: phi_alpha = 0,
+phi_beta_1 = 0 and phi_beta_{i+1} = phi_beta_i + 4 h_i.  (Version 1 drew
+the 2n phases (phi_alpha, phi_beta) ~ U[-pi, pi) per sample and reduced
+them through transfer.gauge_rotors; the CLI's rng metadata line names the
+version.)  Rows swept together on one seed (random_phase_sweeps, one row
+per wavenumber) share each block's draw: only the boost fold runs per
+row, so every row gets exactly the result of random_phase_sweep on that
+row alone.
 
 Schedule: random_phase_sweeps runs units of (block, row slice) on a thread
 per CPU the process may use, up to two (its affinity mask, so taskset
 narrows it; no option sets it), the calling thread among them.  A unit
-draws its whole block into rotors, in one call (_block_phases, the draw
-random_phase_sweep redraws an extreme from), and folds its rows over
-them: no block is drawn in parts, and none is drawn once and shared (a
-one-block sweep's row slices each draw it).  numpy releases the GIL
-inside each call, and the calls are made long (tiles of rows) so that
-threads rarely wait for it.  The calling thread then reduces the units'
-extremes in (block, row) order, as a sequential loop would: ties go to
-the first sample, and a row's violation is the first block that escapes,
-however the units ran.  The output is bit-identical under any number of
-threads.
+draws its whole block's angles in one call (_block_angles, the draw
+random_phase_sweep redraws an extreme from), turns them into rotors and
+folds its rows over them: no block is drawn in parts, and none is drawn
+once and shared (a one-block sweep's row slices each draw it).  numpy
+releases the GIL inside each call, and the calls are made long (tiles of
+rows) so that threads rarely wait for it.  The calling thread then reduces
+the units' extremes in (block, row) order, as a sequential loop would:
+ties go to the first sample, and a row's violation is the first block that
+escapes, however the units ran.  The output is bit-identical under any
+number of threads.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -65,7 +83,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .transfer import (HyperbolicParams, boost_fold, compose, compose_polar, fold, from_polar,
-                       gauge_rotors, rapidity, scattering_amplitudes, to_polar)
+                       rapidity, scattering_amplitudes, to_polar)
 
 __all__ = [
     "PhaseAssignment",
@@ -75,6 +93,7 @@ __all__ = [
     "ContainmentRow",
     "ContainmentReport",
     "GENERATOR_NAME",
+    "SAMPLING_CONTRACT",
     "CONTAINMENT_BAND",
     "random_phase_sweep",
     "random_phase_sweeps",
@@ -86,6 +105,7 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "PCG64"
+SAMPLING_CONTRACT = "v2 (quarter angles h ~ U[-pi/4, pi/4) per gap, rotors e^{4ih})"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
 _TILE = 12288  # complex elements per fold call of a threaded sweep (a tile of rows x samples)
@@ -150,9 +170,22 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _block_phases(seed: int, block: int, count: int, n: int) -> np.ndarray:
-    """The (count, n, 2) phases (phi_alpha, phi_beta) that block ``block`` draws."""
-    return _block_rng(seed, block).uniform(-math.pi, math.pi, size=(count, n, 2))
+def _block_angles(seed: int, block: int, count: int, n: int) -> np.ndarray:
+    """The (n-1, count) quarter angles h ~ U[-pi/4, pi/4) that block ``block``
+    draws for n barriers: row i is gap i, column c sample c."""
+    return _block_rng(seed, block).uniform(-math.pi / 4, math.pi / 4, size=(n - 1, count))
+
+
+def _quarter_rotors(h: np.ndarray) -> np.ndarray:
+    """Rotors e^{4ih} of quarter angles h, as the C-contiguous complex array of
+    h's shape that boost_fold reads: cos and sin of |h| <= pi/4, then two
+    squarings in place (|rho| is 1 within a few eps)."""
+    rho = np.empty(h.shape, complex)
+    np.cos(h, out=rho.real)
+    np.sin(h, out=rho.imag)
+    rho *= rho
+    rho *= rho
+    return rho
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,7 +294,7 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
     sliced only when the sweep is one block.  Each unit draws its whole
-    block through _block_phases, the draw random_phase_sweep redraws an
+    block through _block_angles, the draw random_phase_sweep redraws an
     extreme from, so a one-block sweep draws its block once per slice.
     Each thread folds tiles of at most _TILE elements in a scratch of its
     own, one thread as any other.  The extremes are reduced here in
@@ -293,7 +326,7 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
 
         def run(unit):
             block, count, first, stop = unit
-            rho = gauge_rotors(_block_phases(seed, block, count, n))
+            rho = _quarter_rotors(_block_angles(seed, block, count, n))
             return _fold_extremes(thetas[first:stop], rho, work, _TILE)
 
         return run
@@ -327,7 +360,8 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepR
     scheduled.  A sample escaping the interval by more than CONTAINMENT_BAND
     raises BoundViolationError: the bounds are theorems, so that is a bug,
     not a statistic.  The one-row call of random_phase_sweeps; the extreme
-    assignments are redrawn from their blocks.
+    assignments are redrawn from their blocks, in the reduced gauge (the
+    module docstring's sampling contract).
     """
     (row,) = random_phase_sweeps(BoundsColumns([seq.thetas]), samples, seed)
     if row.violation is not None:
@@ -336,7 +370,8 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepR
     def drawn(at: tuple[int, int]) -> PhaseAssignment:
         block, index = at
         count = min(_BLOCK, samples - block * _BLOCK)
-        return PhaseAssignment(_block_phases(seed, block, count, len(seq))[index])
+        steps = (4.0 * _block_angles(seed, block, count, len(seq))[:, index]).tolist()
+        return PhaseAssignment((0.0, phi) for phi in itertools.accumulate(steps, initial=0.0))
 
     return SweepResult(
         theta_min_observed=row.theta_min_observed,

@@ -5,7 +5,10 @@ stationary wave equation directly, the phase-grid oracle drives raw
 complex arithmetic over an exhaustive relative-phase grid, and the
 rational two-barrier forms rebuild the hyperbolic ones from the five
 hyperbolic-sum identities (they share only the bounds' domain checks, so
-both refuse the same inputs).
+both refuse the same inputs).  The random-phase law gives the exact mean
+of a bounded statistic of the composed rapidity, against which a sweep's
+draw and fold are checked, together with the full-phase draw of sampling
+contract version 1 and a faulty fold that the check must catch.
 """
 
 from __future__ import annotations
@@ -68,6 +71,53 @@ def pieces_for(specs) -> list[tuple[float, float, float]]:
             raise TypeError(f"no oracle pieces for {spec!r}")
         cursor = support(spec)[1]
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# the random-phase law
+# ---------------------------------------------------------------------------
+
+def block_phases(seed: int, block: int, count: int, n: int) -> np.ndarray:
+    """Sampling contract version 1: the (count, n, 2) phases (phi_alpha,
+    phi_beta) ~ U[-pi, pi) that block ``block`` of a sweep seeded ``seed``
+    drew, to be reduced to rotors by transfer.gauge_rotors."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    return rng.uniform(-math.pi, math.pi, size=(count, n, 2))
+
+
+def legendre_half(theta):
+    """P_{-1/2}(cosh 2 theta) = 1/AGM(1, cosh theta), in (0, 1], elementwise.
+
+    The AGM lies between the two means, and the iteration converges
+    quadratically; it stops once they agree to 1e-15 relatively."""
+    a, g = np.ones_like(theta, dtype=float), np.cosh(theta)
+    while np.any(np.abs(a - g) > 1e-15 * a):
+        a, g = 0.5 * (a + g), np.sqrt(a * g)
+    return 1.0 / a
+
+
+def legendre_half_product(thetas) -> float:
+    """E[P_{-1/2}(cosh 2 theta_total)] under uniform random phases.
+
+    One composition step gives cosh 2x' = cosh 2x cosh 2t + sinh 2x sinh 2t
+    cos psi with psi uniform, so by the product formula of the Legendre
+    functions (DLMF 14.18) E[P_nu(cosh 2 theta_total)] = prod_i
+    P_nu(cosh 2 theta_i) for every nu."""
+    return math.prod(legendre_half(np.asarray(thetas, float)).tolist())
+
+
+def fold_rotating_b(thetas, rho):
+    """transfer.boost_fold with one fault: each step also rotates b by its
+    rotor (b <- tau q + b rho, not tau q + b).  On (1, 0.2, 0.7, 0.5) its
+    rapidities stay inside [B_n, S_n], so containment alone does not catch
+    it there."""
+    taus = np.tanh(np.asarray(thetas, float))
+    a = np.ones(rho.shape[1:], complex)
+    b = np.full(rho.shape[1:], taus[0], complex)
+    for tau, r in zip(taus[1:], rho):
+        q = a * r
+        a, b = q + tau * b, tau * q + b * r
+    return np.arccosh(np.maximum(np.abs(a) * math.prod(np.cosh(thetas).tolist()), 1.0))
 
 
 def grid_T_interval(T1: float, T2: float, points: int = 20000) -> tuple[float, float]:

@@ -6,6 +6,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from compound_barriers import (
     parse_scenario,
 )
 from compound_barriers.barriers import scenario_arrays
-from compound_barriers.cli import main
+from compound_barriers.cli import EXIT_BROKEN_PIPE, main
 from compound_barriers.errors import BoundViolationError
 from compound_barriers.scenario import load_scenario
 from compound_barriers.transfer import rapidity
@@ -217,7 +219,7 @@ class TestCli:
         out = self.run(tmp_path, MINIMAL, "--analysis", "verify",
                        "--samples", "500", "--seed", "3", capsys=capsys)
         meta, header, body = read_csv(out)
-        assert meta["equivalence_audit"].startswith("pass")
+        assert meta["recursion_audit"].startswith("pass")
         row = dict(zip(header, body[0]))
         assert row["sweep_ok"] == "true"
         assert row["exact_contained"] == "true"
@@ -303,6 +305,31 @@ class TestCli:
         assert captured.err.startswith("compound-barriers: error:")
         assert "No space left on device" in captured.err
         assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    @pytest.mark.parametrize("read_first_line", [True, False])
+    def test_closed_reader_is_not_bad_input(self, tmp_path, read_first_line):
+        # `compound-barriers ... | head -1`: the reader closes after one line of
+        # a table larger than a pipe holds, or is gone before anything is
+        # written (the table then sits in stdout's buffer until the flush).
+        # Either way writing stops quietly with 141, not the bad-input 3
+        path = tmp_path / "case.scn"
+        path.write_text(DOUBLE_RECT.replace(":400", ":20000") if read_first_line else MINIMAL)
+        src = str(Path(compound_barriers.cli.__file__).resolve().parents[1])
+        path_list = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+        read, write = os.pipe()
+        if not read_first_line:
+            os.close(read)
+        proc = subprocess.Popen([sys.executable, "-m", "compound_barriers.cli", "--scenario",
+                                 str(path), "--analysis", "bounds"],
+                                stdout=write, stderr=subprocess.PIPE, env=env)
+        os.close(write)
+        if read_first_line:
+            with os.fdopen(read, "rb") as reader:
+                assert reader.readline().startswith(b"# tool: compound-barriers")
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
     def test_sweep_of_a_production_scenario_names_the_rule(self, capsys):
         path = SCENARIO_DIR / "production_pair.scn"
@@ -391,7 +418,7 @@ class TestCli:
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
         captured = capsys.readouterr()
         meta, _, body = read_csv(captured.out)
-        assert meta["equivalence_audit"].startswith("FAIL")
+        assert meta["recursion_audit"].startswith("FAIL")
         assert "rows [2]" in captured.err
         assert len(body) == 5
 

@@ -35,8 +35,9 @@ from compound_barriers import (
 )
 from compound_barriers.transfer import boost_fold, compose_polar, gauge_rotors
 from compound_barriers.errors import BoundViolationError
-from compound_barriers.verify import (_block_phases, _block_rng, _blocks, _fold_extremes,
-                                      _run_units, _theta_error)
+from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rng, _blocks,
+                                      _fold_extremes, _quarter_rotors, _run_units, _theta_error)
+from oracles import block_phases, fold_rotating_b, legendre_half, legendre_half_product
 
 EPS = float(np.finfo(float).eps)
 
@@ -61,9 +62,28 @@ def mp_theta(thetas, phases, digits=50):
         return float(mpmath.acosh(max(abs(a), 1)))
 
 
-def assert_block_matches_mpmath(thetas, phases, samples=(), digits=50):
-    """compose_polar of a (count, n, 2) phase block, at its argmin, its argmax
-    and ``samples``, within the audit's rounding bound of mp_theta.
+def mp_theta_quarter(thetas, quarter, digits=50):
+    """mp_theta of the reduced-gauge phases of one sample's quarter angles h:
+    phi_alpha = 0, phi_beta_1 = 0, phi_beta_{i+1} = phi_beta_i + 4 h_i, the
+    angles 4 h_i exact and their sums taken with ``digits`` digits."""
+    with mpmath.workdps(digits):
+        betas = [mpmath.mpf(0)]
+        for h in quarter:
+            betas.append(betas[-1] + 4 * mpmath.mpf(float(h)))
+        return mp_theta(thetas, [(0, beta) for beta in betas], digits)
+
+
+def sweep_draw(thetas, seed):
+    """Block 0's quarter angles, as the sweep draws them, and the sweep's
+    kernel on them: the rotors e^{4ih} folded by boost_fold."""
+    quarter = _block_angles(seed, 0, 4096, len(thetas))
+    return quarter, boost_fold(thetas, _quarter_rotors(quarter))
+
+
+def assert_block_matches_mpmath(thetas, got, exact, samples=()):
+    """A block's composed rapidities ``got``, at their argmin, their argmax
+    and ``samples``, within the audit's rounding bound of exact(j), sample
+    j's rapidity computed in mpmath.
 
     Two terms.  The fold leaves |alpha_total| off by at most delta = 8 n eps
     cosh(S_n), which moves theta by _theta_error(ref, delta).  Then theta
@@ -74,11 +94,10 @@ def assert_block_matches_mpmath(thetas, phases, samples=(), digits=50):
     Without it the bound drops below half an ulp of theta once theta > ~16
     n, and an extreme next to a rounding midpoint passes or fails on the
     last bit."""
-    got = compose_polar(thetas, phases[:, :, 0], phases[:, :, 1])
     s = s_n(seq(*thetas))
     delta = 8.0 * len(thetas) * EPS * math.cosh(s)
     for j in {int(np.argmin(got)), int(np.argmax(got)), *samples}:
-        ref = mp_theta(thetas, phases[j], digits)
+        ref = exact(j)
         bound = _theta_error(ref, delta) + 4.0 * EPS * max(1.0, s)
         assert abs(got[j] - ref) <= bound, (j, got[j], ref)
 
@@ -109,11 +128,23 @@ class TestBatchKernel:
     @pytest.mark.parametrize("seed", range(5, 13))
     def test_matches_mpmath_at_scale(self, seed):
         # theta log-uniform up to the trusted range: the extreme samples of a
-        # block sit within the audit's rounding bound of a 50-digit value.  At
-        # seeds 7 and 12 an extreme lies within 0.01 ulp of theta of a rounding
+        # block sit within the audit's rounding bound of a 50-digit value
+        # taken at the exact angles 4h
+        for i, s in enumerate(log_uniform_sequences(seed)):
+            quarter, got = sweep_draw(s.thetas, i)
+            assert_block_matches_mpmath(s.thetas, got,
+                                        lambda j: mp_theta_quarter(s.thetas, quarter[:, j]))
+
+    @pytest.mark.parametrize("seed", range(5, 13))
+    def test_compose_polar_matches_mpmath_at_scale(self, seed):
+        # the full-phase path (gauge_rotors, which compose_polar and the grid
+        # search use) on the draws of sampling contract version 1.  At seeds
+        # 7 and 12 an extreme lies within 0.01 ulp of theta of a rounding
         # midpoint, and the bound is below half an ulp of theta there
         for i, s in enumerate(log_uniform_sequences(seed)):
-            assert_block_matches_mpmath(s.thetas, _block_phases(i, 0, 4096, len(s)))
+            phases = block_phases(i, 0, 4096, len(s))
+            got = compose_polar(s.thetas, phases[:, :, 0], phases[:, :, 1])
+            assert_block_matches_mpmath(s.thetas, got, lambda j: mp_theta(s.thetas, phases[j]))
 
     @pytest.mark.parametrize("thetas", [(25, 30), (0, 40, 0), (20, 1e-8, 22, 5),
                                         (60,) * 5, (100, 0.3, 100), (0, 0)])
@@ -122,14 +153,16 @@ class TestBatchKernel:
         # fold keeps no trace of 1 - tanh^2 there; the oracle needs the digits
         # of cosh(S_n) on top of its own 30
         digits = 30 + int(s_n(seq(*thetas)) / math.log(10))
-        phases = _block_phases(len(thetas), 0, 4096, len(thetas))
-        assert_block_matches_mpmath(thetas, phases, range(8), digits)
+        quarter, got = sweep_draw(thetas, len(thetas))
+        assert_block_matches_mpmath(thetas, got,
+                                    lambda j: mp_theta_quarter(thetas, quarter[:, j], digits),
+                                    range(8))
 
     def test_row_tiles_equal_one_row_calls(self):
         # 11 rows folded as one (rows, n) call and in tiles of 4 (the last
         # holds 3), through one reused scratch, are each row's own fold
         thetas = np.random.default_rng(9).uniform(0.0, 3.0, (11, 6))
-        rho = gauge_rotors(_block_phases(9, 0, 1000, 6))
+        rho = _quarter_rotors(_block_angles(9, 0, 1000, 6))
         alone = [boost_fold(row, rho).tobytes() for row in thetas]
         assert [row.tobytes() for row in boost_fold(thetas, rho)] == alone
         work = np.empty(3 * 4 * 1000, complex)
@@ -138,12 +171,88 @@ class TestBatchKernel:
         assert tiled == alone
 
     def test_rotors_are_contiguous_and_in_place(self):
-        # a second block-sized array per block is what pushes peak RSS up
-        phases = _block_phases(3, 0, 4096, 16)
+        # gauge_rotors (compose_polar's reduction) writes over the phases it
+        # is given: a second block-sized array per block pushes peak RSS up
+        phases = block_phases(3, 0, 4096, 16)
         rho = gauge_rotors(phases)
         assert rho.shape == (15, 4096)
         assert rho.flags.c_contiguous
         assert np.shares_memory(rho, phases)
+
+    def test_quarter_rotors_are_contiguous_unit_rotors(self):
+        # the sweep's rotors, laid out as boost_fold reads them: |rho| = 1 and
+        # rho = e^{4ih} within a few eps (two squarings of cos h + i sin h)
+        quarter = _block_angles(3, 0, 4096, 16)
+        assert quarter.shape == (15, 4096)
+        assert quarter.min() >= -math.pi / 4 and quarter.max() < math.pi / 4
+        rho = _quarter_rotors(quarter)
+        assert rho.shape == (15, 4096)
+        assert rho.flags.c_contiguous
+        assert np.abs(np.abs(rho) - 1.0).max() <= 3.0 * EPS
+        assert np.abs(rho - np.exp(4j * quarter)).max() <= 4.0 * EPS
+
+
+# The random-phase law at moderate S_n: n >= 3, since with two barriers the
+# fold never reads b after the last rotor, and fold_rotating_b equals boost_fold
+LAW_SEQUENCES = [(1.0, 0.2, 0.7, 0.5), (0.5,) * 8, (0.1,) * 20, (0.8, 0.3, 1.2), (1.5, 1.0, 0.5)]
+LAW_BLOCKS = 50  # 204,800 samples
+LAW_FALSE_ALARM = 1e-6
+
+
+def law_gap(thetas, rotors, fold=boost_fold):
+    """|mean of P_{-1/2}(cosh 2 theta) over LAW_BLOCKS blocks - its exact mean|,
+    and the Hoeffding half-width at LAW_FALSE_ALARM.  ``rotors(block)`` gives
+    a block's (n-1, 4096) rotors, ``fold`` their composed rapidities."""
+    total = math.fsum(float(legendre_half(fold(thetas, rotors(block))).sum())
+                      for block in range(LAW_BLOCKS))
+    count = LAW_BLOCKS * 4096
+    half_width = math.sqrt(math.log(2.0 / LAW_FALSE_ALARM) / (2.0 * count))
+    return abs(total / count - legendre_half_product(thetas)), half_width
+
+
+class TestRandomPhaseLaw:
+    """The sweep's draws follow the law of uniform phases, not only stay in
+    [B_n, S_n].
+
+    Under uniform phases E[P_nu(cosh 2 theta_total)] = prod_i P_nu(cosh 2
+    theta_i) for every nu (tests/oracles.legendre_half_product).  At nu = -1/2
+    the statistic 1/AGM(1, cosh theta) lies in (0, 1], so Hoeffding's
+    inequality bounds the sample mean of N draws: it strays from the product
+    by more than sqrt(ln(2/delta)/(2N)) with probability at most delta =
+    LAW_FALSE_ALARM = 1e-6 per sequence, about 6e-3 at N = 204,800.  The
+    check has power only at moderate S_n, where the product is not small
+    against that half-width; an opaque chain's product is ~e^{-S_n}, and any
+    law passes there."""
+
+    def test_statistic_is_the_legendre_function(self):
+        thetas = np.array([0.01, 0.1, 0.5, 1.0, 3.0, 10.0])
+        got = legendre_half(thetas)
+        for theta, value in zip(thetas.tolist(), got.tolist()):
+            ref = mpmath.legenp(-0.5, 0, mpmath.cosh(2 * mpmath.mpf(theta)))
+            assert value == pytest.approx(float(ref), rel=1e-14)
+
+    @pytest.mark.parametrize("i, thetas", enumerate(LAW_SEQUENCES))
+    def test_sweep_draw_keeps_the_law(self, i, thetas):
+        # the quarter angles of sampling contract version 2, folded as the sweep folds them
+        gap, half_width = law_gap(
+            thetas, lambda block: _quarter_rotors(_block_angles(i, block, 4096, len(thetas))))
+        assert gap <= half_width
+
+    @pytest.mark.parametrize("i, thetas", enumerate(LAW_SEQUENCES))
+    def test_full_phase_draw_keeps_the_law(self, i, thetas):
+        # version 1: 2n uniform phases per sample, reduced by gauge_rotors
+        gap, half_width = law_gap(
+            thetas, lambda block: gauge_rotors(block_phases(i, block, 4096, len(thetas))))
+        assert gap <= half_width
+
+    @pytest.mark.parametrize("i, thetas", enumerate(LAW_SEQUENCES))
+    def test_a_fold_that_rotates_b_breaks_the_law(self, i, thetas):
+        # on (1, 0.2, 0.7, 0.5) the faulty fold stays inside [B_n, S_n], so
+        # containment alone passes it there; the law check catches it everywhere
+        gap, half_width = law_gap(
+            thetas, lambda block: _quarter_rotors(_block_angles(i, block, 4096, len(thetas))),
+            fold_rotating_b)
+        assert gap > half_width
 
 
 class TestExactCompositionContainment:
@@ -180,12 +289,18 @@ class TestRandomPhaseSweep:
         assert res.theta_max_observed > 4.9
 
     def test_extreme_assignments_recompose(self):
-        s = seq(1.3, 0.6, 0.9)
-        res = random_phase_sweep(s, samples=2000, seed=19)
-        assert recompose_theta(s, res.argmin) == pytest.approx(
-            res.theta_min_observed, rel=1e-11, abs=1e-9)
-        assert recompose_theta(s, res.argmax) == pytest.approx(
-            res.theta_max_observed, rel=1e-11, abs=1e-9)
+        # reported in the reduced gauge, phi_alpha = 0, phi_beta_1 = 0 and
+        # phi_beta_{i+1} = phi_beta_i + 4 h_i for the extreme sample's quarter
+        # angles h, they recompose to the observed extremes through the exact algebra
+        rng = np.random.default_rng(19)
+        for s in (seq(1.3, 0.6, 0.9), seq(*rng.uniform(0.0, 3.0, 7)),
+                  seq(*rng.uniform(0.0, 1.0, 20))):
+            res = random_phase_sweep(s, samples=2000, seed=19)
+            for assignment, observed in ((res.argmin, res.theta_min_observed),
+                                         (res.argmax, res.theta_max_observed)):
+                assert assignment.phis[0] == (0.0, 0.0)
+                assert all(pa == 0.0 for pa, _ in assignment.phis)
+                assert abs(recompose_theta(s, assignment) - observed) <= CONTAINMENT_BAND
 
     def test_deterministic_per_seed(self):
         a = random_phase_sweep(seq(1.0, 2.0), samples=5000, seed=123)
@@ -202,9 +317,9 @@ class TestRandomPhaseSweep:
         whole = random_phase_sweep(s, samples, seed)
         lo, hi = math.inf, -math.inf
         for block, count in _blocks(samples):
-            rng = _block_rng(seed, block)
-            phases = rng.uniform(-math.pi, math.pi, size=(count, len(s), 2))
-            thetas = compose_polar(s.thetas, phases[:, :, 0], phases[:, :, 1])
+            quarter = _block_rng(seed, block).uniform(-math.pi / 4, math.pi / 4,
+                                                      size=(len(s) - 1, count))
+            thetas = boost_fold(s.thetas, _quarter_rotors(quarter))
             lo = min(lo, float(thetas.min()))
             hi = max(hi, float(thetas.max()))
         assert (lo, hi) == (whole.theta_min_observed, whole.theta_max_observed)
@@ -232,8 +347,10 @@ class TestRandomPhaseSweeps:
             for (block, index), assignment in ((got.argmin_at, one.argmin),
                                                (got.argmax_at, one.argmax)):
                 count = min(4096, samples - 4096 * block)
-                drawn = _block_phases(seed, block, count, n)[index]
-                assert tuple(map(tuple, drawn.tolist())) == assignment.phis
+                phis = [(0.0, 0.0)]
+                for h in _block_angles(seed, block, count, n)[:, index].tolist():
+                    phis.append((0.0, phis[-1][1] + 4.0 * h))
+                assert tuple(phis) == assignment.phis
 
     def test_violation_stays_in_its_own_row(self, monkeypatch):
         rows = np.random.default_rng(3).uniform(0.2, 2.0, (5, 4))
@@ -260,8 +377,9 @@ def block_extremes(thetas, samples, seed):
     one row's composed rapidities, block by block as the contract states it."""
     out = []
     for block, count in _blocks(samples):
-        phases = _block_phases(seed, block, count, len(thetas))
-        got = compose_polar(thetas, phases[:, :, 0], phases[:, :, 1])
+        quarter = _block_rng(seed, block).uniform(-math.pi / 4, math.pi / 4,
+                                                  size=(len(thetas) - 1, count))
+        got = boost_fold(thetas, _quarter_rotors(quarter))
         lo, hi = int(np.argmin(got)), int(np.argmax(got))
         out.append((float(got[lo]), lo, float(got[hi]), hi))
     return out
@@ -323,10 +441,10 @@ class TestSweepSchedule:
 
         def counted(seed, block, count, n):
             seen.append((block, count))
-            return _block_phases(seed, block, count, n)
+            return _block_angles(seed, block, count, n)
 
         monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
-        monkeypatch.setattr(compound_barriers.verify, "_block_phases", counted)
+        monkeypatch.setattr(compound_barriers.verify, "_block_angles", counted)
         thetas = np.random.default_rng(4).uniform(0.0, 3.0, (4, 6))
         random_phase_sweeps(BoundsColumns(thetas), samples, 3)
         assert sorted(seen) == draws
@@ -335,7 +453,7 @@ class TestSweepSchedule:
         # shrink one row's S_n to its largest rapidity in blocks 0-2: block 3
         # escapes, while blocks 4 and 5 are still being folded by other threads
         rows = np.random.default_rng(21).uniform(0.2, 2.0, (6, 4))
-        samples, seed, j = 6 * 4096, 5, 2
+        samples, seed, j = 6 * 4096, 0, 2
         per_row = [block_extremes(row, samples, seed) for row in rows]
         assert per_row[j][3][2] > max(b[2] for b in per_row[j][:3]) + 1e-9
         monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: 4)
