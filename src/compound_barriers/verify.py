@@ -27,25 +27,28 @@ Sampling contract (version 2): samples are split into fixed blocks of
 4096; block j of a sweep seeded s draws from PCG64(SeedSequence(s,
 spawn_key=(j,))) the quarter angles h ~ U[-pi/4, pi/4), an (n-1, count)
 array (Generator.uniform, gap by gap), and sample c has the rotors
-rho_i = e^{4i h_i} = (cos h_i + i sin h_i)^4 (_block_angles,
-_quarter_rotors).  That is the law of uniform phases: (phi_alpha,
-phi_beta) -> (phi_alpha - phi_beta, phi_alpha + phi_beta) preserves the
-Haar measure of the torus, so with all 2n phases independent and uniform
-the n-1 angles 2w_i = (phi_alpha_i - phi_beta_i) + (phi_alpha_{i+1} +
-phi_beta_{i+1}) mod 2 pi are independent and uniform too, and so is
-4h_i.  The law of |alpha_total|, and with it the phase-averaged Landauer
-resistance (Anderson, Thouless, Abrahams & Fisher, PRB 22, 3519 (1980)),
-is the same either way; a test checks the mean of a bounded statistic of
-it against its exact value.  Drawing the angles takes one uniform per
-rotor instead of 2n/(n-1), and cos/sin see only |h| <= pi/4, where they
-are cheapest.  An extreme is reported in the reduced gauge: phi_alpha = 0,
-phi_beta_1 = 0 and phi_beta_{i+1} = phi_beta_i + 4 h_i.  (Version 1 drew
-the 2n phases (phi_alpha, phi_beta) ~ U[-pi, pi) per sample and reduced
-them through transfer.gauge_rotors; the CLI's rng metadata line names the
-version.)  Rows swept together on one seed (random_phase_sweeps, one row
-per wavenumber) share each block's draw: only the boost fold runs per
-row, so every row gets exactly the result of random_phase_sweep on that
-row alone.
+rho_i = e^{4i h_i}, the square of e^{2i h_i} = (1 + i t)^2 / (1 + t^2),
+t = tan h_i, built in the memory of h and of rho alone, so the angles are
+consumed (_block_angles, _quarter_rotors).  That is the law of uniform
+phases: (phi_alpha, phi_beta) -> (phi_alpha - phi_beta, phi_alpha +
+phi_beta) preserves the Haar measure of the torus, so with all 2n phases
+independent and uniform the n-1 angles 2w_i = (phi_alpha_i - phi_beta_i)
++ (phi_alpha_{i+1} + phi_beta_{i+1}) mod 2 pi are independent and uniform
+too, and so is 4h_i.  The law of |alpha_total|, and with it the
+phase-averaged Landauer resistance (Anderson, Thouless, Abrahams & Fisher,
+PRB 22, 3519 (1980)), is the same either way; a test checks the mean of a
+bounded statistic of it against its exact value.  Drawing the angles takes
+one uniform per rotor instead of 2n/(n-1), and one vectorized tan of
+|h| <= pi/4 gives the whole rotor.  numpy picks its tan loop by CPU, so
+the last bits of a rotor, and of the observed extremes, may differ between
+machines and numpy builds, never between runs on one.  An extreme is
+reported in the reduced gauge: phi_alpha = 0, phi_beta_1 = 0 and
+phi_beta_{i+1} = phi_beta_i + 4 h_i.  (Version 1 drew the 2n phases
+(phi_alpha, phi_beta) ~ U[-pi, pi) per sample and reduced them through
+transfer.gauge_rotors; the CLI's rng metadata line names the version.)
+Rows swept together on one seed (random_phase_sweeps, one row per
+wavenumber) share each block's draw: only the boost fold runs per row, so
+every row gets exactly the result of random_phase_sweep on that row alone.
 
 Schedule: random_phase_sweeps runs units of (block, row slice) on a thread
 per CPU the process may use, up to two (its affinity mask, so taskset
@@ -53,9 +56,11 @@ narrows it; no option sets it), the calling thread among them.  A unit
 draws its whole block's angles in one call (_block_angles, the draw
 random_phase_sweep redraws an extreme from), turns them into rotors and
 folds its rows over them: no block is drawn in parts, and none is drawn
-once and shared (a one-block sweep's row slices each draw it).  numpy
-releases the GIL inside each call, and the calls are made long (tiles of
-rows) so that threads rarely wait for it.  The calling thread then reduces
+once and shared.  A one-block sweep on more than one thread is cut into up
+to four row slices per thread, each drawing the block, so that a thread
+left free by a stalled one takes over its rows.  numpy releases the GIL
+inside each call, and the calls are made long (tiles of rows) so that
+threads rarely wait for it.  The calling thread then reduces
 the units' extremes in (block, row) order, as a sequential loop would:
 ties go to the first sample, and a row's violation is the first block that
 escapes, however the units ran.  The output is bit-identical under any
@@ -172,18 +177,30 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _block_angles(seed: int, block: int, count: int, n: int) -> np.ndarray:
     """The (n-1, count) quarter angles h ~ U[-pi/4, pi/4) that block ``block``
-    draws for n barriers: row i is gap i, column c sample c."""
-    return _block_rng(seed, block).uniform(-math.pi / 4, math.pi / 4, size=(n - 1, count))
+    draws for n barriers: row i is gap i, column c sample c.  Bit for bit
+    Generator.uniform(-pi/4, pi/4), which computes low + (high - low) u, with
+    the scaling done in place."""
+    h = _block_rng(seed, block).random((n - 1, count))
+    h *= math.pi / 2
+    h += -math.pi / 4
+    return h
 
 
 def _quarter_rotors(h: np.ndarray) -> np.ndarray:
     """Rotors e^{4ih} of quarter angles h, as the C-contiguous complex array of
-    h's shape that boost_fold reads: cos and sin of |h| <= pi/4, then two
-    squarings in place (|rho| is 1 within a few eps)."""
+    h's shape that boost_fold reads.  With t = tan h (|t| <= 1),
+    e^{2ih} = (1 + it)^2 / (1 + t^2), squared once more (|rho| is 1 within a
+    few eps).  h is consumed: it holds t, then 1 + t^2, so that nothing but
+    rho is allocated."""
     rho = np.empty(h.shape, complex)
-    np.cos(h, out=rho.real)
-    np.sin(h, out=rho.imag)
+    np.tan(h, out=h)
+    rho.real.fill(1.0)
+    rho.imag[...] = h
     rho *= rho
+    h *= h
+    h += 1.0
+    rho.real /= h
+    rho.imag /= h
     rho *= rho
     return rho
 
@@ -293,7 +310,8 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
     for it; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
-    sliced only when the sweep is one block.  Each unit draws its whole
+    sliced only when the sweep is one block, into up to four slices per
+    thread when there is more than one.  Each unit draws its whole
     block through _block_angles, the draw random_phase_sweep redraws an
     extreme from, so a one-block sweep draws its block once per slice.
     Each thread folds tiles of at most _TILE elements in a scratch of its
@@ -316,7 +334,10 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
 
     blocks = list(_blocks(samples))
     workers = _worker_count()
-    slices = _spans(rows, min(rows, workers)) if len(blocks) == 1 else [(0, rows)]
+    # a one-block sweep is cut finer than the threads, so that a thread left
+    # free by a stalled one takes over its rows
+    parts = 4 * workers if workers > 1 else 1
+    slices = _spans(rows, min(rows, parts)) if len(blocks) == 1 else [(0, rows)]
     units = [(block, count, first, stop) for block, count in blocks for first, stop in slices]
     threads = min(workers, len(units))
     width = min(samples, _BLOCK)

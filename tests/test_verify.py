@@ -75,9 +75,10 @@ def mp_theta_quarter(thetas, quarter, digits=50):
 
 def sweep_draw(thetas, seed):
     """Block 0's quarter angles, as the sweep draws them, and the sweep's
-    kernel on them: the rotors e^{4ih} folded by boost_fold."""
+    kernel on them: the rotors e^{4ih} (built from a copy, as _quarter_rotors
+    consumes its angles) folded by boost_fold."""
     quarter = _block_angles(seed, 0, 4096, len(thetas))
-    return quarter, boost_fold(thetas, _quarter_rotors(quarter))
+    return quarter, boost_fold(thetas, _quarter_rotors(quarter.copy()))
 
 
 def assert_block_matches_mpmath(thetas, got, exact, samples=()):
@@ -181,15 +182,36 @@ class TestBatchKernel:
 
     def test_quarter_rotors_are_contiguous_unit_rotors(self):
         # the sweep's rotors, laid out as boost_fold reads them: |rho| = 1 and
-        # rho = e^{4ih} within a few eps (two squarings of cos h + i sin h)
+        # rho = e^{4ih} within a few eps (the square of (1 + it)^2 / (1 + t^2),
+        # t = tan h)
         quarter = _block_angles(3, 0, 4096, 16)
         assert quarter.shape == (15, 4096)
         assert quarter.min() >= -math.pi / 4 and quarter.max() < math.pi / 4
-        rho = _quarter_rotors(quarter)
+        rho = _quarter_rotors(quarter.copy())
         assert rho.shape == (15, 4096)
         assert rho.flags.c_contiguous
         assert np.abs(np.abs(rho) - 1.0).max() <= 3.0 * EPS
         assert np.abs(rho - np.exp(4j * quarter)).max() <= 4.0 * EPS
+
+    def test_quarter_rotors_match_mpmath_at_the_end_angles(self):
+        # the ends of [-pi/4, pi/4), the smallest subnormals and zero, where
+        # tan h is +-1, h itself and 0
+        ends = [-math.pi / 4, -5e-324, 0.0, 5e-324, math.nextafter(math.pi / 4, 0.0)]
+        rho = _quarter_rotors(np.array(ends)).tolist()
+        with mpmath.workdps(40):
+            for h, got in zip(ends, rho):
+                exact = mpmath.expj(4 * mpmath.mpf(h))
+                assert abs(mpmath.mpc(got) - exact) <= 4.0 * EPS, (h, got)
+                assert abs(abs(mpmath.mpc(got)) - 1) <= 3.0 * EPS, (h, got)
+
+    @pytest.mark.parametrize("count", [4096, 2000, 5])
+    def test_block_angles_are_the_uniform_draw(self, count):
+        # the in-place scaling of Generator.random is Generator.uniform bit
+        # for bit, for full and partial blocks alike
+        for seed, block, n in ((7, 0, 16), (3, 5, 2), (11, 2, 20)):
+            want = _block_rng(seed, block).uniform(-math.pi / 4, math.pi / 4,
+                                                   size=(n - 1, count))
+            assert _block_angles(seed, block, count, n).tobytes() == want.tobytes()
 
 
 # The random-phase law at moderate S_n: n >= 3, since with two barriers the
@@ -434,7 +456,9 @@ class TestSweepSchedule:
 
     @pytest.mark.parametrize("workers, samples, draws", [
         (1, 2 * 4096 + 5, [(0, 4096), (1, 4096), (2, 5)]),
-        (2, 2000, [(0, 2000), (0, 2000)]),  # one block: each row slice draws it
+        # one block, two threads: up to four row slices per thread, here one
+        # per row, and each draws the block
+        (2, 2000, [(0, 2000)] * 4),
     ])
     def test_each_unit_draws_its_whole_block_once(self, monkeypatch, workers, samples, draws):
         seen = []
