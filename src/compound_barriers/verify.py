@@ -56,11 +56,9 @@ narrows it; no option sets it), the calling thread among them.  A unit
 draws its whole block's angles in one call (_block_angles, the draw
 random_phase_sweep redraws an extreme from), turns them into rotors and
 folds its rows over them: no block is drawn in parts, and none is drawn
-once and shared.  A one-block sweep on more than one thread is cut into up
-to four row slices per thread, each drawing the block, so that a thread
-left free by a stalled one takes over its rows.  numpy releases the GIL
-inside each call, and the calls are made long (tiles of rows) so that
-threads rarely wait for it.  The calling thread then reduces
+once and shared (a one-block sweep's row slices each draw it).  numpy
+releases the GIL inside each call, and the calls are made long (tiles of
+rows) so that threads rarely wait for it.  The calling thread then reduces
 the units' extremes in (block, row) order, as a sequential loop would:
 ties go to the first sample, and a row's violation is the first block that
 escapes, however the units ran.  The output is bit-identical under any
@@ -177,13 +175,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _block_angles(seed: int, block: int, count: int, n: int) -> np.ndarray:
     """The (n-1, count) quarter angles h ~ U[-pi/4, pi/4) that block ``block``
-    draws for n barriers: row i is gap i, column c sample c.  Bit for bit
-    Generator.uniform(-pi/4, pi/4), which computes low + (high - low) u, with
-    the scaling done in place."""
-    h = _block_rng(seed, block).random((n - 1, count))
-    h *= math.pi / 2
-    h += -math.pi / 4
-    return h
+    draws for n barriers: row i is gap i, column c sample c."""
+    return _block_rng(seed, block).uniform(-math.pi / 4, math.pi / 4, size=(n - 1, count))
 
 
 def _quarter_rotors(h: np.ndarray) -> np.ndarray:
@@ -310,8 +303,7 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
     for it; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
-    sliced only when the sweep is one block, into up to four slices per
-    thread when there is more than one.  Each unit draws its whole
+    sliced only when the sweep is one block.  Each unit draws its whole
     block through _block_angles, the draw random_phase_sweep redraws an
     extreme from, so a one-block sweep draws its block once per slice.
     Each thread folds tiles of at most _TILE elements in a scratch of its
@@ -334,10 +326,7 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
 
     blocks = list(_blocks(samples))
     workers = _worker_count()
-    # a one-block sweep is cut finer than the threads, so that a thread left
-    # free by a stalled one takes over its rows
-    parts = 4 * workers if workers > 1 else 1
-    slices = _spans(rows, min(rows, parts)) if len(blocks) == 1 else [(0, rows)]
+    slices = _spans(rows, min(rows, workers)) if len(blocks) == 1 else [(0, rows)]
     units = [(block, count, first, stop) for block, count in blocks for first, stop in slices]
     threads = min(workers, len(units))
     width = min(samples, _BLOCK)
