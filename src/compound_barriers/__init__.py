@@ -2,7 +2,7 @@
 
 Compose exact 2x2 transfer matrices, derive phase-free envelopes on
 transmission, reflection and particle production from per-barrier data
-alone, and verify sharpness against physical barrier models and exhaustive
+alone, and verify sharpness against physical barrier models and random
 phase sweeps.  Units throughout: hbar = 2m = 1, energy E = k^2.
 """
 
@@ -27,9 +27,7 @@ from .bounds import (
     ResonanceAssessment,
     T_from_theta,
     b_n_closed,
-    b_n_iterative,
     bounds_report,
-    classical_transmission,
     production_guaranteed,
     resonance_assessment,
     resonance_possible,
@@ -55,7 +53,6 @@ from .errors import (
 )
 from .scenario import Scenario, load_scenario, parse_scenario
 from .transfer import (
-    IDENTITY,
     NORM_TOL,
     RAPIDITY_LIMIT,
     HyperbolicParams,
@@ -63,11 +60,7 @@ from .transfer import (
     TransferMatrix,
     amplitudes,
     compose,
-    compose_sequence,
     from_polar,
-    make_transfer,
-    particle_number,
-    shift,
     to_polar,
 )
 from .verify import (
@@ -81,7 +74,6 @@ from .verify import (
     SweepResult,
     attain,
     equivalence_audit,
-    extremal_phase_search,
     random_phase_sweep,
     random_phase_sweeps,
     recursion_audit,

@@ -46,6 +46,12 @@ __all__ = [
     "scenario_transfer",
 ]
 
+# The slab formula takes k up to _K_LIMIT / max(1, L)^1.5: then E max(1, L)^3
+# stays within an eighth of the largest double, so that E, 2E - V0 and the
+# series term (V0 - E) L^3, evaluated at every k, are finite for any V0 of
+# desk scale.
+_K_LIMIT = math.sqrt(float(np.finfo(float).max) / 8.0)
+
 
 @dataclass(frozen=True, slots=True)
 class WaveContext:
@@ -160,8 +166,15 @@ def _rectangular_at_origin(height: float, width: float, k: np.ndarray):
         alpha = e^{-ikL} [C + i (2E - V0)/(2k) S],   beta = -i V0/(2k) S,
 
     with C, S from _slab_profile(V0 - E, L); |alpha|^2 - |beta|^2 = C^2 -
-    (V0-E) S^2 = 1 identically on every branch.
+    (V0-E) S^2 = 1 identically on every branch.  A k above _K_LIMIT /
+    max(1, L)^1.5 is refused before E = k^2 is formed.
     """
+    wide = max(1.0, width)
+    too_large = k > _K_LIMIT / wide / math.sqrt(wide)
+    if too_large.any():
+        raise DomainError(f"wavenumber k = {float(k[too_large][0])!r} is too large for a slab of "
+                          f"width {width!r}: E = k^2 would overflow double precision (k must not "
+                          f"exceed {_K_LIMIT:.3g} / max(1, L)^1.5)")
     e = k * k
     c, s = _slab_profile(height - e, width)
     half_through = 0.5 * (2.0 * e - height) / k * s

@@ -46,11 +46,9 @@ __all__ = [
     "two_barrier_R_bounds",
     "two_barrier_N_bounds",
     "s_n",
-    "b_n_iterative",
     "b_n_iterative_rows",
     "b_n_closed",
     "bounds_report",
-    "classical_transmission",
     "resonance_assessment",
     "resonance_possible",
     "production_guaranteed",
@@ -79,10 +77,6 @@ class RapiditySequence:
     @classmethod
     def from_transmissions(cls, ts: Iterable[float]) -> "RapiditySequence":
         return cls(tuple(theta_from_T(t) for t in ts))
-
-    @classmethod
-    def from_reflections(cls, rs: Iterable[float]) -> "RapiditySequence":
-        return cls(tuple(theta_from_R(r) for r in rs))
 
     @classmethod
     def from_particle_numbers(cls, ns: Iterable[float]) -> "RapiditySequence":
@@ -224,36 +218,14 @@ def s_n(seq: RapiditySequence) -> float:
     return math.fsum(seq.thetas)
 
 
-def b_n_iterative(seq: RapiditySequence) -> float:
-    """Lower edge B_n by the Heaviside recursion.
+def b_n_iterative_rows(thetas) -> np.ndarray:
+    """Lower edge B_n of every row of an (n_rows, n) rapidity array by the
+    Heaviside recursion, one barrier column at a time, elementwise over rows:
 
         B_1 = theta_1,
-        B_{m+1} = (t - S_m) H(t - S_m) + (B_m - t) H(B_m - t),  t = theta_{m+1}.
+        B_{m+1} = (t - S_m) H(t - S_m) + (B_m - t) H(B_m - t),  t = theta_{m+1},
 
-    Kept deliberately literal as an independent route to b_n_closed.
-    """
-    if len(seq) == 0:
-        raise EmptySequenceError("B_n needs at least one rapidity")
-
-    def heaviside(x: float) -> float:
-        return 1.0 if x > 0.0 else 0.0
-
-    b = seq.thetas[0]
-    s = seq.thetas[0]
-    for t in seq.thetas[1:]:
-        b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
-        s += t
-    return b
-
-
-def b_n_iterative_rows(thetas) -> np.ndarray:
-    """b_n_iterative of every row of an (n_rows, n) rapidity array.
-
-    The same operations in the same order, one barrier column at a time and
-    elementwise over the rows (H(0) = 0, as in the recursion), so entry j
-    equals b_n_iterative of row j bit for bit.  b_n_iterative stays a plain
-    Python loop: it is the reference for this form, and a one-row call here
-    would cost ~20x more per sequence.
+    with H(0) = 0.  Kept literal as an independent route to b_n_closed.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
@@ -292,7 +264,7 @@ class BoundsColumns:
     ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.  That check
     covers every cell the kernels see, so they skip the per-value checks of
     T_from_theta and friends: each theta_i, theta_peak and B_n lies in
-    [0, S_n], and sech^2 keeps each T_i in [0, 1] for classical_transmission.
+    [0, S_n].
     """
 
     def __init__(self, thetas):
@@ -344,7 +316,7 @@ class BoundsColumns:
 
     @property
     def t_classical(self) -> list[float]:
-        """classical_transmission of each row."""
+        """Particle (no-interference) limit of each row: the plain product of its T_i."""
         return list(map(math.prod, zip(*self.transmissions)))
 
 
@@ -399,16 +371,8 @@ def bounds_report(seq: RapiditySequence) -> BoundsReport:
 
 
 # ---------------------------------------------------------------------------
-# classical comparison and the resonance / production criteria
+# the resonance / production criteria
 # ---------------------------------------------------------------------------
-
-def classical_transmission(ts: Sequence[float]) -> float:
-    """Particle (no-interference) limit: plain product of the T_i."""
-    for T in ts:
-        if not math.isfinite(T) or not (0.0 <= T <= 1.0):
-            raise DomainError(f"classical transmission needs T in [0, 1], got {T!r}")
-    return math.prod(ts)
-
 
 @dataclass(frozen=True, slots=True)
 class ResonanceAssessment:

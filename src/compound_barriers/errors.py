@@ -30,8 +30,8 @@ class OverlapError(CompoundBarrierError, ValueError):
 
 
 class DimensionError(CompoundBarrierError, ValueError):
-    """An array or search has the wrong number of dimensions: a rapidity array
-    that is not (n_rows, n), or too many phases for an exhaustive grid search."""
+    """An array has the wrong number of dimensions: a rapidity array that is
+    not (n_rows, n)."""
 
 
 class TargetOutOfRangeError(CompoundBarrierError, ValueError):

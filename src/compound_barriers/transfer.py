@@ -20,8 +20,7 @@ with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
 
 The algebra is array-valued (an entry per wavenumber, sample, ...); the scalar
 API wraps it.  No function keeps state, and each leaves its arguments as they
-were, except gauge_rotors, which turns the phase block it is given into rotors
-in place, and boost_fold, which works in the scratch array it may be given;
+were, except boost_fold, which works in the scratch array it may be given;
 so concurrent calls are safe unless they share such an array.
 """
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -41,8 +39,9 @@ from .errors import (
     RapidityOverflowError,
 )
 
-# Absolute tolerance on |alpha|^2 - |beta|^2 - 1 for externally supplied
-# coefficients (desk scale, theta <= 20 keeps doubles far inside this).
+# Absolute tolerance on |alpha|^2 - |beta|^2 - 1 that desk-scale coefficients
+# meet (theta <= 20 keeps doubles far inside this); amplitudes are checked to
+# 10 NORM_TOL.
 NORM_TOL = 1e-10
 
 # Rapidities beyond this are refused outright: cosh overflows doubles near
@@ -123,29 +122,6 @@ def rapidity(alpha, out=None):
     return np.arccosh(theta, out=out)
 
 
-def gauge_rotors(phases):
-    """Rotors rho_i = e^{2i w_i} of (samples, n, 2) phases (phi_alpha, phi_beta):
-    a C-contiguous (n-1, samples) complex array, so a fold reads each row in
-    order, written over the block's own memory (the phases are consumed).
-
-    Factor i is R(u_i) B(theta_i) R(v_i), with R(x) = diag(e^{ix}, e^{-ix}),
-    B the real boost, u = (phi_alpha + phi_beta)/2, v = (phi_alpha - phi_beta)/2.
-    The outer R(u_1), R(v_n) only rotate alpha_total, so |alpha_total| sees
-    the n-1 relative angles w_i = v_i + u_{i+1} alone: one cos and one sin
-    of w_i per gap, then squared (numpy's cos and sin take ~30% longer on
-    2 w_i, whose range is twice as wide)."""
-    samples, n = phases.shape[:2]
-    w = np.add(phases[:, 1:, 0].T, phases[:, 1:, 1].T, out=np.empty((n - 1, samples)))
-    w += phases[:, :-1, 0].T
-    w -= phases[:, :-1, 1].T
-    w *= 0.5
-    rho = phases.reshape(-1)[:2 * w.size].view(complex).reshape(w.shape)
-    np.cos(w, out=rho.real)
-    np.sin(w, out=rho.imag)
-    rho *= rho
-    return rho
-
-
 def boost_fold(thetas, rho, work=None):
     """Composed rapidity of B(theta_1) R(w_1) B(theta_2) ... R(w_{n-1}) B(theta_n)
     per column of the (n-1, samples) rotors rho = e^{2iw}, unguarded.
@@ -189,13 +165,6 @@ def boost_fold(thetas, rho, work=None):
     return rapidity(theta, out=theta)
 
 
-def compose_polar(thetas, phi_alpha, phi_beta):
-    """Composed rapidity of each row of (samples, n) phase arrays, unguarded:
-    factor i of row j is cosh(theta_i) e^{i phi_alpha[j,i]}, sinh(theta_i) e^{i phi_beta[j,i]}.
-    Evaluated in the reduced gauge: boost_fold(thetas, gauge_rotors(...))."""
-    return boost_fold(thetas, gauge_rotors(np.stack([phi_alpha, phi_beta], axis=-1, dtype=float)))
-
-
 def translate(beta, k, a):
     """beta of the barrier moved by a at wavenumber k: beta e^{+2ika}."""
     return beta * np.exp(2j * k * a)
@@ -221,9 +190,7 @@ class TransferMatrix:
     """Validated Bogoliubov pair (alpha, beta) with |alpha|^2 - |beta|^2 = 1.
 
     Construction sanity-checks the invariant at a loose, scale-aware
-    tolerance that only trips on numerically meaningless data; use
-    :func:`make_transfer` to enforce the strict normalization contract on
-    externally supplied coefficients.
+    tolerance that only trips on numerically meaningless data.
     """
 
     alpha: complex
@@ -280,25 +247,6 @@ class ScatteringAmplitudes:
         return abs(self.r) ** 2
 
 
-def make_transfer(alpha: complex, beta: complex) -> TransferMatrix:
-    """Validate raw Bogoliubov coefficients into a TransferMatrix.
-
-    Raises NormalizationError when | |alpha|^2 - |beta|^2 - 1 | > NORM_TOL;
-    this strict absolute check is meant for desk-scale input, construct via
-    from_polar for large rapidities.
-    """
-    m = TransferMatrix(alpha, beta)
-    err = abs(m.alpha) ** 2 - abs(m.beta) ** 2 - 1.0
-    if abs(err) > NORM_TOL:
-        raise NormalizationError(
-            f"|alpha|^2 - |beta|^2 - 1 = {err!r} exceeds tolerance {NORM_TOL}"
-        )
-    return m
-
-
-IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j)
-
-
 def from_polar(p: HyperbolicParams) -> TransferMatrix:
     """Build the matrix cosh(theta) e^{i phi_alpha}, sinh(theta) e^{i phi_beta}.
 
@@ -334,28 +282,6 @@ def compose(m1: TransferMatrix, m2: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(*_guarded_product(m1.alpha, m1.beta, m2.alpha, m2.beta))
 
 
-def compose_sequence(ms: list[TransferMatrix] | tuple[TransferMatrix, ...]) -> TransferMatrix:
-    """Left-to-right fold of compose; [M1, ..., Mn] -> M1 M2 ... Mn."""
-    if len(ms) == 0:
-        raise EmptySequenceError("cannot compose an empty sequence of matrices")
-    return reduce(compose, ms)
-
-
-def shift(m: TransferMatrix, k: float, a: float) -> TransferMatrix:
-    """Translate the barrier by a at wavenumber k (see :func:`translate`);
-    alpha (hence theta, T, R, N) is untouched."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"wavenumber must be finite and > 0, got {k!r}")
-    if not math.isfinite(a):
-        raise DomainError(f"displacement must be finite, got {a!r}")
-    return TransferMatrix(m.alpha, translate(m.beta, k, a))
-
-
 def amplitudes(m: TransferMatrix) -> ScatteringAmplitudes:
     """Amplitudes t = 1/alpha, r = beta/alpha (so T = 1/|alpha|^2, T + R = 1)."""
     return ScatteringAmplitudes(*scattering_amplitudes(m.alpha, m.beta))
-
-
-def particle_number(m: TransferMatrix) -> float:
-    """Quanta excited by this episode acting alone: N = |beta|^2 = sinh^2(theta)."""
-    return abs(m.beta) ** 2

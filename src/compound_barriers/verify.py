@@ -1,13 +1,13 @@
 """Independent verification machinery for the rapidity-interval bounds.
 
-Three kinds of evidence that [B_n, S_n] is both correct and sharp:
+Evidence that [B_n, S_n] is both correct and sharp:
 
 * random phase sweeps (vectorized, block-seeded, reproducible) that must
   never escape the interval;
-* exhaustive grid searches over the reduced phase gauge for small n, whose
-  extremes converge to the interval edges;
 * an explicit constructor that realizes any interior target rapidity and
-  is checked by recomposition through the exact algebra.
+  is checked by recomposition through the exact algebra;
+* audits of B_n against the Heaviside recursion, and of exact scenario
+  compositions against the envelopes.
 
 Phase gauge: factor i is R(u_i) B(theta_i) R(v_i), with R(x) =
 diag(e^{ix}, e^{-ix}), B(theta) the real boost, u = (phi_alpha + phi_beta)/2
@@ -18,10 +18,9 @@ the boosts through n-1 rotors e^{2i w_i} (transfer.boost_fold).  The fold
 drops more of what cannot change the modulus: at step i, the left phase
 e^{i w_i} (it only rotates alpha_total) and the factor cosh(theta_i) (it
 only scales it), leaving one complex multiply per sample and barrier; the
-product of the cosh(theta_i) is put back at the end.  Grids fix
-phi_alpha = 0 and phi_beta of the first barrier, leaving n-1 free angles.
-That this loses nothing is itself covered by a test comparing full-phase
-random sampling against reduced-gauge grid extremes.
+product of the cosh(theta_i) is put back at the end.  That this loses
+nothing is covered by tests against full-phase composition and against the
+extremes of an exhaustive reduced-gauge grid (tests/oracles.py).
 
 Sampling contract (version 2): samples are split into fixed blocks of
 4096; block j of a sweep seeded s draws from PCG64(SeedSequence(s,
@@ -44,8 +43,8 @@ the last bits of a rotor, and of the observed extremes, may differ between
 machines and numpy builds, never between runs on one.  An extreme is
 reported in the reduced gauge: phi_alpha = 0, phi_beta_1 = 0 and
 phi_beta_{i+1} = phi_beta_i + 4 h_i.  (Version 1 drew the 2n phases
-(phi_alpha, phi_beta) ~ U[-pi, pi) per sample and reduced them through
-transfer.gauge_rotors; the CLI's rng metadata line names the version.)
+(phi_alpha, phi_beta) ~ U[-pi, pi) per sample and reduced them to the
+rotors e^{2i w_i}; the CLI's rng metadata line names the version.)
 Rows swept together on one seed (random_phase_sweeps, one row per
 wavenumber) share each block's draw: only the boost fold runs per row, so
 every row gets exactly the result of random_phase_sweep on that row alone.
@@ -80,13 +79,12 @@ from .bounds import BoundsColumns, RapiditySequence, b_n_closed, b_n_iterative_r
 from .errors import (
     BoundViolationError,
     CompoundBarrierError,
-    DimensionError,
     DomainError,
     EmptySequenceError,
     TargetOutOfRangeError,
 )
-from .transfer import (HyperbolicParams, boost_fold, compose, compose_polar, fold, from_polar,
-                       rapidity, scattering_amplitudes, to_polar)
+from .transfer import (HyperbolicParams, boost_fold, compose, fold, from_polar, rapidity,
+                       scattering_amplitudes, to_polar)
 
 __all__ = [
     "PhaseAssignment",
@@ -100,7 +98,6 @@ __all__ = [
     "CONTAINMENT_BAND",
     "random_phase_sweep",
     "random_phase_sweeps",
-    "extremal_phase_search",
     "attain",
     "equivalence_audit",
     "recursion_audit",
@@ -132,17 +129,6 @@ class PhaseAssignment:
 
     def __len__(self) -> int:
         return len(self.phis)
-
-    def matrices(self, seq: RapiditySequence):
-        """Dress the rapidities with these phases (exact object algebra)."""
-        if len(self) != len(seq):
-            raise DomainError(
-                f"{len(self)} phase pairs for {len(seq)} rapidities"
-            )
-        return [
-            from_polar(HyperbolicParams(t, pa, pb))
-            for t, (pa, pb) in zip(seq.thetas, self.phis)
-        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,12 +229,6 @@ def _fold_extremes(thetas: np.ndarray, rho: np.ndarray,
     span = np.arange(min(step, rows))
     at, value = np.empty((2, rows), np.intp), np.empty((2, rows))  # (min, max) per row
     for r0, r1 in _spans(rows, -(-rows // step)):
-        if r1 == r0 + 1:  # one row folds as a rapidity row: scalar steps, scalar bookkeeping
-            observed = boost_fold(thetas[r0], rho, work)
-            lo, hi = observed.argmin(), observed.argmax()
-            at[:, r0] = lo, hi
-            value[:, r0] = observed[lo], observed[hi]
-            continue
         observed = boost_fold(thetas[r0:r1], rho, work)
         lo, hi, k = observed.argmin(axis=1), observed.argmax(axis=1), span[:r1 - r0]
         at[:, r0:r1] = lo, hi
@@ -390,87 +370,6 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepR
         argmax=drawn(row.argmax_at),
         sample_count=samples,
         seed=seed,
-    )
-
-
-def _grid_extreme(thetas: Sequence[float], grid: int, minimize: bool,
-                  refine_rounds: int) -> tuple[float, np.ndarray]:
-    """Grid search (plus optional local zoom) over the n-1 free beta phases."""
-    n = len(thetas)
-    free = n - 1
-    centers = np.zeros(free)
-    half_width = math.pi  # full circle on the first pass
-    points = grid
-    best_theta = None
-    best_phis = centers
-
-    for round_idx in range(refine_rounds + 1):
-        axes = []
-        for d in range(free):
-            if round_idx == 0:
-                axes.append(np.linspace(-math.pi, math.pi, points, endpoint=False))
-            else:
-                axes.append(np.linspace(centers[d] - half_width,
-                                        centers[d] + half_width, points))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=1)
-        phi_beta = np.concatenate([np.zeros((flat.shape[0], 1)), flat], axis=1)
-        phi_alpha = np.zeros_like(phi_beta)
-        vals = compose_polar(thetas, phi_alpha, phi_beta)
-        idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-        cand = float(vals[idx])
-        if best_theta is None or (cand < best_theta if minimize else cand > best_theta):
-            best_theta = cand
-            best_phis = flat[idx]
-        if round_idx == 0:
-            half_width = math.pi / points
-            points = 33
-        else:
-            half_width = 2.0 * half_width / (points - 1)
-        centers = best_phis
-    return best_theta, best_phis
-
-
-def extremal_phase_search(seq: RapiditySequence, grid_points_per_phase: int,
-                          refine_rounds: int = 3) -> SweepResult:
-    """Deterministic search for the rapidity extremes over the reduced gauge.
-
-    phi_alpha = 0 everywhere and phi_beta of the first barrier pinned to 0;
-    the remaining n-1 phases are scanned on an even grid over (-pi, pi],
-    then locally refined ``refine_rounds`` times around each extreme.  With
-    refine_rounds = 0 this is the raw grid, whose extremes bracket
-    [B_n, S_n] to first order in the phase step (error < pi * S_n / grid).
-    Limited to n <= 4: the grid has (points)^(n-1) nodes.
-    """
-    n = len(seq)
-    if n == 0:
-        raise EmptySequenceError("search needs at least one rapidity")
-    if n > 4:
-        raise DimensionError(f"grid search supports n <= 4 phases, got n = {n}")
-    if grid_points_per_phase < 2:
-        raise DomainError("need at least 2 grid points per phase")
-
-    if n == 1:
-        theta = seq.thetas[0]
-        trivial = PhaseAssignment(((0.0, 0.0),))
-        return SweepResult(theta, theta, trivial, trivial, 1, None)
-
-    lo, lo_phis = _grid_extreme(seq.thetas, grid_points_per_phase, True, refine_rounds)
-    hi, hi_phis = _grid_extreme(seq.thetas, grid_points_per_phase, False, refine_rounds)
-    count = grid_points_per_phase ** (n - 1) + (refine_rounds * 33 ** (n - 1)) * 2
-
-    def as_assignment(free_phis: np.ndarray) -> PhaseAssignment:
-        return PhaseAssignment(
-            ((0.0, 0.0),) + tuple((0.0, float(p)) for p in free_phis)
-        )
-
-    return SweepResult(
-        theta_min_observed=lo,
-        theta_max_observed=hi,
-        argmin=as_assignment(lo_phis),
-        argmax=as_assignment(hi_phis),
-        sample_count=count,
-        seed=None,
     )
 
 

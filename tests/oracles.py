@@ -1,25 +1,46 @@
 """Independent numerical oracles used to freeze and cross-check expectations.
 
 Nothing here goes through the bounds engine: the ODE oracle integrates the
-stationary wave equation directly, the phase-grid oracle drives raw
+stationary wave equation directly, the phase-grid oracles drive raw
 complex arithmetic over an exhaustive relative-phase grid, and the
 rational two-barrier forms rebuild the hyperbolic ones from the five
 hyperbolic-sum identities (they share only the bounds' domain checks, so
 both refuse the same inputs).  The random-phase law gives the exact mean
 of a bounded statistic of the composed rapidity, against which a sweep's
 draw and fold are checked, together with the full-phase draw of sampling
-contract version 1 and a faulty fold that the check must catch.
+contract version 1 (block_phases, reduced by gauge_rotors; compose_polar
+folds it) and a faulty fold that the check must catch.  The exhaustive
+reduced-gauge grid search (extremal_phase_search) brackets the interval
+edges from the same fold, matrices dresses rapidities with a phase
+assignment for the exact object algebra, and b_n_iterative is the plain
+loop of the Heaviside recursion, the bit-for-bit reference of
+bounds.b_n_iterative_rows.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from compound_barriers import Delta, DomainError, PiecewiseConstant, Rectangular, support
+from compound_barriers import (
+    Delta,
+    DimensionError,
+    DomainError,
+    EmptySequenceError,
+    HyperbolicParams,
+    PhaseAssignment,
+    PiecewiseConstant,
+    RapiditySequence,
+    Rectangular,
+    SweepResult,
+    from_polar,
+    support,
+)
 from compound_barriers.bounds import _check_N, _check_R, _check_T
+from compound_barriers.transfer import boost_fold
 
 # Width of the thin slab standing in for a delta barrier; the induced
 # transmission error is O(width), far below the 1e-6 oracle tolerance.
@@ -80,9 +101,39 @@ def pieces_for(specs) -> list[tuple[float, float, float]]:
 def block_phases(seed: int, block: int, count: int, n: int) -> np.ndarray:
     """Sampling contract version 1: the (count, n, 2) phases (phi_alpha,
     phi_beta) ~ U[-pi, pi) that block ``block`` of a sweep seeded ``seed``
-    drew, to be reduced to rotors by transfer.gauge_rotors."""
+    drew, to be reduced to rotors by gauge_rotors."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
     return rng.uniform(-math.pi, math.pi, size=(count, n, 2))
+
+
+def gauge_rotors(phases):
+    """Rotors rho_i = e^{2i w_i} of (samples, n, 2) phases (phi_alpha, phi_beta):
+    a C-contiguous (n-1, samples) complex array, so a fold reads each row in
+    order, written over the block's own memory (the phases are consumed).
+
+    Factor i is R(u_i) B(theta_i) R(v_i), with R(x) = diag(e^{ix}, e^{-ix}),
+    B the real boost, u = (phi_alpha + phi_beta)/2, v = (phi_alpha - phi_beta)/2.
+    The outer R(u_1), R(v_n) only rotate alpha_total, so |alpha_total| sees
+    the n-1 relative angles w_i = v_i + u_{i+1} alone: one cos and one sin
+    of w_i per gap, then squared (numpy's cos and sin take ~30% longer on
+    2 w_i, whose range is twice as wide)."""
+    samples, n = phases.shape[:2]
+    w = np.add(phases[:, 1:, 0].T, phases[:, 1:, 1].T, out=np.empty((n - 1, samples)))
+    w += phases[:, :-1, 0].T
+    w -= phases[:, :-1, 1].T
+    w *= 0.5
+    rho = phases.reshape(-1)[:2 * w.size].view(complex).reshape(w.shape)
+    np.cos(w, out=rho.real)
+    np.sin(w, out=rho.imag)
+    rho *= rho
+    return rho
+
+
+def compose_polar(thetas, phi_alpha, phi_beta):
+    """Composed rapidity of each row of (samples, n) phase arrays, unguarded:
+    factor i of row j is cosh(theta_i) e^{i phi_alpha[j,i]}, sinh(theta_i) e^{i phi_beta[j,i]}.
+    Evaluated in the reduced gauge: boost_fold(thetas, gauge_rotors(...))."""
+    return boost_fold(thetas, gauge_rotors(np.stack([phi_alpha, phi_beta], axis=-1, dtype=float)))
 
 
 def legendre_half(theta):
@@ -145,6 +196,125 @@ def grid_N_interval(N1: float, N2: float, points: int = 20000) -> tuple[float, f
     phi = np.linspace(-np.pi, np.pi, points, endpoint=False)
     n = np.abs(a1 * b2 + b1 * a2 * np.exp(1j * phi)) ** 2
     return float(n.min()), float(n.max())
+
+
+# ---------------------------------------------------------------------------
+# exact object algebra, the reduced-gauge grid and the literal recursion
+# ---------------------------------------------------------------------------
+
+def matrices(assignment: PhaseAssignment, seq: RapiditySequence):
+    """Dress the rapidities with these phases (exact object algebra)."""
+    if len(assignment) != len(seq):
+        raise DomainError(
+            f"{len(assignment)} phase pairs for {len(seq)} rapidities"
+        )
+    return [
+        from_polar(HyperbolicParams(t, pa, pb))
+        for t, (pa, pb) in zip(seq.thetas, assignment.phis)
+    ]
+
+
+def _grid_extreme(thetas: Sequence[float], grid: int, minimize: bool,
+                  refine_rounds: int) -> tuple[float, np.ndarray]:
+    """Grid search (plus optional local zoom) over the n-1 free beta phases."""
+    n = len(thetas)
+    free = n - 1
+    centers = np.zeros(free)
+    half_width = math.pi  # full circle on the first pass
+    points = grid
+    best_theta = None
+    best_phis = centers
+
+    for round_idx in range(refine_rounds + 1):
+        axes = []
+        for d in range(free):
+            if round_idx == 0:
+                axes.append(np.linspace(-math.pi, math.pi, points, endpoint=False))
+            else:
+                axes.append(np.linspace(centers[d] - half_width,
+                                        centers[d] + half_width, points))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        flat = np.stack([m.ravel() for m in mesh], axis=1)
+        phi_beta = np.concatenate([np.zeros((flat.shape[0], 1)), flat], axis=1)
+        phi_alpha = np.zeros_like(phi_beta)
+        vals = compose_polar(thetas, phi_alpha, phi_beta)
+        idx = int(np.argmin(vals) if minimize else np.argmax(vals))
+        cand = float(vals[idx])
+        if best_theta is None or (cand < best_theta if minimize else cand > best_theta):
+            best_theta = cand
+            best_phis = flat[idx]
+        if round_idx == 0:
+            half_width = math.pi / points
+            points = 33
+        else:
+            half_width = 2.0 * half_width / (points - 1)
+        centers = best_phis
+    return best_theta, best_phis
+
+
+def extremal_phase_search(seq: RapiditySequence, grid_points_per_phase: int,
+                          refine_rounds: int = 3) -> SweepResult:
+    """Deterministic search for the rapidity extremes over the reduced gauge.
+
+    phi_alpha = 0 everywhere and phi_beta of the first barrier pinned to 0;
+    the remaining n-1 phases are scanned on an even grid over (-pi, pi],
+    then locally refined ``refine_rounds`` times around each extreme.  With
+    refine_rounds = 0 this is the raw grid, whose extremes bracket
+    [B_n, S_n] to first order in the phase step (error < pi * S_n / grid).
+    Limited to n <= 4: the grid has (points)^(n-1) nodes.
+    """
+    n = len(seq)
+    if n == 0:
+        raise EmptySequenceError("search needs at least one rapidity")
+    if n > 4:
+        raise DimensionError(f"grid search supports n <= 4 phases, got n = {n}")
+    if grid_points_per_phase < 2:
+        raise DomainError("need at least 2 grid points per phase")
+
+    if n == 1:
+        theta = seq.thetas[0]
+        trivial = PhaseAssignment(((0.0, 0.0),))
+        return SweepResult(theta, theta, trivial, trivial, 1, None)
+
+    lo, lo_phis = _grid_extreme(seq.thetas, grid_points_per_phase, True, refine_rounds)
+    hi, hi_phis = _grid_extreme(seq.thetas, grid_points_per_phase, False, refine_rounds)
+    count = grid_points_per_phase ** (n - 1) + (refine_rounds * 33 ** (n - 1)) * 2
+
+    def as_assignment(free_phis: np.ndarray) -> PhaseAssignment:
+        return PhaseAssignment(
+            ((0.0, 0.0),) + tuple((0.0, float(p)) for p in free_phis)
+        )
+
+    return SweepResult(
+        theta_min_observed=lo,
+        theta_max_observed=hi,
+        argmin=as_assignment(lo_phis),
+        argmax=as_assignment(hi_phis),
+        sample_count=count,
+        seed=None,
+    )
+
+
+def b_n_iterative(seq: RapiditySequence) -> float:
+    """Lower edge B_n by the Heaviside recursion.
+
+        B_1 = theta_1,
+        B_{m+1} = (t - S_m) H(t - S_m) + (B_m - t) H(B_m - t),  t = theta_{m+1}.
+
+    Kept deliberately literal as an independent route to b_n_closed.
+    """
+    if len(seq) == 0:
+        raise EmptySequenceError("B_n needs at least one rapidity")
+
+    def heaviside(x: float) -> float:
+        return 1.0 if x > 0.0 else 0.0
+
+    b = seq.thetas[0]
+    s = seq.thetas[0]
+    for t in seq.thetas[1:]:
+        b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
+        s += t
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ per criterion.  Tolerances are pinned here, not configurable.
 import contextlib
 import math
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from compound_barriers import (
     amplitudes,
     attain,
     b_n_closed,
-    b_n_iterative,
-    compose_sequence,
+    compose,
     production_guaranteed,
     random_phase_sweep,
     s_n,
@@ -30,11 +30,13 @@ from compound_barriers import (
     transfer_of,
     two_barrier_N_bounds,
     two_barrier_T_bounds,
-    extremal_phase_search,
 )
 from oracles import (
+    b_n_iterative,
     cosh_sum_acosh,
     cosh_sum_asinh,
+    extremal_phase_search,
+    matrices,
     ode_transmission,
     pieces_for,
     sech_sum_asech,
@@ -111,7 +113,7 @@ def test_4_sharpness_of_the_interval():
                 seq = RapiditySequence(tuple(rng.uniform(0.2, 3.0, n)))
                 target = rng.uniform(b_n_closed(seq), s_n(seq))
                 assignment = attain(seq, target)
-                achieved = to_polar(compose_sequence(assignment.matrices(seq))).theta
+                achieved = to_polar(reduce(compose, matrices(assignment, seq))).theta
                 assert abs(achieved - target) <= 1e-8
 
 

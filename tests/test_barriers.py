@@ -1,6 +1,7 @@
 """Physical barrier models against analytic contracts and the ODE oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compound_barriers import (
+    NORM_TOL,
     Delta,
     DomainError,
     OverlapError,
@@ -17,14 +19,12 @@ from compound_barriers import (
     WaveContext,
     amplitudes,
     bounds_report,
-    make_transfer,
-    particle_number,
     scenario_transfer,
-    shift,
     support,
     transfer_of,
     to_polar,
 )
+from compound_barriers.transfer import translate
 from oracles import ode_transmission, pieces_for
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
@@ -82,7 +82,7 @@ class TestContractValues:
     def test_every_barrier_matrix_passes_strict_validation(self, height, width, k, position):
         m = transfer_of(Rectangular(height=height, width=width, position=position),
                         WaveContext(k))
-        make_transfer(m.alpha, m.beta)  # strict normalization contract
+        assert abs(abs(m.alpha) ** 2 - abs(m.beta) ** 2 - 1.0) <= NORM_TOL
 
 
 class TestPositioning:
@@ -92,14 +92,14 @@ class TestPositioning:
         away = transfer_of(Rectangular(height=2.0, width=1.0, position=5.5), ctx)
         assert abs(away.alpha) == abs(home.alpha)
         assert to_polar(away).theta == to_polar(home).theta
-        assert particle_number(away) == pytest.approx(particle_number(home), rel=1e-14)
+        assert abs(away.beta) ** 2 == pytest.approx(abs(home.beta) ** 2, rel=1e-14)
 
     def test_positioning_is_exactly_the_shift_rule(self):
         ctx = WaveContext(0.9)
         home = transfer_of(Delta(strength=1.5), ctx)
         away = transfer_of(Delta(strength=1.5, position=-2.25), ctx)
-        moved = shift(home, ctx.k, -2.25)
-        assert away.alpha == moved.alpha and away.beta == moved.beta
+        assert away.alpha == home.alpha
+        assert away.beta == translate(home.beta, ctx.k, -2.25)
 
     def test_single_slab_equals_rectangular(self):
         ctx = WaveContext(1.2)
@@ -126,6 +126,27 @@ class TestValidation:
             WaveContext(0.0)
         with pytest.raises(DomainError):
             WaveContext(-1.0)
+
+    @pytest.mark.parametrize("spec, k", [
+        (Rectangular(height=2.0, width=1.0), 1e300),
+        (PiecewiseConstant(segments=((2.0, 0.5), (1.0, 0.5))), 1e160),
+        (Rectangular(height=2.0, width=100.0), 1e152),
+    ])
+    def test_wavenumber_whose_energy_overflows_is_refused_by_name(self, spec, k):
+        # E = k^2 (times L^3 in the slab series) overflows double precision:
+        # refused before any arithmetic overflows, which the RuntimeWarning
+        # filter would turn into a failure
+        with pytest.raises(DomainError, match=re.escape(f"wavenumber k = {k!r} ")):
+            transfer_of(spec, WaveContext(k))
+
+    def test_slab_formula_holds_up_to_its_wavenumber_limit(self):
+        from compound_barriers.barriers import _K_LIMIT
+        for height, width in [(2.0, 1.0), (-1.5, 0.5), (2.0, 100.0)]:
+            wide = max(1.0, width)
+            k = _K_LIMIT / wide / math.sqrt(wide)  # k^2 max(1, L)^3 = an eighth of the largest double
+            assert T_of(Rectangular(height=height, width=width), k) == pytest.approx(1.0)
+        # delta barriers have no slab formula: nearly transparent at such k
+        assert T_of(Delta(strength=1.5), 1e300) == 1.0
 
     def test_absurdly_opaque_slab_refused(self):
         from compound_barriers import RapidityOverflowError

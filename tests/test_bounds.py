@@ -18,9 +18,7 @@ from compound_barriers import (
     RapiditySequence,
     T_from_theta,
     b_n_closed,
-    b_n_iterative,
     bounds_report,
-    classical_transmission,
     production_guaranteed,
     resonance_assessment,
     resonance_possible,
@@ -34,6 +32,7 @@ from compound_barriers import (
 )
 from compound_barriers.bounds import b_n_iterative_rows
 from oracles import (
+    b_n_iterative,
     grid_N_interval,
     grid_T_interval,
     two_barrier_N_bounds_rational,
@@ -382,7 +381,7 @@ class TestBoundsColumns:
             root = math.sqrt(T_from_theta(s))
             want = [s, b, peak, T_from_theta(s), T_from_theta(b), R_from_theta(b),
                     R_from_theta(s), N_from_theta(b), N_from_theta(s), T_from_theta(peak),
-                    2.0 * root / (1.0 + root), classical_transmission(ts), *ts]
+                    2.0 * root / (1.0 + root), math.prod(ts), *ts]
             t_peak, _, threshold, _ = (column[j] for column in columns.resonance)
             got = [columns.s_n[j], columns.b_n[j], columns.theta_peak[j],
                    *(column[j] for column in columns.envelopes), t_peak, threshold,
@@ -434,10 +433,19 @@ class TestBoundsColumns:
             BoundsColumns([[1.0, 2.0], [200.0, 200.0]])
 
 
+def classical_transmission(ts):
+    """BoundsColumns.t_classical of the barriers with transmissions T_i."""
+    (value,) = BoundsColumns([RapiditySequence.from_transmissions(ts).thetas]).t_classical
+    return value
+
+
 class TestClassical:
+    """The particle (no-interference) limit, the plain product of the T_i."""
+
     def test_products(self):
         assert classical_transmission([1.0, 1.0, 1.0]) == 1.0
-        assert classical_transmission([0.5, 0.5]) == 0.25
+        t = T_from_theta(theta_from_T(0.5))  # 0.5 to an ulp, through the rapidity
+        assert classical_transmission([0.5, 0.5]) == t * t
 
     def test_classical_value_sits_inside_the_wave_interval(self):
         lo, hi = two_barrier_T_bounds(0.5, 0.5)
@@ -448,10 +456,6 @@ class TestClassical:
         report = bounds_report(RapiditySequence.from_transmissions(ts))
         value = classical_transmission(ts)
         assert report.t_interval[0] - 1e-12 <= value <= report.t_interval[1] + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            classical_transmission([0.5, 1.2])
 
 
 class TestResonance:

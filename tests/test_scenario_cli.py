@@ -337,6 +337,18 @@ class TestCli:
         assert capsys.readouterr().err == ("compound-barriers: error: sweep analysis needs a "
                                            "spatial model (scattering mode)\n")
 
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_wavenumber_beyond_the_slab_formula_is_named(self, analysis, tmp_path, capsys):
+        # k^2 overflows double precision: one line naming k, no numpy warning
+        text = "k = 1e300\nbarrier rect position=0.0 height=2.0 width=1.0\n"
+        self.run(tmp_path, text, "--analysis", analysis, expect=3)
+        err = capsys.readouterr().err
+        assert err.startswith("compound-barriers: error: wavenumber k = 1e+300 is too large")
+        assert err.count("\n") == 1
+        # delta barriers at that k still run
+        text = "k = 1e300\nbarrier delta position=0.0 strength=1.5\n"
+        self.run(tmp_path, text, "--analysis", analysis, "--samples", "50")
+
     def test_bad_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text("k = -1.0\nbarrier delta position=0 strength=1\n")

@@ -2,30 +2,28 @@
 
 import cmath
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from compound_barriers import (
-    IDENTITY,
+    NORM_TOL,
     DomainError,
-    EmptySequenceError,
     HyperbolicParams,
     NormalizationError,
     RapidityOverflowError,
+    TransferMatrix,
     amplitudes,
     b_n_closed,
     compose,
-    compose_sequence,
     from_polar,
-    make_transfer,
-    particle_number,
     RapiditySequence,
     s_n,
-    shift,
     to_polar,
 )
+from compound_barriers.transfer import translate
 from conftest import boost
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
@@ -42,32 +40,41 @@ def random_matrix(theta, phi_a, phi_b):
 
 
 matrices = st.builds(random_matrix, small_thetas, angles, angles)
+IDENTITY = TransferMatrix(1, 0)
+
+
+def shifted(m, k, a):
+    """The barrier of m moved by a at wavenumber k."""
+    return TransferMatrix(m.alpha, translate(m.beta, k, a))
 
 
 class TestMakeTransfer:
+    """TransferMatrix built from raw coefficients."""
+
     def test_identity_case(self):
-        m = make_transfer(1.0, 0.0)
+        m = TransferMatrix(1.0, 0.0)
         assert m.alpha == 1.0 + 0.0j
         assert m.beta == 0.0j
 
     def test_polar_form_is_normalized_by_construction(self):
         alpha = cmath.rect(math.cosh(1.0), 0.3)
         beta = cmath.rect(math.sinh(1.0), 1.1)
-        m = make_transfer(alpha, beta)
+        m = TransferMatrix(alpha, beta)
+        assert abs(abs(m.alpha) ** 2 - abs(m.beta) ** 2 - 1.0) <= NORM_TOL
         assert to_polar(m).theta == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(NormalizationError):
-            make_transfer(1.0, 1.0)
+            TransferMatrix(1.0, 1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            make_transfer(complex("nan"), 0.0)
+            TransferMatrix(complex("nan"), 0.0)
         with pytest.raises(DomainError):
-            make_transfer(complex("inf"), 0.0)
+            TransferMatrix(complex("inf"), 0.0)
 
     def test_accepts_float_noise_inside_tolerance(self):
-        m = make_transfer(1.0 - 1e-14, 0.0)
+        m = TransferMatrix(1.0 - 1e-14, 0.0)
         assert to_polar(m).theta == 0.0
 
 
@@ -108,13 +115,13 @@ class TestPolarForm:
         assert (p.theta, p.phi_alpha, p.phi_beta) == (0.0, 0.0, 0.0)
 
     def test_to_polar_clamps_alpha_below_one(self):
-        m = make_transfer(1.0 - 1e-14, 0.0)
+        m = TransferMatrix(1.0 - 1e-14, 0.0)
         assert to_polar(m).theta == 0.0
 
     def test_zero_beta_phase_defined_as_zero(self):
         # a rotated transparent matrix has |beta| = 0: its phase carries no
         # information and comes back as 0
-        m = make_transfer(cmath.rect(1.0, 0.4), 0.0)
+        m = TransferMatrix(cmath.rect(1.0, 0.4), 0.0)
         assert to_polar(m).phi_beta == 0.0
         assert to_polar(m).phi_alpha == pytest.approx(0.4, abs=1e-15)
 
@@ -178,17 +185,11 @@ class TestCompose:
 
 
 class TestComposeSequence:
-    def test_single_element(self):
-        m = random_matrix(0.8, 0.1, 0.2)
-        assert compose_sequence([m]) is m
+    """Left-to-right products, reduce(compose, [M1, ..., Mn]) = M1 M2 ... Mn."""
 
     def test_identical_boosts_accumulate(self):
-        product = compose_sequence([boost(0.5)] * 4)
+        product = reduce(compose, [boost(0.5)] * 4)
         assert to_polar(product).theta == pytest.approx(2.0, rel=1e-13)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(EmptySequenceError):
-            compose_sequence([])
 
     def test_matches_full_2x2_multiplication(self):
         # oracle: plain complex 2x2 products of [[a, b], [b*, a*]]
@@ -204,36 +205,29 @@ class TestComposeSequence:
             for m in ms:
                 full = full @ np.array([[m.alpha, m.beta],
                                         [m.beta.conjugate(), m.alpha.conjugate()]])
-            product = compose_sequence(ms)
+            product = reduce(compose, ms)
             assert product.alpha == pytest.approx(full[0, 0], rel=1e-12)
             assert product.beta == pytest.approx(full[0, 1], rel=1e-12, abs=1e-12)
 
 
 class TestShift:
+    """Moving a barrier by a at wavenumber k (transfer.translate)."""
+
     def test_zero_shift_is_identity(self):
         m = random_matrix(1.1, 0.3, -0.4)
-        s = shift(m, 2.0, 0.0)
+        s = shifted(m, 2.0, 0.0)
         assert s.alpha == m.alpha and s.beta == m.beta
 
     @given(m=matrices, k=st.floats(min_value=0.01, max_value=10.0),
            a=st.floats(min_value=-50.0, max_value=50.0))
     def test_theta_exactly_invariant(self, m, k, a):
-        assert to_polar(shift(m, k, a)).theta == to_polar(m).theta
+        assert to_polar(shifted(m, k, a)).theta == to_polar(m).theta
 
     def test_full_period_returns_same_matrix(self):
         m = random_matrix(0.9, 0.2, 0.6)
-        s = shift(m, 1.0, math.pi)
+        s = shifted(m, 1.0, math.pi)
         assert s.beta == pytest.approx(m.beta, rel=1e-12)
         assert s.alpha == m.alpha
-
-    def test_rejects_nonpositive_wavenumber(self):
-        m = boost(1.0)
-        with pytest.raises(DomainError):
-            shift(m, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            shift(m, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            shift(m, 1.0, math.inf)
 
 
 class TestAmplitudesAndNumber:
@@ -261,11 +255,12 @@ class TestAmplitudesAndNumber:
         assert amp.r == pytest.approx(expected_r, abs=1e-9)
 
     def test_particle_number_values(self):
-        assert particle_number(IDENTITY) == 0.0
-        assert particle_number(boost(ASINH_1)) == pytest.approx(1.0, abs=1e-15)
+        # N = |beta|^2 = sinh^2(theta)
+        assert abs(IDENTITY.beta) ** 2 == 0.0
+        assert abs(boost(ASINH_1).beta) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     @given(m=matrices, k=st.floats(min_value=0.1, max_value=5.0),
            a=st.floats(min_value=-20.0, max_value=20.0))
     def test_particle_number_shift_invariant(self, m, k, a):
-        assert particle_number(shift(m, k, a)) == pytest.approx(
-            particle_number(m), rel=1e-12, abs=1e-15)
+        assert abs(shifted(m, k, a).beta) ** 2 == pytest.approx(
+            abs(m.beta) ** 2, rel=1e-12, abs=1e-15)

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -22,9 +23,8 @@ from compound_barriers import (
     TargetOutOfRangeError,
     attain,
     b_n_closed,
-    compose_sequence,
+    compose,
     equivalence_audit,
-    extremal_phase_search,
     from_polar,
     random_phase_sweep,
     random_phase_sweeps,
@@ -33,11 +33,12 @@ from compound_barriers import (
     scenario_containment_audit,
     to_polar,
 )
-from compound_barriers.transfer import boost_fold, compose_polar, gauge_rotors
+from compound_barriers.transfer import boost_fold
 from compound_barriers.errors import BoundViolationError
 from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rng, _blocks,
                                       _fold_extremes, _quarter_rotors, _run_units, _theta_error)
-from oracles import block_phases, fold_rotating_b, legendre_half, legendre_half_product
+from oracles import (b_n_iterative, block_phases, compose_polar, extremal_phase_search,
+                     fold_rotating_b, gauge_rotors, legendre_half, legendre_half_product, matrices)
 
 EPS = float(np.finfo(float).eps)
 
@@ -47,7 +48,7 @@ def seq(*thetas):
 
 
 def recompose_theta(sequence, assignment):
-    return to_polar(compose_sequence(assignment.matrices(sequence))).theta
+    return to_polar(reduce(compose, matrices(assignment, sequence))).theta
 
 
 def mp_theta(thetas, phases, digits=50):
@@ -123,7 +124,7 @@ class TestBatchKernel:
             ms = [from_polar(HyperbolicParams(t, pa, pb))
                   for t, (pa, pb) in zip(thetas, phases[0])]
             assert batch == pytest.approx(
-                to_polar(compose_sequence(ms)).theta, rel=1e-12, abs=1e-9)
+                to_polar(reduce(compose, ms)).theta, rel=1e-12, abs=1e-9)
 
 
     @pytest.mark.parametrize("seed", range(5, 13))
@@ -138,7 +139,7 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("seed", range(5, 13))
     def test_compose_polar_matches_mpmath_at_scale(self, seed):
-        # the full-phase path (gauge_rotors, which compose_polar and the grid
+        # the full-phase oracle (gauge_rotors, which compose_polar and the grid
         # search use) on the draws of sampling contract version 1.  At seeds
         # 7 and 12 an extreme lies within 0.01 ulp of theta of a rounding
         # midpoint, and the bound is below half an ulp of theta there
@@ -170,15 +171,6 @@ class TestBatchKernel:
         tiled = [row.tobytes() for r in range(0, 11, 4)
                  for row in boost_fold(thetas[r:r + 4], rho, work)]
         assert tiled == alone
-
-    def test_rotors_are_contiguous_and_in_place(self):
-        # gauge_rotors (compose_polar's reduction) writes over the phases it
-        # is given: a second block-sized array per block pushes peak RSS up
-        phases = block_phases(3, 0, 4096, 16)
-        rho = gauge_rotors(phases)
-        assert rho.shape == (15, 4096)
-        assert rho.flags.c_contiguous
-        assert np.shares_memory(rho, phases)
 
     def test_quarter_rotors_are_contiguous_unit_rotors(self):
         # the sweep's rotors, laid out as boost_fold reads them: |rho| = 1 and
@@ -278,7 +270,7 @@ class TestExactCompositionContainment:
                   for t, pa, pb in zip(thetas,
                                        rng.uniform(-math.pi, math.pi, n),
                                        rng.uniform(-math.pi, math.pi, n))]
-            theta = to_polar(compose_sequence(ms)).theta
+            theta = to_polar(reduce(compose, ms)).theta
             s = seq(*thetas)
             assert b_n_closed(s) - 1e-10 <= theta <= s_n(s) + 1e-10
 
@@ -411,6 +403,7 @@ class TestSweepSchedule:
         (11, 7, 9000),          # three blocks, whole-block units; tiles of 6 rows do not divide 11
         (40, 20, 2000),         # one block: rows sliced, each slice draws the block
         (3, 20, 3 * 4096 + 5),  # four blocks, a 5-sample last block
+        (1, 8, 3 * 4096 + 5),   # one-row tiles; the minimum in block 1, the maximum in block 2
         (2, 1, 500),            # no rotors at all
     ])
     def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, rows, n, samples):
@@ -648,7 +641,7 @@ class TestAttain:
             ms = [from_polar(HyperbolicParams(t, 0.0, s))
                   for t, s in zip(thetas, signs)]
             signed = sum(t if s == 0.0 else -t for t, s in zip(thetas, signs))
-            assert to_polar(compose_sequence(ms)).theta == pytest.approx(
+            assert to_polar(reduce(compose, ms)).theta == pytest.approx(
                 abs(signed), rel=1e-11, abs=1e-7)
 
     def test_peak_sign_flip_attains_the_floor(self):
@@ -656,7 +649,7 @@ class TestAttain:
         s = seq(*thetas)
         ms = [from_polar(HyperbolicParams(thetas[0], 0.0, 0.0))]
         ms += [from_polar(HyperbolicParams(t, 0.0, math.pi)) for t in thetas[1:]]
-        assert to_polar(compose_sequence(ms)).theta == pytest.approx(
+        assert to_polar(reduce(compose, ms)).theta == pytest.approx(
             b_n_closed(s), abs=1e-10)
 
 
@@ -672,7 +665,6 @@ class TestEquivalenceAudit:
     def test_all_zero_sequences(self):
         z = seq(0.0, 0.0, 0.0)
         assert b_n_closed(z) == 0.0
-        from compound_barriers import b_n_iterative
         assert b_n_iterative(z) == 0.0
 
     def test_counts_add_up(self):
