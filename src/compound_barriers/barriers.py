@@ -166,10 +166,15 @@ def _rectangular_at_origin(height: float, width: float, k: np.ndarray):
         alpha = e^{-ikL} [C + i (2E - V0)/(2k) S],   beta = -i V0/(2k) S,
 
     with C, S from _slab_profile(V0 - E, L); |alpha|^2 - |beta|^2 = C^2 -
-    (V0-E) S^2 = 1 identically on every branch.  A k above _K_LIMIT /
-    max(1, L)^1.5 is refused before E = k^2 is formed.
+    (V0-E) S^2 = 1 identically on every branch.  A slab with |V0| max(1, L)^2
+    above _K_LIMIT^2 is refused by its width and height, and then a k above
+    _K_LIMIT / max(1, L)^1.5 before E = k^2 is formed.
     """
     wide = max(1.0, width)
+    if abs(height) > _K_LIMIT ** 2 / wide / wide:  # |u| L^2 >= |V0| L^2 overflows at every k
+        raise DomainError(f"slab of height {height!r} and width {width!r} is out of range: "
+                          f"V0 L^2 would overflow double precision at every wavenumber "
+                          f"(|V0| max(1, L)^2 must not exceed {_K_LIMIT ** 2:.3g})")
     too_large = k > _K_LIMIT / wide / math.sqrt(wide)
     if too_large.any():
         raise DomainError(f"wavenumber k = {float(k[too_large][0])!r} is too large for a slab of "

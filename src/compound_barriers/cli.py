@@ -12,9 +12,8 @@ opened or written; a partial table in a file the call created is removed),
 closed) the reader of the table closed it early, as `| head` does: writing
 stops with no message.
 
-``--seed`` and ``--samples`` fall back to the CB_SEED / CB_SAMPLES
-environment variables, then to the scenario file, then to defaults; a seed
-below 0 or fewer than 1 sample is bad input.
+``--seed`` and ``--samples`` fall back to the scenario file, then to
+defaults; a seed below 0 or fewer than 1 sample is bad input.
 """
 
 from __future__ import annotations
@@ -176,19 +175,9 @@ _RUNNERS = {
 }
 
 
-def _resolve(flag: int | None, env_name: str, file_value: int | None,
-             fallback: int) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(env_name)
-    if env is not None:
-        try:
-            return int(env, 10)
-        except ValueError:
-            raise CompoundBarrierError(f"{env_name} must be an integer, got {env!r}") from None
-    if file_value is not None:
-        return file_value
-    return fallback
+def _resolve(flag: int | None, file_value: int | None, fallback: int) -> int:
+    """The flag, else the scenario file's value, else the default."""
+    return flag if flag is not None else file_value if file_value is not None else fallback
 
 
 def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
@@ -240,9 +229,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="analysis to run (default: the scenario's single "
                              "listed analysis)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (also CB_SEED)")
+                        help=f"RNG seed (default: the scenario's, else {DEFAULT_SEED})")
     parser.add_argument("--samples", type=int, default=None,
-                        help="random-sweep sample count (also CB_SAMPLES)")
+                        help=f"random-sweep sample count (default: the scenario's, "
+                             f"else {DEFAULT_SAMPLES})")
     parser.add_argument("--out", default="-",
                         help="output path, '-' or 'stdout' for standard output")
     args = parser.parse_args(argv)
@@ -257,8 +247,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CompoundBarrierError(
                     f"scenario lists analyses {scenario.analyses}; pick one with --analysis"
                 )
-        seed = _resolve(args.seed, "CB_SEED", scenario.seed, DEFAULT_SEED)
-        samples = _resolve(args.samples, "CB_SAMPLES", scenario.samples, DEFAULT_SAMPLES)
+        seed = _resolve(args.seed, scenario.seed, DEFAULT_SEED)
+        samples = _resolve(args.samples, scenario.samples, DEFAULT_SAMPLES)
         if seed < 0:
             raise CompoundBarrierError(f"seed must be >= 0, got {seed}")
         if samples < 1:

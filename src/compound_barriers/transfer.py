@@ -56,6 +56,10 @@ _SANITY_TOL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
 
+# translate takes k up to this / max(1, |a|), so that 2 k a stays within half
+# the largest double.
+_PHASE_LIMIT = float(np.finfo(float).max) / 4.0
+
 
 def _wrap_angle(phi: float) -> float:
     """Reduce an angle to the principal branch (-pi, pi]."""
@@ -166,7 +170,13 @@ def boost_fold(thetas, rho, work=None):
 
 
 def translate(beta, k, a):
-    """beta of the barrier moved by a at wavenumber k: beta e^{+2ika}."""
+    """beta of the barrier moved by a at wavenumber k: beta e^{+2ika}.  A k
+    above _PHASE_LIMIT / max(1, |a|) is refused before 2ka is formed."""
+    largest = float(np.max(k, initial=0.0))
+    if largest > _PHASE_LIMIT / max(1.0, abs(a)):
+        raise DomainError(f"wavenumber k = {largest!r} at position {a!r} is out of "
+                          f"range: the phase 2ka needs k max(1, |a|) <= {_PHASE_LIMIT:.3g} to "
+                          f"stay within double precision")
     return beta * np.exp(2j * k * a)
 
 

@@ -19,6 +19,7 @@ from compound_barriers import (
     WaveContext,
     amplitudes,
     bounds_report,
+    scenario_arrays,
     scenario_transfer,
     support,
     transfer_of,
@@ -147,6 +148,26 @@ class TestValidation:
             assert T_of(Rectangular(height=height, width=width), k) == pytest.approx(1.0)
         # delta barriers have no slab formula: nearly transparent at such k
         assert T_of(Delta(strength=1.5), 1e300) == 1.0
+
+    @pytest.mark.parametrize("k", [1.0, 4.7e-297])
+    def test_slab_too_wide_for_any_wavenumber_is_refused_by_its_width(self, k):
+        # |V0| L^2 overflows at every k, so the width is at fault, not k; at
+        # the smaller k the slab series overflowed, which the RuntimeWarning
+        # filter turns into a failure
+        with pytest.raises(DomainError, match=re.escape(
+                "slab of height 2.0 and width 1e+300 is out of range")):
+            transfer_of(Rectangular(height=2.0, width=1e300), WaveContext(k))
+
+    def test_position_whose_phase_overflows_is_refused_by_name(self):
+        # 2 k a overflows double precision: refused, naming k and the position,
+        # before any arithmetic overflows
+        pair = [Delta(1.5), Delta(1.5, 2.0)]
+        with pytest.raises(DomainError, match=re.escape("k = 1e+308 at position 0.0 ")):
+            scenario_arrays(pair, [1e300, 1e308])
+        with pytest.raises(DomainError, match=re.escape("k = 4e+307 at position 2.0 ")):
+            scenario_arrays(pair, [1e300, 4e307])
+        _, beta = scenario_arrays(pair, [1e300, 2e307])
+        assert np.isfinite(beta).all()
 
     def test_absurdly_opaque_slab_refused(self):
         from compound_barriers import RapidityOverflowError

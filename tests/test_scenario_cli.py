@@ -1,4 +1,4 @@
-"""Scenario parsing and the CLI harness (CSV output, exit codes, env vars)."""
+"""Scenario parsing and the CLI harness (CSV output, exit codes, seeds)."""
 
 import csv
 import errno
@@ -349,6 +349,17 @@ class TestCli:
         text = "k = 1e300\nbarrier delta position=0.0 strength=1.5\n"
         self.run(tmp_path, text, "--analysis", analysis, "--samples", "50")
 
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_position_whose_phase_overflows_is_named(self, analysis, tmp_path, capsys):
+        # 2 k a overflows double precision: one line naming k and the
+        # position, where NaN coefficients named neither
+        text = ("k = 1e300 1e308\nbarrier delta position=0.0 strength=1.5\n"
+                "barrier delta position=2.0 strength=1.5\n")
+        self.run(tmp_path, text, "--analysis", analysis, expect=3)
+        err = capsys.readouterr().err
+        assert err.startswith("compound-barriers: error: wavenumber k = 1e+308 at position 0.0 ")
+        assert err.count("\n") == 1
+
     def test_bad_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text("k = -1.0\nbarrier delta position=0 strength=1\n")
@@ -435,16 +446,21 @@ class TestCli:
         assert len(body) == 5
 
     def test_env_overrides_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
+        # --seed beats the scenario's seed =, and no environment variable
+        # overrides either
         path = tmp_path / "case.scn"
-        path.write_text(MINIMAL)
-        monkeypatch.setenv("CB_SEED", "99")
-        assert main(["--scenario", str(path), "--analysis", "bounds"]) == 0
-        meta, _, _ = read_csv(capsys.readouterr().out)
-        assert meta["seed"] == "99"
-        assert main(["--scenario", str(path), "--analysis", "bounds",
+        path.write_text(MINIMAL + "seed = 7\n")
+        assert main(["--scenario", str(path), "--analysis", "verify", "--samples", "50",
                      "--seed", "123"]) == 0
         meta, _, _ = read_csv(capsys.readouterr().out)
         assert meta["seed"] == "123"
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 0
+        unset = capsys.readouterr().out
+        monkeypatch.setenv("CB_SEED", "99")
+        monkeypatch.setenv("CB_SAMPLES", "5")
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 0
+        assert capsys.readouterr().out == unset
+        assert read_csv(unset)[0]["seed"] == "7"
 
     @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
     def test_negative_seed_flag_is_input_error(self, analysis, tmp_path, capsys):
@@ -453,21 +469,20 @@ class TestCli:
         self.run(tmp_path, MINIMAL, "--analysis", analysis, "--seed", "-1", expect=3)
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
-    def test_negative_seed_env_is_input_error(self, analysis, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CB_SEED", "-3")
-        self.run(tmp_path, MINIMAL, "--analysis", analysis, expect=3)
-        assert "seed must be >= 0, got -3" in capsys.readouterr().err
-
     def test_committed_scenarios_run(self, capsys):
-        for name, analysis in (("double_rect.scn", "bounds"),
-                               ("mixed_chain.scn", "resonance"),
-                               ("mixed_chain.scn", "verify"),
-                               ("production_pair.scn", "bounds")):
-            code = main(["--scenario", str(SCENARIO_DIR / name),
-                         "--analysis", analysis])
-            assert code == 0
-            assert capsys.readouterr().out
+        # every committed scenario under every analysis: a production
+        # scenario has no spatial model to sweep, which is bad input
+        for path in sorted(SCENARIO_DIR.glob("*.scn")):
+            production = load_scenario(path).mode == "production"
+            for analysis in ("bounds", "sweep", "verify", "resonance"):
+                code = main(["--scenario", str(path), "--analysis", analysis])
+                captured = capsys.readouterr()
+                if production and analysis == "sweep":
+                    assert code == 3, path.name
+                    assert not captured.out
+                else:
+                    assert code == 0, (path.name, analysis, captured.err)
+                    assert captured.out and not captured.err
 
     def test_opaque_barrier_sits_inside_its_own_envelope(self, capsys):
         # theta ~ 13-17, N up to ~1e14: an absolute tolerance on N flagged

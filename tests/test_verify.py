@@ -20,6 +20,7 @@ from compound_barriers import (
     HyperbolicParams,
     Rectangular,
     RapiditySequence,
+    RapidityOverflowError,
     TargetOutOfRangeError,
     attain,
     b_n_closed,
@@ -670,6 +671,28 @@ class TestEquivalenceAudit:
     def test_counts_add_up(self):
         report = equivalence_audit(n_max=4, trials=50, seed=2)
         assert report.passes + report.failures == 3 * 50
+
+    def test_counts_the_disagreeing_row(self, monkeypatch):
+        # the audit is recursion_audit on random rows: one row of n = 3 whose
+        # recursion is off by 1e-9 is the one failure
+        recursion = compound_barriers.verify.b_n_iterative_rows
+
+        def off(thetas):
+            gaps = np.zeros(len(thetas))
+            gaps[0] = 1e-9 if thetas.shape[1] == 3 else 0.0
+            return recursion(thetas) + gaps
+
+        monkeypatch.setattr(compound_barriers.verify, "b_n_iterative_rows", off)
+        report = equivalence_audit(n_max=4, trials=50, seed=2)
+        assert (report.failures, report.passes) == (1, 3 * 50 - 1)
+        assert not report.all_pass
+        assert report.max_discrepancy == pytest.approx(1e-9, rel=1e-3)
+
+    def test_refuses_rows_past_the_trusted_range(self):
+        # 200 rapidities of mean 2 sum past RAPIDITY_LIMIT = 350, which
+        # BoundsColumns refuses everywhere
+        with pytest.raises(RapidityOverflowError, match="exceeds trusted range 350"):
+            equivalence_audit(n_max=200, trials=10, seed=13)
 
 
 class TestRecursionAudit:
