@@ -35,9 +35,6 @@ from .bounds import (
     theta_from_N,
     theta_from_R,
     theta_from_T,
-    two_barrier_N_bounds,
-    two_barrier_R_bounds,
-    two_barrier_T_bounds,
 )
 from .errors import (
     BoundViolationError,

@@ -189,7 +189,8 @@ def _rectangular_at_origin(height: float, width: float, k: np.ndarray):
 
 def _at_origin(spec: BarrierSpec, k: np.ndarray):
     """(alpha, beta) of the barrier centered at the origin.  Delta(lam): alpha =
-    1 - i g, beta = -i g, g = lam/(2k); a slab folds its translated segments."""
+    1 - i g, beta = -i g, g = lam/(2k); a slab checks its translated segments,
+    then folds them."""
     if isinstance(spec, Rectangular):
         return _rectangular_at_origin(spec.height, spec.width, k)
     if isinstance(spec, Delta):
@@ -202,7 +203,9 @@ def _at_origin(spec: BarrierSpec, k: np.ndarray):
             alphas.append(alpha)
             betas.append(translate(beta, k, left + 0.5 * w))
             left += w
-        return fold(np.stack(alphas, axis=-1), np.stack(betas, axis=-1))
+        alphas, betas = np.stack(alphas, axis=-1), np.stack(betas, axis=-1)
+        check_pairs(alphas, betas)
+        return fold(alphas, betas)
     raise DomainError(f"unknown barrier kind: {spec!r}")
 
 

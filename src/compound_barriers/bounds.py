@@ -13,6 +13,10 @@ cross-check).  Converting the interval edges gives the six envelopes
     T in [sech^2 S_n, sech^2 B_n],   R in [tanh^2 B_n, tanh^2 S_n],
     N in [sinh^2 B_n, sinh^2 S_n].
 
+Two barriers are the n = 2 row: T in [sech^2(theta_1 + theta_2),
+sech^2(theta_1 - theta_2)], which bounds_report gives for a two-element
+sequence.
+
 All computation happens in rapidity space; probabilities appear only at the
 report boundary, which avoids both cosh overflow and the cancellation that
 plagues the rational forms near T -> 1.
@@ -42,9 +46,6 @@ __all__ = [
     "T_from_theta",
     "R_from_theta",
     "N_from_theta",
-    "two_barrier_T_bounds",
-    "two_barrier_R_bounds",
-    "two_barrier_N_bounds",
     "s_n",
     "b_n_iterative_rows",
     "b_n_closed",
@@ -159,58 +160,7 @@ def N_from_theta(theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# two-barrier closed forms
-# ---------------------------------------------------------------------------
-
-def _check_T(T: float, name: str) -> None:
-    if not math.isfinite(T) or not (0.0 < T <= 1.0):
-        raise DomainError(f"{name} must lie in (0, 1], got {T!r}")
-
-
-def two_barrier_T_bounds(T1: float, T2: float) -> tuple[float, float]:
-    """Attainable transmission interval for two barriers, phases unknown.
-
-    [sech^2(theta1 + theta2), sech^2(theta1 - theta2)]; equal barriers give
-    an upper edge of exactly 1 (the resonance condition).
-    """
-    _check_T(T1, "T1")
-    _check_T(T2, "T2")
-    t1, t2 = theta_from_T(T1), theta_from_T(T2)
-    return T_from_theta(t1 + t2), T_from_theta(abs(t1 - t2))
-
-
-def _check_R(R: float, name: str) -> None:
-    if not math.isfinite(R) or not (0.0 <= R < 1.0):
-        raise DomainError(f"{name} must lie in [0, 1), got {R!r}")
-
-
-def two_barrier_R_bounds(R1: float, R2: float) -> tuple[float, float]:
-    """Attainable reflection interval: [tanh^2(th1 - th2), tanh^2(th1 + th2)]."""
-    _check_R(R1, "R1")
-    _check_R(R2, "R2")
-    t1, t2 = theta_from_R(R1), theta_from_R(R2)
-    return R_from_theta(abs(t1 - t2)), R_from_theta(t1 + t2)
-
-
-def _check_N(N: float, name: str) -> None:
-    if not math.isfinite(N) or N < 0.0:
-        raise DomainError(f"{name} must be finite and >= 0, got {N!r}")
-
-
-def two_barrier_N_bounds(N1: float, N2: float) -> tuple[float, float]:
-    """Attainable particle-production interval for two episodes.
-
-    [sinh^2(th1 - th2), sinh^2(th1 + th2)] with th = asinh(sqrt N); equal
-    episodes give a lower edge of exactly 0 (complete cancellation).
-    """
-    _check_N(N1, "N1")
-    _check_N(N2, "N2")
-    t1, t2 = theta_from_N(N1), theta_from_N(N2)
-    return N_from_theta(abs(t1 - t2)), N_from_theta(t1 + t2)
-
-
-# ---------------------------------------------------------------------------
-# n-barrier interval [B_n, S_n]
+# the interval [B_n, S_n]; two barriers are its n = 2 row, B_2 = |theta_1 - theta_2|
 # ---------------------------------------------------------------------------
 
 def s_n(seq: RapiditySequence) -> float:
@@ -240,18 +190,6 @@ def b_n_iterative_rows(thetas) -> np.ndarray:
     return b
 
 
-def b_n_closed(seq: RapiditySequence) -> float:
-    """Lower edge B_n = max(2 theta_peak - S_n, 0), closed form.
-
-    A totally symmetric function of the rapidities; nonzero only when one
-    barrier outweighs all the others combined.  Any argmax serves as the
-    peak: the value is tie-independent.
-    """
-    if len(seq) == 0:
-        raise EmptySequenceError("B_n needs at least one rapidity")
-    return max(2.0 * max(seq.thetas) - math.fsum(seq.thetas), 0.0)
-
-
 class BoundsColumns:
     """[B_n, S_n], the six envelopes and the resonance verdict of every row of
     an (n_rows, n) rapidity array, one list per quantity, one entry per row.
@@ -259,9 +197,9 @@ class BoundsColumns:
     S_n (math.fsum per row), B_n, theta_peak and the verdict are computed on
     construction; the other columns on first use, once, by mapping this
     module's formula kernels over the rows, so entry j equals bit for bit
-    what bounds_report and resonance_assessment (the one-row calls) give
-    for row j.  (numpy's exp/tanh/sinh/cosh differ from libm in the last
-    ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.  That check
+    what b_n_closed, bounds_report and resonance_assessment (the one-row
+    calls) give for row j.  (numpy's exp/tanh/sinh/cosh differ from libm in
+    the last ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.  That check
     covers every cell the kernels see, so they skip the per-value checks of
     T_from_theta and friends: each theta_i, theta_peak and B_n lies in
     [0, S_n].
@@ -368,6 +306,17 @@ def bounds_report(seq: RapiditySequence) -> BoundsReport:
         alpha_mod_interval=(math.cosh(b), math.cosh(s)),
         beta_mod_interval=(math.sinh(b), math.sinh(s)),
     )
+
+
+def b_n_closed(seq: RapiditySequence) -> float:
+    """Lower edge B_n = max(2 theta_peak - S_n, 0), closed form: the one-row
+    call of BoundsColumns.
+
+    A totally symmetric function of the rapidities; nonzero only when one
+    barrier outweighs all the others combined.  Any argmax serves as the
+    peak: the value is tie-independent.
+    """
+    return BoundsColumns([seq.thetas]).b_n[0]
 
 
 # ---------------------------------------------------------------------------

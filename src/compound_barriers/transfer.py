@@ -54,6 +54,11 @@ RAPIDITY_LIMIT = 350.0
 # huge intermediate rapidity collapsing back to order one).
 _SANITY_TOL = 1e-6
 
+# |alpha|^2 above cosh^2(RAPIDITY_LIMIT) is refused; the 8 ulps of slack let
+# every pair from_polar builds at RAPIDITY_LIMIT pass, whatever its phase
+# (|cosh e^{i phi}|^2 comes out up to 2 ulps above the rounded cosh^2).
+_ALPHA2_LIMIT = math.cosh(RAPIDITY_LIMIT) ** 2 * (1.0 + 8 * np.finfo(float).eps)
+
 _TWO_PI = 2.0 * math.pi
 
 # translate takes k up to this / max(1, |a|), so that 2 k a stays within half
@@ -84,35 +89,30 @@ def product(a1, b1, a2, b2):
 
 def check_pairs(alpha, beta) -> None:
     """Validate pairs elementwise, once per array: DomainError if non-finite,
-    NormalizationError if | |alpha|^2 - |beta|^2 - 1 | > _SANITY_TOL max(1, |alpha|^2)."""
+    RapidityOverflowError if |alpha|^2 > _ALPHA2_LIMIT, NormalizationError if
+    | |alpha|^2 - |beta|^2 - 1 | > _SANITY_TOL max(1, |alpha|^2).  A checked
+    pair has a finite |alpha|^2, so the product of two cannot overflow."""
     if not _finite(alpha, beta):
         raise DomainError(f"non-finite Bogoliubov coefficients: alpha={alpha}, beta={beta}")
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = alpha.real * alpha.real + alpha.imag * alpha.imag
+        if (a2 > _ALPHA2_LIMIT).any():
+            raise RapidityOverflowError(f"|alpha| = {float(np.max(np.abs(alpha)))!r} exceeds "
+                                        f"cosh({RAPIDITY_LIMIT}), the trusted range")
         err = np.abs(a2 - (beta.real * beta.real + beta.imag * beta.imag) - 1.0)
         if (err > _SANITY_TOL * np.maximum(1.0, a2)).any():
             raise NormalizationError(f"|alpha|^2 - |beta|^2 off 1 by {np.max(err)!r}")
 
 
-def _guarded_product(a1, b1, a2, b2):
-    """product() under the guards of a composition step (RapidityOverflowError)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha, beta = product(a1, b1, a2, b2)
-    if not _finite(alpha, beta):
-        raise RapidityOverflowError("composition overflowed double precision")
-    if (np.abs(alpha) > math.cosh(RAPIDITY_LIMIT)).any():
-        raise RapidityOverflowError(f"composed rapidity exceeds trusted range {RAPIDITY_LIMIT}")
-    return alpha, beta
-
-
 def fold(alpha, beta):
     """Left-to-right product along the last axis, (..., n) -> (...): every
-    M1 M2 ... Mn at once, each step guarded and validated as compose does."""
+    M1 M2 ... Mn at once, of pairs that passed check_pairs, each step checked
+    as compose does."""
     if np.shape(alpha)[-1] == 0:
         raise EmptySequenceError("cannot compose an empty sequence of matrices")
     a, b = alpha[..., 0], beta[..., 0]
     for i in range(1, np.shape(alpha)[-1]):
-        a, b = _guarded_product(a, b, alpha[..., i], beta[..., i])
+        a, b = product(a, b, alpha[..., i], beta[..., i])
         check_pairs(a, b)
     return a, b
 
@@ -280,18 +280,17 @@ def to_polar(m: TransferMatrix) -> HyperbolicParams:
     ~1e-8 of phase.  beta == 0 yields phi_beta = 0.
     """
     theta = math.acosh(max(abs(m.alpha), 1.0))
-    phi_alpha = _wrap_angle(cmath.phase(m.alpha))
-    phi_beta = _wrap_angle(cmath.phase(m.beta)) if m.beta != 0 else 0.0
-    return HyperbolicParams(theta, phi_alpha, phi_beta)
+    phi_beta = cmath.phase(m.beta) if m.beta != 0 else 0.0
+    return HyperbolicParams(theta, cmath.phase(m.alpha), phi_beta)
 
 
 def compose(m1: TransferMatrix, m2: TransferMatrix) -> TransferMatrix:
     """Product M1 M2 (M1 traversed first, see :func:`product`); raises
     RapidityOverflowError beyond the trusted range, NormalizationError on
     catastrophic float loss."""
-    return TransferMatrix(*_guarded_product(m1.alpha, m1.beta, m2.alpha, m2.beta))
+    return TransferMatrix(*product(m1.alpha, m1.beta, m2.alpha, m2.beta))
 
 
 def amplitudes(m: TransferMatrix) -> ScatteringAmplitudes:
     """Amplitudes t = 1/alpha, r = beta/alpha (so T = 1/|alpha|^2, T + R = 1)."""
-    return ScatteringAmplitudes(*scattering_amplitudes(m.alpha, m.beta))
+    return ScatteringAmplitudes(1.0 / m.alpha, m.beta / m.alpha)

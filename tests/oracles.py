@@ -3,10 +3,11 @@
 Nothing here goes through the bounds engine: the ODE oracle integrates the
 stationary wave equation directly, the phase-grid oracles drive raw
 complex arithmetic over an exhaustive relative-phase grid, and the
-rational two-barrier forms rebuild the hyperbolic ones from the five
-hyperbolic-sum identities (they share only the bounds' domain checks, so
-both refuse the same inputs).  The random-phase law gives the exact mean
-of a bounded statistic of the composed rapidity, against which a sweep's
+rational two-barrier forms rebuild the n = 2 row of bounds_report from the
+five hyperbolic-sum identities (they check their arguments with the
+bounds' theta_from_T/R/N, so both refuse the same inputs).  The
+random-phase law gives the exact mean of a bounded statistic of the
+composed rapidity, against which a sweep's
 draw and fold are checked, together with the full-phase draw of sampling
 contract version 1 (block_phases, reduced by gauge_rotors; compose_polar
 folds it) and a faulty fold that the check must catch.  The exhaustive
@@ -38,8 +39,10 @@ from compound_barriers import (
     SweepResult,
     from_polar,
     support,
+    theta_from_N,
+    theta_from_R,
+    theta_from_T,
 )
-from compound_barriers.bounds import _check_N, _check_R, _check_T
 from compound_barriers.transfer import boost_fold
 
 # Width of the thin slab standing in for a delta barrier; the induced
@@ -368,11 +371,12 @@ def sech_sum_asech(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rational two-barrier forms, cross-checks of bounds.two_barrier_*_bounds
+# rational two-barrier forms, cross-checks of bounds_report on two barriers
 # ---------------------------------------------------------------------------
 
 def two_barrier_T_bounds_rational(T1: float, T2: float) -> tuple[float, float]:
-    """Rational-algebraic cross-check of two_barrier_T_bounds.
+    """Rational-algebraic cross-check of the two-barrier T interval, the
+    n = 2 row of bounds_report.
 
         T_low  = T1 T2 / (1 + sqrt(1-T1) sqrt(1-T2))^2
         T_high = min(1, T1 T2 / (1 - sqrt(1-T1) sqrt(1-T2))^2)
@@ -381,8 +385,8 @@ def two_barrier_T_bounds_rational(T1: float, T2: float) -> tuple[float, float]:
     (T1 + T2 - T1 T2) / (1 + sqrt(1-T1) sqrt(1-T2)) to dodge cancellation
     for small T.  T1 == T2 yields exactly 1 (the 0-width resonance case).
     """
-    _check_T(T1, "T1")
-    _check_T(T2, "T2")
+    theta_from_T(T1)  # refuses what the bounds refuse
+    theta_from_T(T2)
     s1s2 = math.sqrt(1.0 - T1) * math.sqrt(1.0 - T2)
     low = T1 * T2 / (1.0 + s1s2) ** 2
     if T1 == T2:
@@ -394,7 +398,8 @@ def two_barrier_T_bounds_rational(T1: float, T2: float) -> tuple[float, float]:
 
 
 def two_barrier_R_bounds_rational(R1: float, R2: float) -> tuple[float, float]:
-    """Rational-algebraic cross-check of two_barrier_R_bounds.
+    """Rational-algebraic cross-check of the two-barrier R interval, the
+    n = 2 row of bounds_report.
 
         R_high = ((sqrt R1 + sqrt R2) / (1 + sqrt(R1 R2)))^2
         R_low  = ((sqrt R1 - sqrt R2) / (1 - sqrt(R1 R2)))^2
@@ -402,8 +407,8 @@ def two_barrier_R_bounds_rational(R1: float, R2: float) -> tuple[float, float]:
     Differences are evaluated cancellation-free; equal reflections give an
     exact lower edge of 0 (total destructive interference is possible).
     """
-    _check_R(R1, "R1")
-    _check_R(R2, "R2")
+    theta_from_R(R1)  # refuses what the bounds refuse
+    theta_from_R(R2)
     r1, r2 = math.sqrt(R1), math.sqrt(R2)
     high = ((r1 + r2) / (1.0 + r1 * r2)) ** 2
     if R1 == R2:
@@ -416,7 +421,8 @@ def two_barrier_R_bounds_rational(R1: float, R2: float) -> tuple[float, float]:
 
 
 def two_barrier_N_bounds_rational(N1: float, N2: float) -> tuple[float, float]:
-    """Rational-algebraic cross-check of two_barrier_N_bounds.
+    """Rational-algebraic cross-check of the two-barrier N interval, the
+    n = 2 row of bounds_report.
 
         N_hi/lo = (sqrt(N1 (N2+1)) +- sqrt(N2 (N1+1)))^2
 
@@ -424,8 +430,8 @@ def two_barrier_N_bounds_rational(N1: float, N2: float) -> tuple[float, float]:
     the difference is evaluated through (N1 - N2)/(x + y) to stay exact
     near N1 = N2.
     """
-    _check_N(N1, "N1")
-    _check_N(N2, "N2")
+    theta_from_N(N1)  # refuses what the bounds refuse
+    theta_from_N(N2)
     x = math.sqrt(N1 * (N2 + 1.0))
     y = math.sqrt(N2 * (N1 + 1.0))
     if x + y == 0.0:

@@ -28,9 +28,8 @@ from compound_barriers import (
     scenario_transfer,
     to_polar,
     transfer_of,
-    two_barrier_N_bounds,
-    two_barrier_T_bounds,
 )
+from conftest import two_barrier_N, two_barrier_T
 from oracles import (
     b_n_iterative,
     cosh_sum_acosh,
@@ -122,19 +121,19 @@ def test_5_two_barrier_closed_forms():
         # the worked values reproduce exactly in the rational arrangement
         assert two_barrier_T_bounds_rational(0.5, 0.5) == (1.0 / 9.0, 1.0)
         assert two_barrier_N_bounds_rational(1.0, 1.0) == (0.0, 8.0)
-        lo, hi = two_barrier_T_bounds(0.5, 0.5)
+        lo, hi = two_barrier_T(0.5, 0.5)
         assert lo == pytest.approx(1.0 / 9.0, rel=1e-15) and hi == 1.0
-        lo, hi = two_barrier_N_bounds(1.0, 1.0)
+        lo, hi = two_barrier_N(1.0, 1.0)
         assert lo == 0.0 and hi == pytest.approx(8.0, rel=1e-15)
 
         rng = np.random.default_rng(31)
         for _ in range(10_000):
             t1, t2 = rng.uniform(1e-3, 1.0, 2)
-            for h, r in zip(two_barrier_T_bounds(t1, t2),
+            for h, r in zip(two_barrier_T(t1, t2),
                             two_barrier_T_bounds_rational(t1, t2)):
                 assert math.isclose(h, r, rel_tol=1e-12, abs_tol=1e-15)
             n1, n2 = rng.uniform(0.0, 10.0, 2)
-            for h, r in zip(two_barrier_N_bounds(n1, n2),
+            for h, r in zip(two_barrier_N(n1, n2),
                             two_barrier_N_bounds_rational(n1, n2)):
                 assert math.isclose(h, r, rel_tol=1e-12, abs_tol=1e-15)
 
@@ -146,7 +145,7 @@ def _spacing_sweep_max_T(left: Rectangular, right_height: float,
     t1 = amplitudes(transfer_of(left, ctx)).T
     t2 = amplitudes(transfer_of(Rectangular(height=right_height,
                                             width=right_width), ctx)).T
-    _, t_upper = two_barrier_T_bounds(t1, t2)
+    _, t_upper = two_barrier_T(t1, t2)
     gap_min = 0.5 * (left.width + right_width) + 1e-3
     best = 0.0
     for d in np.linspace(gap_min, gap_min + math.pi / k, points):

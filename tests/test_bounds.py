@@ -1,4 +1,5 @@
-"""Bounds engine: conversions, two-barrier closed forms, [B_n, S_n], criteria."""
+"""Bounds engine: conversions, two-barrier closed forms (the n = 2 row of
+[B_n, S_n], against their rational forms), [B_n, S_n], criteria."""
 
 import math
 
@@ -26,11 +27,9 @@ from compound_barriers import (
     theta_from_N,
     theta_from_R,
     theta_from_T,
-    two_barrier_N_bounds,
-    two_barrier_R_bounds,
-    two_barrier_T_bounds,
 )
 from compound_barriers.bounds import b_n_iterative_rows
+from conftest import two_barrier_N, two_barrier_R, two_barrier_T
 from oracles import (
     b_n_iterative,
     grid_N_interval,
@@ -109,7 +108,7 @@ class TestConversions:
 class TestTwoBarrierT:
     def test_worked_half_half(self):
         assert two_barrier_T_bounds_rational(0.5, 0.5) == (1.0 / 9.0, 1.0)
-        lo, hi = two_barrier_T_bounds(0.5, 0.5)
+        lo, hi = two_barrier_T(0.5, 0.5)
         assert lo == pytest.approx(1.0 / 9.0, rel=1e-15)
         assert hi == 1.0
 
@@ -119,13 +118,13 @@ class TestTwoBarrierT:
         assert hi == pytest.approx(1.0, abs=1e-7)
 
     def test_transparent_barrier_degenerates(self):
-        for f in (two_barrier_T_bounds, two_barrier_T_bounds_rational):
+        for f in (two_barrier_T, two_barrier_T_bounds_rational):
             lo, hi = f(1.0, 0.37)
             assert lo == pytest.approx(0.37, rel=1e-14)
             assert hi == pytest.approx(0.37, rel=1e-14)
 
     def test_frozen_pair(self):
-        for f in (two_barrier_T_bounds, two_barrier_T_bounds_rational):
+        for f in (two_barrier_T, two_barrier_T_bounds_rational):
             lo, hi = f(0.5, 0.8)
             assert lo == pytest.approx(T_LOW_05_08, rel=1e-13)
             assert hi == pytest.approx(T_HIGH_05_08, rel=1e-13)
@@ -135,14 +134,14 @@ class TestTwoBarrierT:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            two_barrier_T_bounds(0.0, 0.5)
+            two_barrier_T(0.0, 0.5)
         with pytest.raises(DomainError):
-            two_barrier_T_bounds(0.5, 1.2)
+            two_barrier_T(0.5, 1.2)
 
     @given(t1=st.floats(min_value=1e-3, max_value=1.0),
            t2=st.floats(min_value=1e-3, max_value=1.0))
     def test_hyperbolic_and_rational_agree(self, t1, t2):
-        hyp = two_barrier_T_bounds(t1, t2)
+        hyp = two_barrier_T(t1, t2)
         rat = two_barrier_T_bounds_rational(t1, t2)
         for h, r in zip(hyp, rat):
             assert math.isclose(h, r, rel_tol=1e-12, abs_tol=1e-15)
@@ -150,20 +149,20 @@ class TestTwoBarrierT:
     @given(t1=st.floats(min_value=1e-3, max_value=1.0),
            t2=st.floats(min_value=1e-3, max_value=1.0))
     def test_upper_bound_reaches_one_only_for_equal_inputs(self, t1, t2):
-        _, hi = two_barrier_T_bounds(t1, t2)
+        _, hi = two_barrier_T(t1, t2)
         if abs(t1 - t2) > 1e-6:
             assert hi < 1.0
 
 
 class TestTwoBarrierR:
     def test_transparent_barrier_degenerates(self):
-        for f in (two_barrier_R_bounds, two_barrier_R_bounds_rational):
+        for f in (two_barrier_R, two_barrier_R_bounds_rational):
             lo, hi = f(0.0, 0.42)
             assert lo == pytest.approx(0.42, rel=1e-14)
             assert hi == pytest.approx(0.42, rel=1e-14)
 
     def test_worked_half_half_complements_T(self):
-        lo, hi = two_barrier_R_bounds(0.5, 0.5)
+        lo, hi = two_barrier_R(0.5, 0.5)
         assert lo == 0.0
         assert hi == pytest.approx(8.0 / 9.0, rel=1e-14)
 
@@ -176,7 +175,7 @@ class TestTwoBarrierR:
     @given(r1=st.floats(min_value=0.0, max_value=0.999),
            r2=st.floats(min_value=0.0, max_value=0.999))
     def test_hyperbolic_and_rational_agree(self, r1, r2):
-        hyp = two_barrier_R_bounds(r1, r2)
+        hyp = two_barrier_R(r1, r2)
         rat = two_barrier_R_bounds_rational(r1, r2)
         for h, r in zip(hyp, rat):
             assert math.isclose(h, r, rel_tol=1e-12, abs_tol=1e-15)
@@ -184,8 +183,8 @@ class TestTwoBarrierR:
     @given(t1=st.floats(min_value=1e-3, max_value=1.0),
            t2=st.floats(min_value=1e-3, max_value=1.0))
     def test_R_interval_is_reversed_complement_of_T_interval(self, t1, t2):
-        t_lo, t_hi = two_barrier_T_bounds(t1, t2)
-        r_lo, r_hi = two_barrier_R_bounds(1.0 - t1, 1.0 - t2)
+        t_lo, t_hi = two_barrier_T(t1, t2)
+        r_lo, r_hi = two_barrier_R(1.0 - t1, 1.0 - t2)
         assert r_lo == pytest.approx(1.0 - t_hi, abs=1e-12)
         assert r_hi == pytest.approx(1.0 - t_lo, abs=1e-12)
 
@@ -193,7 +192,7 @@ class TestTwoBarrierR:
 class TestTwoBarrierN:
     def test_worked_one_one(self):
         assert two_barrier_N_bounds_rational(1.0, 1.0) == (0.0, 8.0)
-        lo, hi = two_barrier_N_bounds(1.0, 1.0)
+        lo, hi = two_barrier_N(1.0, 1.0)
         assert lo == 0.0
         assert hi == pytest.approx(8.0, rel=1e-15)
 
@@ -203,13 +202,13 @@ class TestTwoBarrierN:
         assert hi == pytest.approx(8.0, abs=1e-5)
 
     def test_quiet_episode_degenerates(self):
-        for f in (two_barrier_N_bounds, two_barrier_N_bounds_rational):
+        for f in (two_barrier_N, two_barrier_N_bounds_rational):
             lo, hi = f(0.0, 2.5)
             assert lo == pytest.approx(2.5, rel=1e-14)
             assert hi == pytest.approx(2.5, rel=1e-14)
 
     def test_frozen_three_one(self):
-        for f in (two_barrier_N_bounds, two_barrier_N_bounds_rational):
+        for f in (two_barrier_N, two_barrier_N_bounds_rational):
             lo, hi = f(3.0, 1.0)
             assert lo == pytest.approx(N_LOW_3_1, rel=1e-13)
             assert hi == pytest.approx(N_HIGH_3_1, rel=1e-13)
@@ -219,12 +218,12 @@ class TestTwoBarrierN:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            two_barrier_N_bounds(-0.1, 1.0)
+            two_barrier_N(-0.1, 1.0)
 
     @given(n1=st.floats(min_value=0.0, max_value=50.0),
            n2=st.floats(min_value=0.0, max_value=50.0))
     def test_hyperbolic_and_rational_agree(self, n1, n2):
-        hyp = two_barrier_N_bounds(n1, n2)
+        hyp = two_barrier_N(n1, n2)
         rat = two_barrier_N_bounds_rational(n1, n2)
         for h, r in zip(hyp, rat):
             assert math.isclose(h, r, rel_tol=1e-12, abs_tol=1e-15)
@@ -448,7 +447,7 @@ class TestClassical:
         assert classical_transmission([0.5, 0.5]) == t * t
 
     def test_classical_value_sits_inside_the_wave_interval(self):
-        lo, hi = two_barrier_T_bounds(0.5, 0.5)
+        lo, hi = two_barrier_T(0.5, 0.5)
         assert lo <= classical_transmission([0.5, 0.5]) <= hi
 
     @given(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=6))

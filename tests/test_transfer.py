@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from compound_barriers import (
     NORM_TOL,
+    RAPIDITY_LIMIT,
     DomainError,
     HyperbolicParams,
     NormalizationError,
@@ -73,6 +74,12 @@ class TestMakeTransfer:
         with pytest.raises(DomainError):
             TransferMatrix(complex("inf"), 0.0)
 
+    def test_rejects_alpha_past_the_trusted_range(self):
+        # |alpha|^2 overflows to inf here, which the normalization test alone let pass
+        for beta in (0.0, 3e199j):
+            with pytest.raises(RapidityOverflowError):
+                TransferMatrix(1e200, beta)
+
     def test_accepts_float_noise_inside_tolerance(self):
         m = TransferMatrix(1.0 - 1e-14, 0.0)
         assert to_polar(m).theta == 0.0
@@ -104,6 +111,13 @@ class TestPolarForm:
         with pytest.raises(RapidityOverflowError):
             from_polar(HyperbolicParams(351.0, 0.0, 0.0))
         assert issubclass(RapidityOverflowError, OverflowError)
+
+    def test_accepts_the_trusted_limit_at_every_phase(self):
+        # |alpha|^2 of a pair at RAPIDITY_LIMIT rounds up to 2 ulps past cosh^2
+        for i in range(2001):
+            phi = -math.pi + 2.0 * math.pi * i / 2000
+            m = from_polar(HyperbolicParams(RAPIDITY_LIMIT, phi, -phi))
+            assert to_polar(m).theta == pytest.approx(RAPIDITY_LIMIT, rel=1e-15)
 
     def test_phases_wrap_to_principal_branch(self):
         p = HyperbolicParams(1.0, 3.0 * math.pi, -3.5 * math.pi)
