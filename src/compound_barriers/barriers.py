@@ -139,9 +139,11 @@ def support(spec: BarrierSpec) -> tuple[float, float]:
 def _slab_profile(u: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
     """C = cos-or-cosh(sqrt|u| L) and S = sin-or-sinh(sqrt|u| L)/sqrt|u|.
 
-    u = V0 - E (one entry per wavenumber) selects the branch; the u -> 0
-    limit (S -> L) is the E = V0 degeneracy, handled by series so there is
-    no removable-singularity branch point.
+    u = V0 - E (one entry per wavenumber) selects the branch: cosh/sinh run
+    on the entries with u > 0 only and cos/sin on the others only, so no
+    entry pays for both pairs and cosh never sees a trigonometric argument.
+    The u -> 0 limit (S -> L) is the E = V0 degeneracy, handled by series
+    so there is no removable-singularity branch point.
     """
     series = np.abs(u) * length * length < 1e-12
     w = np.sqrt(np.abs(u))
@@ -151,12 +153,14 @@ def _slab_profile(u: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]
     if worst > RAPIDITY_LIMIT:
         raise RapidityOverflowError(f"slab opacity kappa*L = {worst!r} exceeds trusted "
                                     f"range {RAPIDITY_LIMIT}")
-    hyp, trig = np.where(hyper, wl, 0.0), np.where(hyper, 0.0, wl)  # no cosh overflow
-    c = np.where(hyper, np.cosh(hyp), np.cos(trig))
-    s = np.where(hyper, np.sinh(hyp), np.sin(trig)) / np.where(series, 1.0, w)
+    c, s = np.empty_like(u), np.empty_like(u)
+    for branch, cos, sin in ((hyper, np.cosh, np.sinh), (~(hyper | series), np.cos, np.sin)):
+        x = wl[branch]
+        c[branch], s[branch] = cos(x), sin(x) / w[branch]
     # series in u L^2: C = 1 + uL^2/2, S = L (1 + uL^2/6)
-    c = np.where(series, 1.0 + 0.5 * u * length * length, c)
-    s = np.where(series, length * (1.0 + u * length * length / 6.0), s)
+    v = u[series]
+    c[series] = 1.0 + 0.5 * v * length * length
+    s[series] = length * (1.0 + v * length * length / 6.0)
     return c, s
 
 

@@ -127,20 +127,32 @@ def _check_theta(theta: float) -> float:
     return t
 
 
-def _sech2(t: float) -> float:
-    """sech^2(t) for a checked t, overflow-free."""
-    e = math.exp(-t)
+def _libm(f, x):
+    """f of a float, or of each entry of a 1-D array, always by libm (numpy's
+    own exp/tanh/sinh loops may differ from it in the last ulp)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.tolist()), float, x.size)
+    return f(x)
+
+
+# The three kernels take a checked rapidity, a float or a 1-D array: libm
+# gives the transcendental, and the IEEE arithmetic after it rounds the same
+# in Python and in numpy, so an array entry equals the float call bit for bit.
+
+def _sech2(t):
+    """sech^2 t, overflow-free."""
+    e = _libm(math.exp, -t)
     sech = 2.0 * e / (1.0 + e * e)
     return sech * sech
 
 
-def _tanh2(t: float) -> float:
-    th = math.tanh(t)
+def _tanh2(t):
+    th = _libm(math.tanh, t)
     return th * th
 
 
-def _sinh2(t: float) -> float:
-    s = math.sinh(t)
+def _sinh2(t):
+    s = _libm(math.sinh, t)
     return s * s
 
 
@@ -192,17 +204,18 @@ def b_n_iterative_rows(thetas) -> np.ndarray:
 
 class BoundsColumns:
     """[B_n, S_n], the six envelopes and the resonance verdict of every row of
-    an (n_rows, n) rapidity array, one list per quantity, one entry per row.
+    an (n_rows, n) rapidity array, one list of Python floats (or bools) per
+    quantity, one entry per row.
 
-    S_n (math.fsum per row), B_n, theta_peak and the verdict are computed on
-    construction; the other columns on first use, once, by mapping this
-    module's formula kernels over the rows, so entry j equals bit for bit
-    what b_n_closed, bounds_report and resonance_assessment (the one-row
-    calls) give for row j.  (numpy's exp/tanh/sinh/cosh differ from libm in
-    the last ulp.)  A row with S_n above RAPIDITY_LIMIT is refused.  That check
-    covers every cell the kernels see, so they skip the per-value checks of
-    T_from_theta and friends: each theta_i, theta_peak and B_n lies in
-    [0, S_n].
+    S_n (math.fsum per row), theta_peak, B_n and the verdict are computed on
+    construction, the other columns on first use, once.  Each column is one
+    pass of this module's formula kernels over an array, the same kernels
+    the float calls (T_from_theta, ..., and the one-row calls b_n_closed,
+    bounds_report, resonance_assessment) run, so entry j equals bit for bit
+    what they give for row j.  A row with S_n above RAPIDITY_LIMIT is
+    refused.  That check covers every cell the kernels see, so they skip the
+    per-value checks of T_from_theta and friends: each theta_i, theta_peak
+    and B_n lies in [0, S_n].
     """
 
     def __init__(self, thetas):
@@ -214,19 +227,20 @@ class BoundsColumns:
         bad = ~np.isfinite(thetas) | (thetas < 0.0)
         if bad.any():
             raise DomainError(f"rapidities must be finite and >= 0, got {float(thetas[bad][0])!r}")
-        rows = thetas.tolist()
-        self.thetas = thetas
-        self.s_n = list(map(math.fsum, rows))
-        for s in self.s_n:
-            if s > RAPIDITY_LIMIT:
-                raise RapidityOverflowError(f"S_n = {s!r} exceeds trusted range {RAPIDITY_LIMIT}")
-        self.theta_peak = list(map(max, rows))
-        self.b_n = [max(2.0 * p - s, 0.0) for p, s in zip(self.theta_peak, self.s_n)]
-        self.possible = [b == 0.0 for b in self.b_n]  # B_n = 0: T = 1 not excluded
+        s = np.array(list(map(math.fsum, thetas.tolist())))
+        over = s > RAPIDITY_LIMIT
+        if over.any():
+            raise RapidityOverflowError(f"S_n = {float(s[over][0])!r} exceeds trusted range "
+                                        f"{RAPIDITY_LIMIT}")
+        peak = thetas.max(axis=1) + 0.0  # a zero peak is 0.0, whichever signed zero max picks
+        b = np.maximum(2.0 * peak - s, 0.0)
+        self.thetas, self._s, self._peak, self._b = thetas, s, peak, b
+        self.s_n, self.theta_peak, self.b_n = s.tolist(), peak.tolist(), b.tolist()
+        self.possible = (b == 0.0).tolist()  # B_n = 0: T = 1 not excluded
 
     @cached_property
     def t_min(self) -> list[float]:
-        return list(map(_sech2, self.s_n))
+        return _sech2(self._s).tolist()
 
     @cached_property
     def envelopes(self) -> tuple[list[float], ...]:
@@ -235,27 +249,37 @@ class BoundsColumns:
             T in [sech^2 S_n, sech^2 B_n]      R in [tanh^2 B_n, tanh^2 S_n]
             N in [sinh^2 B_n, sinh^2 S_n]
         """
-        b, s = self.b_n, self.s_n
-        return (self.t_min, list(map(_sech2, b)), list(map(_tanh2, b)),
-                list(map(_tanh2, s)), list(map(_sinh2, b)), list(map(_sinh2, s)))
+        b, s = self._b, self._s
+        return self.t_min, *(column.tolist() for column in (
+            _sech2(b), _tanh2(b), _tanh2(s), _sinh2(b), _sinh2(s)))
 
     @cached_property
     def resonance(self) -> tuple[list[float], ...]:
         """T_peak = sech^2(theta_peak), T_min, threshold = 2 sqrt(T_min) / (1 +
         sqrt(T_min)) and margin = T_peak - threshold: see resonance_assessment."""
-        t_peak = list(map(_sech2, self.theta_peak))
-        threshold = [2.0 * root / (1.0 + root) for root in map(math.sqrt, self.t_min)]
-        return t_peak, self.t_min, threshold, [t - h for t, h in zip(t_peak, threshold)]
+        t_peak, root = _sech2(self._peak), np.sqrt(self.t_min)
+        threshold = 2.0 * root / (1.0 + root)
+        return t_peak.tolist(), self.t_min, threshold.tolist(), (t_peak - threshold).tolist()
 
     @cached_property
+    def _per_barrier(self) -> tuple[list[list[float]], list[float]]:
+        """The T_i columns and their left-to-right product, one column at a time."""
+        columns, product = [], np.ones(len(self._s))
+        for theta in self.thetas.T:
+            t = _sech2(theta)
+            product *= t  # math.prod's order: ((T_1 T_2) T_3) ...
+            columns.append(t.tolist())
+        return columns, product.tolist()
+
+    @property
     def transmissions(self) -> list[list[float]]:
         """Per-barrier T_i, one column per barrier."""
-        return [list(map(_sech2, column)) for column in self.thetas.T.tolist()]
+        return self._per_barrier[0]
 
     @property
     def t_classical(self) -> list[float]:
         """Particle (no-interference) limit of each row: the plain product of its T_i."""
-        return list(map(math.prod, zip(*self.transmissions)))
+        return self._per_barrier[1]
 
 
 @dataclass(frozen=True, slots=True)

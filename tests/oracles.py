@@ -15,7 +15,10 @@ reduced-gauge grid search (extremal_phase_search) brackets the interval
 edges from the same fold, matrices dresses rapidities with a phase
 assignment for the exact object algebra, and b_n_iterative is the plain
 loop of the Heaviside recursion, the bit-for-bit reference of
-bounds.b_n_iterative_rows.
+bounds.b_n_iterative_rows.  bounds_row_literal writes one row of
+BoundsColumns out in scalar libm formulas, apart from the bounds' kernels,
+and slab_profile_two_branch is the slab profile that evaluates both branch
+pairs over every entry, the bit-for-bit reference of barriers._slab_profile.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from compound_barriers import (
     HyperbolicParams,
     PhaseAssignment,
     PiecewiseConstant,
+    RAPIDITY_LIMIT,
+    RapidityOverflowError,
     RapiditySequence,
     Rectangular,
     SweepResult,
@@ -318,6 +323,58 @@ def b_n_iterative(seq: RapiditySequence) -> float:
         b = (t - s) * heaviside(t - s) + (b - t) * heaviside(b - t)
         s += t
     return b
+
+
+def bounds_row_literal(row: Sequence[float]) -> list[float]:
+    """One row of BoundsColumns by the literal scalar formulas, libm per value:
+
+        [S_n, B_n, theta_peak, T_min, T_upper, R_low, R_high, N_low, N_high,
+         T_peak, threshold, T_classical, T_1, ..., T_n]
+
+    with sech^2 t = (2 e / (1 + e^2))^2, e = exp(-t), S_n by fsum and
+    T_classical by math.prod, written out apart from the bounds' kernels.
+    """
+
+    def sech2(t: float) -> float:
+        e = math.exp(-t)
+        sech = 2.0 * e / (1.0 + e * e)
+        return sech * sech
+
+    def tanh2(t: float) -> float:
+        th = math.tanh(t)
+        return th * th
+
+    def sinh2(t: float) -> float:
+        sh = math.sinh(t)
+        return sh * sh
+
+    s, peak = math.fsum(row), max(row)
+    b = max(2.0 * peak - s, 0.0)
+    ts = [sech2(t) for t in row]
+    root = math.sqrt(sech2(s))
+    return [s, b, peak, sech2(s), sech2(b), tanh2(b), tanh2(s), sinh2(b), sinh2(s),
+            sech2(peak), 2.0 * root / (1.0 + root), math.prod(ts), *ts]
+
+
+def slab_profile_two_branch(u: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """barriers._slab_profile as it was before it took each branch only where
+    it applies: both pairs, cosh/sinh and cos/sin, over every entry, picked by
+    np.where; the bit-for-bit reference of the one-branch-per-entry form."""
+    series = np.abs(u) * length * length < 1e-12
+    w = np.sqrt(np.abs(u))
+    wl = w * length
+    hyper = (u > 0.0) & ~series
+    worst = wl[hyper].max(initial=0.0)
+    if worst > RAPIDITY_LIMIT:
+        raise RapidityOverflowError(f"slab opacity kappa*L = {worst!r} exceeds trusted "
+                                    f"range {RAPIDITY_LIMIT}")
+    hyp, trig = np.where(hyper, wl, 0.0), np.where(hyper, 0.0, wl)  # no cosh overflow
+    c = np.where(hyper, np.cosh(hyp), np.cos(trig))
+    s = np.where(hyper, np.sinh(hyp), np.sin(trig)) / np.where(series, 1.0, w)
+    # series in u L^2: C = 1 + uL^2/2, S = L (1 + uL^2/6)
+    c = np.where(series, 1.0 + 0.5 * u * length * length, c)
+    s = np.where(series, length * (1.0 + u * length * length / 6.0), s)
+    return c, s
 
 
 # ---------------------------------------------------------------------------

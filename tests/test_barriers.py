@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from compound_barriers import (
     transfer_of,
     to_polar,
 )
+from compound_barriers import barriers
+from compound_barriers.scenario import load_scenario
 from compound_barriers.transfer import translate
-from oracles import ode_transmission, pieces_for
+from oracles import ode_transmission, pieces_for, slab_profile_two_branch
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
 SECH2_1 = 0.4199743416140261          # rect V0=2 L=1 k=1
@@ -222,6 +225,48 @@ class TestScenarioComposition:
             report = bounds_report(RapiditySequence.from_matrices(matrices))
             exact = amplitudes(scenario_transfer([base, far], ctx)).T
             assert report.t_interval[0] - 1e-10 <= exact <= report.t_interval[1] + 1e-10
+
+
+# the shipped scenarios with barriers (a production scenario has none)
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = [path for path in sorted(SCENARIO_DIR.glob("*.scn"))
+           if load_scenario(path).mode == "scattering"]
+
+
+def _two_branch_build(monkeypatch, specs, k):
+    with monkeypatch.context() as patch:
+        patch.setattr(barriers, "_slab_profile", slab_profile_two_branch)
+        return scenario_arrays(specs, k)
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+
+
+class TestSlabProfile:
+    """Each slab branch runs only on its own entries; the pairs equal bit for
+    bit those of the two-branch reference, which runs both over every entry
+    (under either numpy dispatch, since the masked passes are elementwise)."""
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+    def test_shipped_scenarios_match_the_two_branch_reference(self, monkeypatch, path):
+        scenario = load_scenario(path)
+        got = scenario_arrays(scenario.barriers, scenario.k_values)
+        assert _same_bits(got, _two_branch_build(monkeypatch, scenario.barriers, scenario.k_values))
+
+    @pytest.mark.parametrize("k", [
+        np.linspace(0.3, 3.0, 2001),  # both branches on every slab but the well
+        np.array([1.5, 2.0, 2.5, math.sqrt(2.0)]),  # E = V0 = 4 exactly, E = 2 to an ulp: series
+        np.linspace(0.1, 1.2, 50),  # below every top: the barriers' trigonometric mask is empty
+        np.linspace(2.5, 40.0, 50),  # above every top: the hyperbolic mask is empty
+    ], ids=["both", "at-top", "below", "above"])
+    def test_branches_match_the_two_branch_reference(self, monkeypatch, k):
+        # the well (V0 < 0) is trigonometric at every k
+        specs = [Rectangular(height=4.0, width=1.3, position=-3.0),
+                 Rectangular(height=-1.5, width=0.8, position=0.0),
+                 PiecewiseConstant(((2.0, 0.4), (4.0, 0.7)), position=3.0)]
+        got = scenario_arrays(specs, k)
+        assert _same_bits(got, _two_branch_build(monkeypatch, specs, k))
 
 
 class TestOdeOracle:

@@ -32,6 +32,7 @@ from compound_barriers.bounds import b_n_iterative_rows
 from conftest import two_barrier_N, two_barrier_R, two_barrier_T
 from oracles import (
     b_n_iterative,
+    bounds_row_literal,
     grid_N_interval,
     grid_T_interval,
     two_barrier_N_bounds_rational,
@@ -355,15 +356,15 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-def columns_test_rows(n):
-    """Eight rows with theta up to 300/n: four balanced ones (B_n = 0 for
-    n > 2, and for the equal first row) and four where the first barrier
-    outweighs the rest (B_n > 0)."""
+def columns_test_rows(n, count=8):
+    """count rows with theta up to 300/n: the first half balanced (B_n = 0
+    for n > 2, and for the equal first row), the second half rows where the
+    first barrier outweighs the rest (B_n > 0)."""
     rng = np.random.default_rng(n)
     top = 300.0 / n
-    rows = rng.uniform(top / 2, top, (8, n))
+    rows = rng.uniform(top / 2, top, (count, n))
     rows[0] = rows[0, 0]
-    rows[4:, 1:] /= n * n
+    rows[count // 2:, 1:] /= n * n
     return rows
 
 
@@ -388,6 +389,20 @@ class TestBoundsColumns:
                    *(column[j] for column in columns.transmissions)]
             assert bits(got) == bits(want)
             assert columns.possible[j] == (b == 0.0)
+
+    @pytest.mark.parametrize("n, count", [(1, 8), (2, 8), (3, 8), (7, 8), (20, 8), (20, 2000)])
+    def test_columns_equal_the_literal_formulas_bit_for_bit(self, n, count):
+        # T_from_theta and the columns share one kernel, so the comparison
+        # above cannot see a fault in it; bounds_row_literal is written apart
+        rows = columns_test_rows(n, count)
+        columns = BoundsColumns(rows)
+        assert columns.t_classical is columns.t_classical  # cached like the other columns
+        for j, row in enumerate(rows.tolist()):
+            got = [columns.s_n[j], columns.b_n[j], columns.theta_peak[j],
+                   *(column[j] for column in columns.envelopes),
+                   columns.resonance[0][j], columns.resonance[2][j], columns.t_classical[j],
+                   *(column[j] for column in columns.transmissions)]
+            assert bits(got) == bits(bounds_row_literal(row))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
     def test_one_row_calls_equal_the_columns_bit_for_bit(self, n):
