@@ -63,10 +63,6 @@ class WaveContext:
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise DomainError(f"wavenumber must be finite and > 0, got {self.k!r}")
 
-    @property
-    def energy(self) -> float:
-        return self.k * self.k
-
 
 @dataclass(frozen=True, slots=True)
 class Rectangular:

@@ -136,10 +136,13 @@ def boost_fold(thetas, rho, work=None):
     Step i multiplies (a, b) by the pair (cosh theta_i e^{iw_i}, sinh theta_i
     e^{iw_i}); by product() that is cosh theta_i e^{-iw_i} (a rho_i + tau_i b,
     tau_i a rho_i + b) with tau = tanh theta.  The common phase is a left
-    rotation and the common factor a scale, which only rotate and scale
-    alpha_total, so each step drops both: q = a rho_i, a <- q + tau_i b,
-    b <- tau_i q + b, one complex multiply per sample, and at the end
-    |alpha_total| = |a| prod cosh theta_i.  From (1, tanh theta_1).
+    rotation and the common factor a scale, which only rotate and scale the
+    pair, so each step drops both: q = a rho_i, a <- q + tau_i b,
+    b <- tau_i q + b, one complex multiply per sample.  From (1, tanh
+    theta_1), b ends as beta_total / prod cosh theta_i up to a phase, and the
+    rapidity is read as asinh(|b| prod cosh theta_i).  That read resolves a
+    rapidity near 0, where acosh|alpha| cannot tell less than sqrt(2 eps)
+    from 0: a row of zeros gives b = 0 and exactly 0.
 
     a, b and q are consecutive thirds of ``work``, a complex scratch array
     of at least 3 rows samples elements, so a caller folding tile after tile
@@ -163,10 +166,10 @@ def boost_fold(thetas, rho, work=None):
         a += q
         q_re *= tau
         b += q
-    # rapidity(|a| prod cosh theta_i), written over q when work is the caller's
-    theta = np.abs(a, out=None if own else q_re.reshape(-1)[:size].reshape(shape))
+    # asinh(|b| prod cosh theta_i), written over q when work is the caller's
+    theta = np.abs(b, out=None if own else q_re.reshape(-1)[:size].reshape(shape))
     theta *= np.prod(np.cosh(thetas), axis=-1)[..., None]
-    return rapidity(theta, out=theta)
+    return np.arcsinh(theta, out=theta)
 
 
 def translate(beta, k, a):
@@ -275,9 +278,7 @@ def from_polar(p: HyperbolicParams) -> TransferMatrix:
 def to_polar(m: TransferMatrix) -> HyperbolicParams:
     """Invert from_polar: theta = acosh|alpha| (clamped), phases = args.
 
-    math's abs/acosh, not rapidity(): they can differ from numpy's in the
-    last ulp, and attain's edge constructions turn one ulp of theta into
-    ~1e-8 of phase.  beta == 0 yields phi_beta = 0.
+    beta == 0 yields phi_beta = 0.
     """
     theta = math.acosh(max(abs(m.alpha), 1.0))
     phi_beta = cmath.phase(m.beta) if m.beta != 0 else 0.0

@@ -4,8 +4,9 @@ Evidence that [B_n, S_n] is both correct and sharp:
 
 * random phase sweeps (vectorized, block-seeded, reproducible) that must
   never escape the interval;
-* an explicit constructor that realizes any interior target rapidity and
-  is checked by recomposition through the exact algebra;
+* an explicit constructor (attain) that reaches any target rapidity in
+  [B_n, S_n], the edges included: it walks in angle form, composes on the
+  group law (transfer.product) and checks the recomposed pair;
 * audits of B_n against the Heaviside recursion (recursion_audit, on the
   caller's rows; equivalence_audit is recursion_audit on random rows), and
   of exact scenario compositions against the envelopes.
@@ -19,7 +20,9 @@ the boosts through n-1 rotors e^{2i w_i} (transfer.boost_fold).  The fold
 drops more of what cannot change the modulus: at step i, the left phase
 e^{i w_i} (it only rotates alpha_total) and the factor cosh(theta_i) (it
 only scales it), leaving one complex multiply per sample and barrier; the
-product of the cosh(theta_i) is put back at the end.  That this loses
+product of the cosh(theta_i) is put back at the end, and the rapidity is
+read from beta_total as asinh|beta_total|, exact at 0 (acosh|alpha_total|
+cannot tell less than sqrt(2 eps) ~ 2e-8 from 0).  That this loses
 nothing is covered by tests against full-phase composition and against the
 extremes of an exhaustive reduced-gauge grid (tests/oracles.py).
 
@@ -84,8 +87,7 @@ from .errors import (
     EmptySequenceError,
     TargetOutOfRangeError,
 )
-from .transfer import (HyperbolicParams, boost_fold, compose, fold, from_polar, rapidity,
-                       scattering_amplitudes, to_polar)
+from .transfer import boost_fold, check_pairs, fold, product, rapidity, scattering_amplitudes
 
 __all__ = [
     "PhaseAssignment",
@@ -374,16 +376,25 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepR
 
 
 def attain(seq: RapiditySequence, target: float) -> PhaseAssignment:
-    """Construct phases whose composition has rapidity ``target``.
+    """Construct phases whose composition has rapidity ``target``, any target
+    in [B_n, S_n], the edges included.
 
-    Walks the barriers left to right; before absorbing barrier m it picks
-    the next partial rapidity x inside the intersection of what one
-    composition step can reach, |cur - theta_m| <= x <= cur + theta_m, and
-    what keeps the target reachable with the barriers still to come.  The
-    relative phase follows from |alpha_new|^2 = A^2 + B^2 + 2AB cos(psi)
-    with A = cosh(cur) cosh(theta_m), B = sinh(cur) sinh(theta_m).  The
-    result is verified by recomposition, to within 1e-8, before being
-    returned.
+    Walks the barriers left to right, tracking the planned partial rapidity
+    cur (theta_1 to start).  Before absorbing barrier i it picks the next
+    partial rapidity x inside what one step can reach, low = |cur - theta_i|
+    <= x <= high = cur + theta_i, and what keeps the target reachable with
+    the barriers still to come.  The step's relative angle psi follows from
+    the hyperbolic law of cosines, cosh 2x = cosh 2cur cosh 2theta_i +
+    sinh 2cur sinh 2theta_i cos psi (O'Donnell & Visser, arXiv:1102.2001),
+    in a form with no cancellation: cosh 2x - cosh 2low = 2 sinh(x - low)
+    sinh(x + low) and cosh 2high - cosh 2x = 2 sinh(high - x) sinh(high + x)
+    are sinh 2cur sinh 2theta_i times 2 cos^2(psi/2) and 2 sin^2(psi/2).  An
+    x within 8 eps high of a corner is that corner, where psi is exactly 0 or
+    pi.  The pair is composed by transfer.product in plain complex numbers,
+    and barrier i gets phi_beta = arg beta - arg alpha - psi of the pair so
+    far.  At the end the pair is checked once (check_pairs) and its
+    rapidity, read as asinh|beta| so that a target of 0 is resolved, must be
+    within 1e-8 of the target.
     """
     if len(seq) == 0:
         raise EmptySequenceError("attain needs at least one rapidity")
@@ -401,45 +412,32 @@ def attain(seq: RapiditySequence, target: float) -> PhaseAssignment:
     n = len(thetas)
     rest_sum = [math.fsum(thetas[i:]) for i in range(n + 1)]
     phis: list[tuple[float, float]] = [(0.0, 0.0)]
-    current = from_polar(HyperbolicParams(thetas[0], 0.0, 0.0))
+    cur = thetas[0]
+    alpha, beta = complex(math.cosh(cur)), complex(math.sinh(cur))
 
     for i in range(1, n):
-        cur = to_polar(current).theta
         t_i = thetas[i]
         after = thetas[i + 1:]
-        sum_after = rest_sum[i + 1]
-        max_after = max(after) if after else 0.0
-        if not after:
-            x = target
-        else:
-            lo = max(abs(cur - t_i), target - sum_after,
-                     2.0 * max_after - sum_after - target)
-            hi = min(cur + t_i, target + sum_after)
-            if lo > hi:  # float slop at an interval corner
-                lo = hi = 0.5 * (lo + hi)
-            x = min(max(target, lo), hi)
-
-        big_a = math.cosh(cur) * math.cosh(t_i)
-        big_b = math.sinh(cur) * math.sinh(t_i)
-        if big_b == 0.0:
-            phi = 0.0
-        else:
-            # at a reachable corner acos would turn one ulp of cos_psi into
-            # ~1e-8 of phase; the corners are exactly aligned / anti-aligned.
-            # x within the rounding of cur (i factors composed) is at the corner.
-            slop = _theta_error(cur, _C_EPS * i * math.cosh(cur)) + _C_EPS * (cur + t_i)
-            if x >= cur + t_i - slop:
-                psi = 0.0
-            elif x <= abs(cur - t_i) + slop:
-                psi = math.pi
-            else:
-                cos_psi = (math.cosh(x) ** 2 - big_a * big_a - big_b * big_b) / (2.0 * big_a * big_b)
-                psi = math.acos(min(1.0, max(-1.0, cos_psi)))
-            phi = cmath.phase(current.beta) - cmath.phase(current.alpha) - psi
+        low, high = abs(cur - t_i), cur + t_i
+        x = target
+        if after:
+            sum_after = rest_sum[i + 1]
+            lo = max(low, target - sum_after, 2.0 * max(after) - sum_after - target)
+            x = min(max(target, lo), high, target + sum_after)
+        corner = 8.0 * _EPS * high
+        if x >= high - corner:
+            x = high
+        elif x <= low + corner:
+            x = low
+        cos_half = math.sqrt(math.sinh(x - low)) * math.sqrt(math.sinh(x + low))
+        sin_half = math.sqrt(math.sinh(high - x)) * math.sqrt(math.sinh(high + x))
+        phi = cmath.phase(beta) - cmath.phase(alpha) - 2.0 * math.atan2(sin_half, cos_half)
         phis.append((0.0, phi))
-        current = compose(current, from_polar(HyperbolicParams(t_i, 0.0, phi)))
+        alpha, beta = product(alpha, beta, complex(math.cosh(t_i)), cmath.rect(math.sinh(t_i), phi))
+        cur = x
 
-    achieved = to_polar(current).theta
+    check_pairs(alpha, beta)
+    achieved = math.asinh(abs(beta))
     if abs(achieved - target) > _ATTAIN_TOLERANCE:
         raise CompoundBarrierError(
             f"attain construction reached {achieved!r}, target {target!r} "

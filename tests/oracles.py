@@ -13,12 +13,13 @@ contract version 1 (block_phases, reduced by gauge_rotors; compose_polar
 folds it) and a faulty fold that the check must catch.  The exhaustive
 reduced-gauge grid search (extremal_phase_search) brackets the interval
 edges from the same fold, matrices dresses rapidities with a phase
-assignment for the exact object algebra, and b_n_iterative is the plain
-loop of the Heaviside recursion, the bit-for-bit reference of
-bounds.b_n_iterative_rows.  bounds_row_literal writes one row of
-BoundsColumns out in scalar libm formulas, apart from the bounds' kernels,
-and slab_profile_two_branch is the slab profile that evaluates both branch
-pairs over every entry, the bit-for-bit reference of barriers._slab_profile.
+assignment for the exact object algebra, mp_theta recomposes one in
+mpmath, and b_n_iterative is the plain loop of the Heaviside recursion,
+the bit-for-bit reference of bounds.b_n_iterative_rows.
+bounds_row_literal writes one row of BoundsColumns out in scalar libm
+formulas, apart from the bounds' kernels, and slab_profile_two_branch is
+the slab profile that evaluates both branch pairs over every entry, the
+bit-for-bit reference of barriers._slab_profile.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -144,6 +146,18 @@ def compose_polar(thetas, phi_alpha, phi_beta):
     return boost_fold(thetas, gauge_rotors(np.stack([phi_alpha, phi_beta], axis=-1, dtype=float)))
 
 
+def mp_theta(thetas, phases, digits=50):
+    """Rapidity of the product of the dressed factors (n, 2) phases, computed
+    with ``digits`` digits (|alpha| below 1 by rounding clamped to 1)."""
+    with mpmath.workdps(digits):
+        a, b = mpmath.mpc(1), mpmath.mpc(0)
+        for t, (pa, pb) in zip(thetas, phases):
+            a2 = mpmath.cosh(t) * mpmath.expj(pa)
+            b2 = mpmath.sinh(t) * mpmath.expj(pb)
+            a, b = a * a2 + b * mpmath.conj(b2), a * b2 + b * mpmath.conj(a2)
+        return float(mpmath.acosh(max(abs(a), 1)))
+
+
 def legendre_half(theta):
     """P_{-1/2}(cosh 2 theta) = 1/AGM(1, cosh theta), in (0, 1], elementwise.
 
@@ -176,7 +190,7 @@ def fold_rotating_b(thetas, rho):
     for tau, r in zip(taus[1:], rho):
         q = a * r
         a, b = q + tau * b, tau * q + b * r
-    return np.arccosh(np.maximum(np.abs(a) * math.prod(np.cosh(thetas).tolist()), 1.0))
+    return np.arcsinh(np.abs(b) * math.prod(np.cosh(thetas).tolist()))
 
 
 def grid_T_interval(T1: float, T2: float, points: int = 20000) -> tuple[float, float]:

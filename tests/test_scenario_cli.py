@@ -160,7 +160,7 @@ class TestParsing:
 
     def test_committed_examples_parse(self):
         for name in ("double_rect.scn", "mixed_chain.scn", "production_pair.scn",
-                     "opaque_rect.scn"):
+                     "opaque_rect.scn", "thin_chain.scn"):
             text = (SCENARIO_DIR / name).read_text()
             s = parse_scenario(text, source=name)
             assert s.analyses
@@ -483,6 +483,20 @@ class TestCli:
                 else:
                     assert code == 0, (path.name, analysis, captured.err)
                     assert captured.out and not captured.err
+
+    @pytest.mark.parametrize("text", [
+        "k = 1.0\nbarrier delta position=0.0 strength=0\nbarrier delta position=1.0 strength=0\n",
+        "mode = production\nepisode n=0\nepisode n=0\n",
+    ], ids=["zero-strength-pair", "zero-episode-pair"])
+    def test_transparent_pair_sweeps_to_exactly_zero(self, text, tmp_path, capsys):
+        # theta_i = 0, so every composed rapidity is 0; acosh|alpha_total|
+        # would read a product of rotors one ulp above 1 as 2e-8, outside
+        # [0, 0] by more than the band
+        out = self.run(tmp_path, text, "--analysis", "verify", capsys=capsys)
+        _, header, body = read_csv(out)
+        row = dict(zip(header, body[0]))
+        assert row["sweep_ok"] == "true"
+        assert float(row["theta_min_observed"]) == float(row["theta_max_observed"]) == 0.0
 
     def test_opaque_barrier_sits_inside_its_own_envelope(self, capsys):
         # theta ~ 13-17, N up to ~1e14: an absolute tolerance on N flagged

@@ -39,7 +39,8 @@ from compound_barriers.errors import BoundViolationError
 from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rng, _blocks,
                                       _fold_extremes, _quarter_rotors, _run_units, _theta_error)
 from oracles import (b_n_iterative, block_phases, compose_polar, extremal_phase_search,
-                     fold_rotating_b, gauge_rotors, legendre_half, legendre_half_product, matrices)
+                     fold_rotating_b, gauge_rotors, legendre_half, legendre_half_product, matrices,
+                     mp_theta)
 
 EPS = float(np.finfo(float).eps)
 
@@ -50,18 +51,6 @@ def seq(*thetas):
 
 def recompose_theta(sequence, assignment):
     return to_polar(reduce(compose, matrices(assignment, sequence))).theta
-
-
-def mp_theta(thetas, phases, digits=50):
-    """Rapidity of the product of the dressed factors (n, 2) phases, computed
-    with ``digits`` digits (|alpha| below 1 by rounding clamped to 1)."""
-    with mpmath.workdps(digits):
-        a, b = mpmath.mpc(1), mpmath.mpc(0)
-        for t, (pa, pb) in zip(thetas, phases):
-            a2 = mpmath.cosh(t) * mpmath.expj(pa)
-            b2 = mpmath.sinh(t) * mpmath.expj(pb)
-            a, b = a * a2 + b * mpmath.conj(b2), a * b2 + b * mpmath.conj(a2)
-        return float(mpmath.acosh(max(abs(a), 1)))
 
 
 def mp_theta_quarter(thetas, quarter, digits=50):
@@ -88,9 +77,10 @@ def assert_block_matches_mpmath(thetas, got, exact, samples=()):
     and ``samples``, within the audit's rounding bound of exact(j), sample
     j's rapidity computed in mpmath.
 
-    Two terms.  The fold leaves |alpha_total| off by at most delta = 8 n eps
-    cosh(S_n), which moves theta by _theta_error(ref, delta).  Then theta
-    itself is rounded: arccosh of the computed modulus is within 2 ulps of
+    Two terms.  The fold leaves |beta_total| off by at most delta = 8 n eps
+    cosh(S_n), which moves theta = asinh|beta_total| by at most
+    delta / cosh(theta), within _theta_error(ref, delta).  Then theta
+    itself is rounded: arcsinh of the computed modulus is within 2 ulps of
     theta, and float() of the mpmath value within half an ulp, where an ulp
     of theta is at most eps max(1, theta) and theta <= S_n.  So 4 eps max(1,
     S_n), the term _containment_band carries for the same last rounding.
@@ -161,6 +151,14 @@ class TestBatchKernel:
                                     lambda j: mp_theta_quarter(thetas, quarter[:, j], digits),
                                     range(8))
 
+    def test_rows_of_zeros_fold_to_exactly_zero(self):
+        # b stays 0 when every tanh theta_i is 0, while |alpha_total|, a
+        # product of rotors, can come out one ulp above 1, which acosh reads
+        # as 2.1e-8
+        rho = _quarter_rotors(_block_angles(4, 0, 4096, 5))
+        assert not boost_fold(np.zeros((3, 5)), rho).any()
+        assert not boost_fold(np.zeros(5), rho).any()
+
     def test_row_tiles_equal_one_row_calls(self):
         # 11 rows folded as one (rows, n) call and in tiles of 4 (the last
         # holds 3), through one reused scratch, are each row's own fold
@@ -198,8 +196,7 @@ class TestBatchKernel:
                 assert abs(abs(mpmath.mpc(got)) - 1) <= 3.0 * EPS, (h, got)
 
 
-# The random-phase law at moderate S_n: n >= 3, since with two barriers the
-# fold never reads b after the last rotor, and fold_rotating_b equals boost_fold
+# The random-phase law at moderate S_n
 LAW_SEQUENCES = [(1.0, 0.2, 0.7, 0.5), (0.5,) * 8, (0.1,) * 20, (0.8, 0.3, 1.2), (1.5, 1.0, 0.5)]
 LAW_BLOCKS = 50  # 204,800 samples
 LAW_FALSE_ALARM = 1e-6
@@ -623,6 +620,36 @@ class TestAttain:
                 assignment = attain(s, target)
                 assert recompose_theta(s, assignment) == pytest.approx(
                     target, abs=1e-8)
+
+    @staticmethod
+    def assert_attains(s, target):
+        # recomposed with 60 digits: to_polar's acosh|alpha| cannot tell a
+        # rapidity below sqrt(2 eps) ~ 2e-8 from 0
+        assignment = attain(s, target)
+        assert abs(mp_theta(s.thetas, assignment.phis, 60) - target) <= 1e-8, (s, target)
+
+    def test_floor_zero_is_attained(self):
+        # B_n = 0 is perfect transmission, the edge the walk reaches at a
+        # corner psi = pi
+        rng = np.random.default_rng(1333)
+        sequences = [seq(*rng.uniform(0.0, 4.0, int(rng.integers(2, 7)))) for _ in range(300)]
+        floors = [s for s in sequences if b_n_closed(s) == 0.0]
+        assert len(floors) > 100
+        for s in floors:
+            self.assert_attains(s, 0.0)
+
+    def test_both_edges_and_an_interior_target_at_desk_scale(self):
+        rng = np.random.default_rng(1800)
+        for _ in range(600):
+            s = seq(*rng.uniform(0.0, 6.0, int(rng.integers(2, 7))))
+            b, ss = b_n_closed(s), s_n(s)
+            for target in (b, ss, rng.uniform(b, ss)):
+                self.assert_attains(s, target)
+
+    def test_interior_target_of_an_opaque_pair(self):
+        # cos psi = (cosh^2 x - A^2 - B^2) / (2AB) would lose cosh^2(1)
+        # against A^2 ~ 1e16 and reach 0.50000004
+        self.assert_attains(seq(10.0, 9.5), 1.0)
 
     def test_rejects_unreachable_targets(self):
         s = seq(3.0, 1.0, 1.0)
