@@ -215,12 +215,13 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     mode_raw, _ = scalar("mode")
     mode = mode_raw if mode_raw is not None else "scattering"
 
-    analyses_raw, _ = scalar("analyses")
+    analyses_raw, analyses_line = scalar("analyses")
     if analyses_raw is None:
         analyses: tuple[str, ...] = ("bounds",)
     else:
-        names = tuple(dict.fromkeys(analyses_raw.replace(",", " ").split()))
-        analyses = names
+        analyses = tuple(dict.fromkeys(analyses_raw.replace(",", " ").split()))
+        if not analyses:
+            raise ParseError("analyses needs at least one name", analyses_line, "analyses")
 
     k_raw, k_line = scalar("k")
     k_values = _parse_sweep(k_raw, k_line) if k_raw is not None else ()

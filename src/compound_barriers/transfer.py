@@ -18,10 +18,13 @@ with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
 * amplitudes are taken as t = 1/alpha = sech(theta) e^{-i phi_alpha} and
   r = beta/alpha = tanh(theta) e^{-i(phi_alpha - phi_beta)}.
 
-The algebra is array-valued (an entry per wavenumber, sample, ...); the scalar
-API wraps it.  No function keeps state, and each leaves its arguments as they
-were, except boost_fold, which works in the scratch array it may be given;
-so concurrent calls are safe unless they share such an array.
+The algebra is array-valued (an entry per wavenumber, sample, ...).  The
+scalar API (TransferMatrix, compose, to_polar, amplitudes) is its one-element
+calls: numpy's loops give an element the same bits whatever the array's
+length, so a scalar result equals the array entry bit for bit.  No function
+keeps state, and each leaves its arguments as they were, except boost_fold,
+which works in the scratch array it may be given; so concurrent calls are
+safe unless they share such an array.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _SANITY_TOL = 1e-6
 # |alpha|^2 above cosh^2(RAPIDITY_LIMIT) is refused; the 8 ulps of slack let
 # every pair from_polar builds at RAPIDITY_LIMIT pass, whatever its phase
 # (|cosh e^{i phi}|^2 comes out up to 2 ulps above the rounded cosh^2).
-_ALPHA2_LIMIT = math.cosh(RAPIDITY_LIMIT) ** 2 * (1.0 + 8 * np.finfo(float).eps)
+_ALPHA2_LIMIT = math.cosh(RAPIDITY_LIMIT) ** 2 * (1.0 + 8 * float(np.finfo(float).eps))
 
 _TWO_PI = 2.0 * math.pi
 
@@ -88,12 +91,14 @@ def product(a1, b1, a2, b2):
 
 
 def check_pairs(alpha, beta) -> None:
-    """Validate pairs elementwise, once per array: DomainError if non-finite,
-    RapidityOverflowError if |alpha|^2 > _ALPHA2_LIMIT, NormalizationError if
-    | |alpha|^2 - |beta|^2 - 1 | > _SANITY_TOL max(1, |alpha|^2).  A checked
-    pair has a finite |alpha|^2, so the product of two cannot overflow."""
+    """Validate pairs elementwise, once per array (scalars are taken as
+    arrays): DomainError if non-finite, RapidityOverflowError if |alpha|^2 >
+    _ALPHA2_LIMIT, NormalizationError if | |alpha|^2 - |beta|^2 - 1 | >
+    _SANITY_TOL max(1, |alpha|^2).  A checked pair has a finite |alpha|^2,
+    so the product of two cannot overflow."""
     if not _finite(alpha, beta):
         raise DomainError(f"non-finite Bogoliubov coefficients: alpha={alpha}, beta={beta}")
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = alpha.real * alpha.real + alpha.imag * alpha.imag
         if (a2 > _ALPHA2_LIMIT).any():
@@ -117,13 +122,9 @@ def fold(alpha, beta):
     return a, b
 
 
-def rapidity(alpha, out=None):
-    """theta = acosh|alpha| elementwise, float noise below |alpha| = 1 clamped;
-    written into ``out`` (a float array of alpha's shape, alpha itself if it
-    is one) when given."""
-    theta = np.abs(alpha, out=out)
-    theta = np.maximum(theta, 1.0, out=out)
-    return np.arccosh(theta, out=out)
+def rapidity(alpha):
+    """theta = acosh|alpha| elementwise, float noise below |alpha| = 1 clamped."""
+    return np.arccosh(np.maximum(np.abs(alpha), 1.0))
 
 
 def boost_fold(thetas, rho, work=None):
@@ -183,21 +184,6 @@ def translate(beta, k, a):
     return beta * np.exp(2j * k * a)
 
 
-def scattering_amplitudes(alpha, beta):
-    """t = 1/alpha, r = beta/alpha elementwise, checked as ScatteringAmplitudes."""
-    t, r = 1.0 / alpha, beta / alpha
-    _check_unitarity(t, r)
-    return t, r
-
-
-def _check_unitarity(t, r) -> None:
-    if not _finite(t, r):
-        raise DomainError("non-finite amplitudes")
-    total = np.abs(t) ** 2 + np.abs(r) ** 2
-    if (np.abs(total - 1.0) > 10 * NORM_TOL).any():
-        raise NormalizationError(f"|t|^2 + |r|^2 off 1 by {np.max(np.abs(total - 1.0))!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class TransferMatrix:
     """Validated Bogoliubov pair (alpha, beta) with |alpha|^2 - |beta|^2 = 1.
@@ -243,21 +229,26 @@ class HyperbolicParams:
 
 @dataclass(frozen=True, slots=True)
 class ScatteringAmplitudes:
-    """Transmission/reflection amplitude pair with |t|^2 + |r|^2 = 1."""
+    """Transmission/reflection amplitudes with |t|^2 + |r|^2 = 1, a pair of
+    scalars or of arrays, checked and squared elementwise in numpy."""
 
     t: complex
     r: complex
 
     def __post_init__(self):
-        _check_unitarity(self.t, self.r)
+        if not _finite(self.t, self.r):
+            raise DomainError("non-finite amplitudes")
+        off = np.abs(self.T + self.R - 1.0)
+        if (off > 10 * NORM_TOL).any():
+            raise NormalizationError(f"|t|^2 + |r|^2 off 1 by {np.max(off)!r}")
 
     @property
     def T(self) -> float:
-        return abs(self.t) ** 2
+        return np.square(np.abs(self.t))
 
     @property
     def R(self) -> float:
-        return abs(self.r) ** 2
+        return np.square(np.abs(self.r))
 
 
 def from_polar(p: HyperbolicParams) -> TransferMatrix:
@@ -276,22 +267,26 @@ def from_polar(p: HyperbolicParams) -> TransferMatrix:
 
 
 def to_polar(m: TransferMatrix) -> HyperbolicParams:
-    """Invert from_polar: theta = acosh|alpha| (clamped), phases = args.
+    """Invert from_polar: theta = rapidity(alpha) on one element, the CLI's
+    acosh|alpha| (clamped) to the bit; phases = args.
 
     beta == 0 yields phi_beta = 0.
     """
-    theta = math.acosh(max(abs(m.alpha), 1.0))
+    theta = rapidity(np.array([m.alpha]))[0]
     phi_beta = cmath.phase(m.beta) if m.beta != 0 else 0.0
     return HyperbolicParams(theta, cmath.phase(m.alpha), phi_beta)
 
 
 def compose(m1: TransferMatrix, m2: TransferMatrix) -> TransferMatrix:
-    """Product M1 M2 (M1 traversed first, see :func:`product`); raises
-    RapidityOverflowError beyond the trusted range, NormalizationError on
-    catastrophic float loss."""
-    return TransferMatrix(*product(m1.alpha, m1.beta, m2.alpha, m2.beta))
+    """Product M1 M2 (M1 traversed first): product on one-element arrays, so
+    reduce(compose, ms) equals fold to the bit.  Raises RapidityOverflowError
+    beyond the trusted range, NormalizationError on catastrophic float loss."""
+    alpha, beta = product(*np.array([[m1.alpha], [m1.beta], [m2.alpha], [m2.beta]]))
+    return TransferMatrix(alpha[0], beta[0])
 
 
 def amplitudes(m: TransferMatrix) -> ScatteringAmplitudes:
-    """Amplitudes t = 1/alpha, r = beta/alpha (so T = 1/|alpha|^2, T + R = 1)."""
-    return ScatteringAmplitudes(1.0 / m.alpha, m.beta / m.alpha)
+    """Amplitudes t = 1/alpha, r = beta/alpha (so T = 1/|alpha|^2, T + R = 1),
+    divided on one element as the containment audit divides its arrays."""
+    alpha = np.array([m.alpha])
+    return ScatteringAmplitudes((1.0 / alpha)[0], (m.beta / alpha)[0])

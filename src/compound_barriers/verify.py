@@ -87,7 +87,7 @@ from .errors import (
     EmptySequenceError,
     TargetOutOfRangeError,
 )
-from .transfer import boost_fold, check_pairs, fold, product, rapidity, scattering_amplitudes
+from .transfer import ScatteringAmplitudes, boost_fold, check_pairs, fold, product, rapidity
 
 __all__ = [
     "PhaseAssignment",
@@ -579,8 +579,8 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     bounds = BoundsColumns(rapidity(alpha))
     total_alpha, total_beta = fold(alpha, beta)
     del alpha, beta  # the (n_k, n) build is not needed past this point
-    t, r = scattering_amplitudes(total_alpha, total_beta)
-    exact = np.stack([np.abs(t) ** 2, np.abs(r) ** 2, np.abs(total_beta) ** 2], axis=1)
+    amps = ScatteringAmplitudes(1.0 / total_alpha, total_beta / total_alpha)
+    exact = np.stack([amps.T, amps.R, np.square(np.abs(total_beta))], axis=1)
     edges = np.array(bounds.envelopes).T
     # (T, R, N) x (low, high) worst margins, in ContainmentReport's field order
     margins = np.stack([exact - edges[:, 0::2], edges[:, 1::2] - exact], axis=-1).min(axis=0)

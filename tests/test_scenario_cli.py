@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import functools
 import io
 import math
 import os
@@ -21,8 +22,15 @@ from compound_barriers import (
     OverlapError,
     ParseError,
     PiecewiseConstant,
+    RapiditySequence,
     Rectangular,
+    WaveContext,
+    amplitudes,
+    bounds_report,
+    compose,
     parse_scenario,
+    scenario_transfer,
+    transfer_of,
 )
 from compound_barriers.barriers import scenario_arrays
 from compound_barriers.cli import EXIT_BROKEN_PIPE, main
@@ -120,6 +128,12 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_scenario("wavenumber = 1.0\nbarrier delta position=0 strength=1\n")
         assert err.value.line == 1
+
+    def test_empty_analyses_list_is_a_parse_error(self):
+        # a list of separators only named no analysis and parsed as ()
+        with pytest.raises(ParseError) as err:
+            parse_scenario("k = 1.0\nanalyses = ,\nbarrier delta position=0 strength=1\n")
+        assert (err.value.line, err.value.field) == (2, "analyses")
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ParseError):
@@ -507,6 +521,54 @@ class TestCli:
         _, header, body = read_csv(capsys.readouterr().out)
         assert len(body) == 40
         assert all(dict(zip(header, raw))["contained"] == "true" for raw in body)
+
+
+SCATTERING_SCENARIOS = [path for path in sorted(SCENARIO_DIR.glob("*.scn"))
+                        if load_scenario(path).mode == "scattering"]
+
+
+@pytest.mark.parametrize("path", SCATTERING_SCENARIOS, ids=lambda path: path.name)
+class TestScalarAgreement:
+    """The scalar API is the one-element call of the array algebra the CLI
+    runs, so at every k of every shipped scattering scenario its values
+    equal the CLI's bit for bit (Python's own complex arithmetic, abs and
+    acosh differ from numpy's loops in the last bits)."""
+
+    def test_from_matrices_equals_the_rapidity_rows(self, path):
+        scenario = load_scenario(path)
+        alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
+        for k, row in zip(scenario.k_values, rapidity(alpha).tolist()):
+            ctx = WaveContext(k=k)
+            seq = RapiditySequence.from_matrices(transfer_of(b, ctx) for b in scenario.barriers)
+            assert list(seq.thetas) == row, k
+
+    def test_composed_scalars_equal_scenario_transfer(self, path):
+        scenario = load_scenario(path)
+        for k in scenario.k_values:
+            ctx = WaveContext(k=k)
+            m = functools.reduce(compose, [transfer_of(b, ctx) for b in scenario.barriers])
+            total = scenario_transfer(scenario.barriers, ctx)
+            assert (m.alpha, m.beta) == (total.alpha, total.beta), k
+
+    def test_cli_cells_equal_the_library_values(self, path, capsys):
+        tables = {}
+        for analysis in ("bounds", "sweep"):
+            assert main(["--scenario", str(path), "--analysis", analysis]) == 0
+            _, header, body = read_csv(capsys.readouterr().out)
+            tables[analysis] = [dict(zip(header, raw)) for raw in body]
+        scenario = load_scenario(path)
+        assert len(tables["bounds"]) == len(tables["sweep"]) == len(scenario.k_values)
+        for k, bounds_row, sweep_row in zip(scenario.k_values, tables["bounds"], tables["sweep"]):
+            ctx = WaveContext(k=k)
+            report = bounds_report(
+                RapiditySequence.from_matrices(transfer_of(b, ctx) for b in scenario.barriers))
+            amps = amplitudes(scenario_transfer(scenario.barriers, ctx))
+            # repr round-trips, so the floats read back are the CLI's values
+            cli = [float(bounds_row[name]) for name in ("T_min", "T_upper", "R_high", "N_high")]
+            cli += [float(sweep_row["T_exact"]), float(sweep_row["R_exact"])]
+            library = [*report.t_interval, report.r_interval[1], report.n_interval[1],
+                       amps.T, amps.R]
+            assert cli == library, k
 
 
 # every table the committed scenarios print (a production scenario has no sweep)
