@@ -50,7 +50,8 @@ __all__ = [
 # stays within an eighth of the largest double, so that E, 2E - V0 and the
 # series term (V0 - E) L^3, evaluated at every k, are finite for any V0 of
 # desk scale.
-_K_LIMIT = math.sqrt(float(np.finfo(float).max) / 8.0)
+_MAX = float(np.finfo(float).max)
+_K_LIMIT = math.sqrt(_MAX / 8.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +169,8 @@ def _rectangular_at_origin(height: float, width: float, k: np.ndarray):
     with C, S from _slab_profile(V0 - E, L); |alpha|^2 - |beta|^2 = C^2 -
     (V0-E) S^2 = 1 identically on every branch.  A slab with |V0| max(1, L)^2
     above _K_LIMIT^2 is refused by its width and height, and then a k above
-    _K_LIMIT / max(1, L)^1.5 before E = k^2 is formed.
+    _K_LIMIT / max(1, L)^1.5 before E = k^2 is formed, or one so small that a
+    coupling overflows.
     """
     wide = max(1.0, width)
     if abs(height) > _K_LIMIT ** 2 / wide / wide:  # |u| L^2 >= |V0| L^2 overflows at every k
@@ -182,18 +184,35 @@ def _rectangular_at_origin(height: float, width: float, k: np.ndarray):
                           f"exceed {_K_LIMIT:.3g} / max(1, L)^1.5)")
     e = k * k
     c, s = _slab_profile(height - e, width)
-    half_through = 0.5 * (2.0 * e - height) / k * s
-    half_coupling = 0.5 * height / k * s
+    # where V0 S / 2k overflows as k -> 0 depends on S (up to e^350 / kappa),
+    # so the couplings are formed with overflow ignored, then refused by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_through = 0.5 * (2.0 * e - height) / k * s
+        half_coupling = 0.5 * height / k * s
+    _refuse_small_k(k, ~(np.isfinite(half_through) & np.isfinite(half_coupling)),
+                    f"a slab of height {height!r} and width {width!r}")
     return np.exp(-1j * k * width) * (c + 1j * half_through), -1j * half_coupling
+
+
+def _refuse_small_k(k: np.ndarray, overflows: np.ndarray, what: str) -> None:
+    """DomainError naming the first k at which ``overflows`` holds: the
+    coupling of ``what`` grows as 1/k and there leaves double precision."""
+    if overflows.any():
+        raise DomainError(f"wavenumber k = {float(k[overflows][0])!r} is too small for {what}: "
+                          f"its coupling, which grows as 1/k, would overflow double precision")
 
 
 def _at_origin(spec: BarrierSpec, k: np.ndarray):
     """(alpha, beta) of the barrier centered at the origin.  Delta(lam): alpha =
-    1 - i g, beta = -i g, g = lam/(2k); a slab checks its translated segments,
-    then folds them."""
+    1 - i g, beta = -i g, g = lam/(2k), refusing a k at which g overflows; a
+    slab checks its translated segments, then folds them."""
     if isinstance(spec, Rectangular):
         return _rectangular_at_origin(spec.height, spec.width, k)
     if isinstance(spec, Delta):
+        # refused before dividing: above |lam| / MAX, g stays below 3/4 MAX
+        # however the bound rounds
+        _refuse_small_k(k, k < abs(spec.strength) / _MAX,
+                        f"a delta barrier of strength {spec.strength!r}")
         g = 0.5 * spec.strength / k
         return 1.0 - 1j * g, -1j * g
     if isinstance(spec, PiecewiseConstant):

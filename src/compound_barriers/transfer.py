@@ -149,7 +149,23 @@ def boost_fold(thetas, rho, work=None):
     of at least 3 rows samples elements, so a caller folding tile after tile
     passes one allocation for all of them (by default one is made).  With
     ``work`` the result is written over q's memory: a view into ``work``,
-    valid until the next fold into it; without, it is an array of its own."""
+    valid until the next fold into it; without, it is an array of its own.
+
+    Three passes per step broadcast an operand over the state: a rho row
+    over the rows, and a tau column over the samples (twice), as does the
+    final scaling by prod cosh theta_i.  numpy runs such a pass through its
+    ufunc buffer (8192 elements by default) whenever a row is shorter than
+    the buffer, copying the operands in and out; with the buffer no longer
+    than a row it runs each row in place.  So the step loop and the final
+    scaling run with the buffer cut to the row width, rounded down to a
+    multiple of 16 (at least 16, at most 8192).  On one vCPU of a shared
+    2-vCPU VM a step of a 6 x 2000 tile took 59 us against 97 us, of a
+    12 x 1000 tile 47 us against 74 us.  Below ~48 samples a row, where an
+    inner loop per row costs more than the copies, a step is slower (2x at
+    16 samples), but such a sweep is short.  Every pass stays elementwise,
+    so the bits are unchanged.  The size is set and restored here, on the
+    calling thread: numpy keeps it per thread (a helper thread starts at the
+    default), and np.errstate scopes it only from numpy 2."""
     taus = np.tanh(thetas)
     shape = taus.shape[:-1] + rho.shape[1:]
     size = math.prod(shape)
@@ -160,16 +176,20 @@ def boost_fold(thetas, rho, work=None):
     a.fill(1.0)
     b[...] = taus[..., :1]
     a_re, b_re, q_re = a.view(float), b.view(float), q.view(float)  # real scalings
-    # tau_i as a column against the (..., samples) state
-    for tau, r in zip(np.moveaxis(taus, -1, 0)[1:, ..., None], rho):
-        np.multiply(a, r, out=q)
-        np.multiply(b_re, tau, out=a_re)
-        a += q
-        q_re *= tau
-        b += q
-    # asinh(|b| prod cosh theta_i), written over q when work is the caller's
-    theta = np.abs(b, out=None if own else q_re.reshape(-1)[:size].reshape(shape))
-    theta *= np.prod(np.cosh(thetas), axis=-1)[..., None]
+    old = np.setbufsize(max(16, min(8192, shape[-1] // 16 * 16)))
+    try:
+        # tau_i as a column against the (..., samples) state
+        for tau, r in zip(np.moveaxis(taus, -1, 0)[1:, ..., None], rho):
+            np.multiply(a, r, out=q)
+            np.multiply(b_re, tau, out=a_re)
+            a += q
+            q_re *= tau
+            b += q
+        # asinh(|b| prod cosh theta_i), written over q when work is the caller's
+        theta = np.abs(b, out=None if own else q_re.reshape(-1)[:size].reshape(shape))
+        theta *= np.prod(np.cosh(thetas), axis=-1)[..., None]
+    finally:
+        np.setbufsize(old)
     return np.arcsinh(theta, out=theta)
 
 

@@ -61,11 +61,14 @@ random_phase_sweep redraws an extreme from), turns them into rotors and
 folds its rows over them: no block is drawn in parts, and none is drawn
 once and shared (a one-block sweep's row slices each draw it).  numpy
 releases the GIL inside each call, and the calls are made long (tiles of
-rows) so that threads rarely wait for it.  The calling thread then reduces
-the units' extremes in (block, row) order, as a sequential loop would:
-ties go to the first sample, and a row's violation is the first block that
-escapes, however the units ran.  The output is bit-identical under any
-number of threads.
+rows) so that threads rarely wait for it.  boost_fold runs its broadcast
+passes with numpy's ufunc buffer cut to a row, so that rows shorter than
+the 8192-element default (chain-verify's 2000 samples) are not copied
+through it; calls that cheap need tiles of 24576 elements (_TILE) to keep
+the waits rare.  The calling thread then reduces the units' extremes in
+(block, row) order, as a sequential loop would: ties go to the first
+sample, and a row's violation is the first block that escapes, however the
+units ran.  The output is bit-identical under any number of threads.
 """
 
 from __future__ import annotations
@@ -111,7 +114,14 @@ GENERATOR_NAME = "PCG64"
 SAMPLING_CONTRACT = "v2 (quarter angles h ~ U[-pi/4, pi/4) per gap, rotors e^{4ih})"
 CONTAINMENT_BAND = 1e-10
 _BLOCK = 4096
-_TILE = 12288  # complex elements per fold call of a threaded sweep (a tile of rows x samples)
+# Complex elements per fold call of a threaded sweep (a tile of rows x
+# samples).  Measured in process on a 2-vCPU VM, interleaving 12288, 24576
+# and 36864, with boost_fold's broadcast passes out of numpy's buffer: 24576
+# was fastest on chain-verify's sweep (2 CPUs 149 / 118 / 119 ms, 1 CPU
+# 196 / 182 / 200 ms) and tied with 36864 on phase-sweep's 16-barrier chain
+# (88 / 68 / 67 ms, 123 / 119 / 118 ms).  Shorter tiles make the threads wait
+# for the GIL between calls; longer ones gain nothing and cost scratch memory.
+_TILE = 24576
 _MAX_WORKERS = 2  # the most threads whose speed and memory were measured
 _ATTAIN_TOLERANCE = 1e-8  # |achieved - target| that attain accepts on recomposition
 _EPS = float(np.finfo(float).eps)

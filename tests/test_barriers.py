@@ -17,6 +17,7 @@ from compound_barriers import (
     PiecewiseConstant,
     Rectangular,
     RapiditySequence,
+    RapidityOverflowError,
     WaveContext,
     amplitudes,
     bounds_report,
@@ -160,6 +161,24 @@ class TestValidation:
         with pytest.raises(DomainError, match=re.escape(
                 "slab of height 2.0 and width 1e+300 is out of range")):
             transfer_of(Rectangular(height=2.0, width=1e300), WaveContext(k))
+
+    @pytest.mark.parametrize("spec, named", [
+        (Delta(1.0), "delta barrier of strength 1.0"),
+        (Delta(-3.0, 2.0), "delta barrier of strength -3.0"),
+        (Rectangular(height=1.0, width=1.0), "slab of height 1.0 and width 1.0"),
+        (Rectangular(height=-9.0, width=0.5), "slab of height -9.0 and width 0.5"),
+        (PiecewiseConstant(segments=((2.0, 0.5), (1.0, 0.5))), "slab of height 2.0 and width 0.5"),
+    ])
+    def test_wavenumber_whose_coupling_overflows_is_refused_by_name(self, spec, named):
+        # lam / 2k and V0 S / 2k grow as 1/k and overflow below ~1e-308: one
+        # error naming k and the barrier, where numpy warned (which the
+        # RuntimeWarning filter turns into a failure) and NaN pairs named neither
+        with pytest.raises(DomainError,
+                           match=re.escape(f"k = 1e-310 is too small for a {named}:")):
+            scenario_arrays([spec], [1.0, 1e-310])
+        # at 1e-300 the coupling is finite and the rapidity past the trusted range
+        with pytest.raises(RapidityOverflowError):
+            scenario_arrays([spec], [1e-300])
 
     def test_position_whose_phase_overflows_is_refused_by_name(self):
         # 2 k a overflows double precision: refused, naming k and the position,

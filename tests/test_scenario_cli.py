@@ -364,6 +364,21 @@ class TestCli:
         self.run(tmp_path, text, "--analysis", analysis, "--samples", "50")
 
     @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    @pytest.mark.parametrize("barrier, named", [
+        ("delta position=0 strength=1", "delta barrier of strength 1.0"),
+        ("rect position=0 height=1 width=1", "slab of height 1.0 and width 1.0"),
+    ])
+    def test_wavenumber_whose_coupling_overflows_is_named(self, analysis, barrier, named,
+                                                          tmp_path, capsys):
+        # the coupling grows as 1/k: one line naming k and the barrier, where
+        # numpy warned and the error named NaN coefficients
+        self.run(tmp_path, f"k = 1e-310\nbarrier {barrier}\n", "--analysis", analysis, expect=3)
+        err = capsys.readouterr().err
+        assert err.startswith("compound-barriers: error: wavenumber k = 1e-310 is too small "
+                              f"for a {named}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
     def test_position_whose_phase_overflows_is_named(self, analysis, tmp_path, capsys):
         # 2 k a overflows double precision: one line naming k and the
         # position, where NaN coefficients named neither

@@ -171,6 +171,49 @@ class TestBatchKernel:
                  for row in boost_fold(thetas[r:r + 4], rho, work)]
         assert tiled == alone
 
+    @pytest.mark.parametrize("samples", [100, 1000, 2000, 4096])
+    def test_samples_equal_one_sample_calls(self, samples):
+        # a row is cut into buffer-sized pieces (992 of a row of 1000, 96 of
+        # 100), while a one-sample call is copied through the 16-element
+        # buffer: every sample keeps its bits either way
+        thetas = np.random.default_rng(samples).uniform(0.0, 3.0, (3, 7))
+        rho = _quarter_rotors(_block_angles(5, 0, samples, 7))
+        whole = boost_fold(thetas, rho)
+        alone = np.concatenate([boost_fold(thetas, rho[:, j:j + 1]) for j in range(samples)],
+                               axis=1)
+        assert whole.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("samples", [1, 5, 1000, 4096])
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_buffer_size_is_left_as_found(self, samples, scratch):
+        # boost_fold bounds numpy's ufunc buffer for its passes only; the
+        # caller's setting is back afterwards, also on a helper thread
+        # (which starts at numpy's default) and when a pass raises
+        thetas = np.random.default_rng(1).uniform(0.0, 3.0, (2, 4))
+        rho = _quarter_rotors(_block_angles(1, 0, samples, 4))
+        work = np.empty(3 * 2 * samples, complex) if scratch else None
+        old = np.setbufsize(4096 + 16)
+        try:
+            boost_fold(thetas, rho, work)
+            assert np.getbufsize() == 4096 + 16
+            with pytest.raises(TypeError):  # no multiply loop for complex and str
+                boost_fold(thetas[0, :2], np.full((1, samples), "x"))
+            assert np.getbufsize() == 4096 + 16
+        finally:
+            np.setbufsize(old)
+        seen = []
+
+        def helper():
+            before = np.getbufsize()
+            boost_fold(thetas, rho, work)
+            seen.append((before, np.getbufsize()))
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen == [(8192, 8192)]
+
     def test_quarter_rotors_are_contiguous_unit_rotors(self):
         # the sweep's rotors, laid out as boost_fold reads them: |rho| = 1 and
         # rho = e^{4ih} within a few eps (the square of (1 + it)^2 / (1 + t^2),
@@ -393,17 +436,20 @@ def sweep_key(sweeps):
              str(s.violation)) for s in sweeps]
 
 
-class TestSweepSchedule:
-    """The (block, row slice) units may run on any number of threads; the
-    rows must not notice."""
+SCHEDULE_CASES = pytest.mark.parametrize("rows, n, samples", [
+    (11, 7, 9000),          # three blocks, whole-block units; tiles of 6 rows do not divide 11
+    (40, 20, 2000),         # one block: rows sliced, each slice draws the block
+    (3, 20, 3 * 4096 + 5),  # four blocks, a 5-sample last block
+    (1, 8, 3 * 4096 + 5),   # one-row tiles; the minimum in block 1, the maximum in block 2
+    (2, 1, 500),            # no rotors at all
+])
 
-    @pytest.mark.parametrize("rows, n, samples", [
-        (11, 7, 9000),          # three blocks, whole-block units; tiles of 6 rows do not divide 11
-        (40, 20, 2000),         # one block: rows sliced, each slice draws the block
-        (3, 20, 3 * 4096 + 5),  # four blocks, a 5-sample last block
-        (1, 8, 3 * 4096 + 5),   # one-row tiles; the minimum in block 1, the maximum in block 2
-        (2, 1, 500),            # no rotors at all
-    ])
+
+class TestSweepSchedule:
+    """The (block, row slice) units may run on any number of threads, and
+    fold in tiles of any size; the rows must not notice."""
+
+    @SCHEDULE_CASES
     def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, rows, n, samples):
         thetas = np.random.default_rng(rows * n).uniform(0.0, 3.0, (rows, n))
         seen = {}
@@ -417,6 +463,17 @@ class TestSweepSchedule:
             high = min(range(len(per_block)), key=lambda b: (-per_block[b][2], b))
             assert (lo, lo_at) == (per_block[low][0].hex(), (low, per_block[low][1]))
             assert (hi, hi_at) == (per_block[high][2].hex(), (high, per_block[high][3]))
+
+    @SCHEDULE_CASES
+    def test_rows_do_not_depend_on_the_tile_size(self, monkeypatch, rows, n, samples):
+        # one row per tile, the tile sizes measured for the sweep, and one
+        # larger than a whole block of rows
+        thetas = np.random.default_rng(rows * n).uniform(0.0, 3.0, (rows, n))
+        seen = []
+        for tile in (min(samples, 4096), 12288, 24576, rows * 4096 + 1):
+            monkeypatch.setattr(compound_barriers.verify, "_TILE", tile)
+            seen.append(sweep_key(random_phase_sweeps(BoundsColumns(thetas), samples, 17)))
+        assert all(key == seen[0] for key in seen[1:])
 
     def test_ties_go_to_the_first_sample(self, monkeypatch):
         # one barrier: every sample of every block composes to theta exactly
