@@ -20,8 +20,12 @@ Supported shapes:
 * Delta(strength): V = lam * delta(x); lam < 0 allowed.
 * PiecewiseConstant(segments): adjacent constant slabs, composed internally.
 
-Every formula takes an array of wavenumbers: scenario_arrays builds a whole
-scenario at once; transfer_of / scenario_transfer are one-k calls of it.
+Every formula takes an array of wavenumbers, and a scenario is built in two
+steps.  origin_arrays builds every barrier at the origin and makes every
+refusal of the build, the phase range of each position included; its alpha,
+and so every rapidity, T_i and bound, is already the placed one.
+scenario_arrays then translates the betas, which only the exact compound
+values need.  transfer_of / scenario_transfer are one-k calls of it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptySequenceError, OverlapError, RapidityOverflowError
-from .transfer import RAPIDITY_LIMIT, TransferMatrix, check_pairs, fold, translate
+from .transfer import (
+    RAPIDITY_LIMIT,
+    TransferMatrix,
+    check_pairs,
+    check_phase_range,
+    fold,
+    translate,
+)
 
 __all__ = [
     "Rectangular",
@@ -42,6 +53,7 @@ __all__ = [
     "WaveContext",
     "support",
     "transfer_of",
+    "origin_arrays",
     "scenario_arrays",
     "scenario_transfer",
 ]
@@ -148,7 +160,7 @@ def _slab_profile(u: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]
     hyper = (u > 0.0) & ~series
     worst = wl[hyper].max(initial=0.0)
     if worst > RAPIDITY_LIMIT:
-        raise RapidityOverflowError(f"slab opacity kappa*L = {worst!r} exceeds trusted "
+        raise RapidityOverflowError(f"slab opacity kappa*L = {float(worst)!r} exceeds trusted "
                                     f"range {RAPIDITY_LIMIT}")
     c, s = np.empty_like(u), np.empty_like(u)
     for branch, cos, sin in ((hyper, np.cosh, np.sinh), (~(hyper | series), np.cos, np.sin)):
@@ -244,12 +256,17 @@ def check_layout(specs: list[BarrierSpec] | tuple[BarrierSpec, ...]) -> None:
             )
 
 
-def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
-                    k_sweep) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (alpha, beta) of every barrier at every wavenumber, as complex
-    arrays of shape (len(k_sweep), len(specs)).  Each barrier is computed at
-    the origin and then translated, so probabilities never depend on
-    placement.  Checks run once per build (layout) and per barrier (pairs)."""
+def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
+                  k_sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (alpha, beta) of every barrier centered at the origin, at every
+    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
+
+    alpha, and so theta_i, T_i and every bound, is what it is at the
+    barrier's position; only beta moves (scenario_arrays).  The build makes
+    every refusal that placing does: the wavenumbers, the layout, each
+    barrier's named refusals at the origin and the phase range of its
+    position (transfer.check_phase_range), barrier by barrier, then one
+    check_pairs over the whole array."""
     k = np.asarray(k_sweep, dtype=float)
     bad = ~(np.isfinite(k) & (k > 0.0))
     if bad.any():
@@ -257,12 +274,31 @@ def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     if len(specs) == 0:
         raise EmptySequenceError("a scenario needs at least one barrier")
     check_layout(specs)
+    largest = float(np.max(k, initial=0.0))
     alpha = np.empty((k.size, len(specs)), dtype=complex)
     beta = np.empty_like(alpha)
     for i, spec in enumerate(specs):
-        a, b = _at_origin(spec, k)
-        alpha[:, i], beta[:, i] = a, translate(b, k, spec.position)
-        check_pairs(alpha[:, i], beta[:, i])
+        alpha[:, i], beta[:, i] = _at_origin(spec, k)
+        check_phase_range(largest, spec.position)
+    check_pairs(alpha, beta)
+    return alpha, beta
+
+
+def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
+                    k_sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (alpha, beta) of every barrier at its position, at every
+    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
+
+    The origin_arrays build, with each beta column translated to its
+    barrier's position, then one check_pairs over the placed pairs, so
+    probabilities never depend on placement.  A column is translated as the
+    contiguous array translate takes, so its bits do not depend on the
+    build's layout."""
+    alpha, beta = origin_arrays(specs, k_sweep)
+    k = np.asarray(k_sweep, dtype=float)
+    for i, spec in enumerate(specs):
+        beta[:, i] = translate(np.ascontiguousarray(beta[:, i]), k, spec.position)
+    check_pairs(alpha, beta)
     return alpha, beta
 
 

@@ -215,7 +215,8 @@ class BoundsColumns:
     what they give for row j.  A row with S_n above RAPIDITY_LIMIT is
     refused.  That check covers every cell the kernels see, so they skip the
     per-value checks of T_from_theta and friends: each theta_i, theta_peak
-    and B_n lies in [0, S_n].
+    and B_n lies in [0, S_n].  B_n and S_n are also kept as the float arrays
+    b_n_array and s_n_array, for array passes over the rows.
     """
 
     def __init__(self, thetas):
@@ -227,20 +228,24 @@ class BoundsColumns:
         bad = ~np.isfinite(thetas) | (thetas < 0.0)
         if bad.any():
             raise DomainError(f"rapidities must be finite and >= 0, got {float(thetas[bad][0])!r}")
-        s = np.array(list(map(math.fsum, thetas.tolist())))
+        # fsum of each row's memory: its floats are made one at a time as
+        # fsum reads them, not as nested lists first
+        n, flat = thetas.shape[1], memoryview(np.ascontiguousarray(thetas).reshape(-1))
+        s = np.fromiter((math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)), float,
+                        thetas.shape[0])
         over = s > RAPIDITY_LIMIT
         if over.any():
             raise RapidityOverflowError(f"S_n = {float(s[over][0])!r} exceeds trusted range "
                                         f"{RAPIDITY_LIMIT}")
         peak = thetas.max(axis=1) + 0.0  # a zero peak is 0.0, whichever signed zero max picks
         b = np.maximum(2.0 * peak - s, 0.0)
-        self.thetas, self._s, self._peak, self._b = thetas, s, peak, b
+        self.thetas, self.s_n_array, self._peak, self.b_n_array = thetas, s, peak, b
         self.s_n, self.theta_peak, self.b_n = s.tolist(), peak.tolist(), b.tolist()
         self.possible = (b == 0.0).tolist()  # B_n = 0: T = 1 not excluded
 
     @cached_property
     def t_min(self) -> list[float]:
-        return _sech2(self._s).tolist()
+        return _sech2(self.s_n_array).tolist()
 
     @cached_property
     def envelopes(self) -> tuple[list[float], ...]:
@@ -249,7 +254,7 @@ class BoundsColumns:
             T in [sech^2 S_n, sech^2 B_n]      R in [tanh^2 B_n, tanh^2 S_n]
             N in [sinh^2 B_n, sinh^2 S_n]
         """
-        b, s = self._b, self._s
+        b, s = self.b_n_array, self.s_n_array
         return self.t_min, *(column.tolist() for column in (
             _sech2(b), _tanh2(b), _tanh2(s), _sinh2(b), _sinh2(s)))
 
@@ -264,7 +269,7 @@ class BoundsColumns:
     @cached_property
     def _per_barrier(self) -> tuple[list[list[float]], list[float]]:
         """The T_i columns and their left-to-right product, one column at a time."""
-        columns, product = [], np.ones(len(self._s))
+        columns, product = [], np.ones(len(self.s_n_array))
         for theta in self.thetas.T:
             t = _sech2(theta)
             product *= t  # math.prod's order: ((T_1 T_2) T_3) ...

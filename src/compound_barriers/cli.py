@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .barriers import scenario_arrays
+from .barriers import origin_arrays
 from .bounds import BoundsColumns, RapiditySequence, production_guaranteed
 from .errors import BoundViolationError, CompoundBarrierError, DomainError
 from .scenario import Scenario, load_scenario
@@ -65,8 +65,10 @@ def _flags(values: Iterable[bool]) -> Iterator[str]:
 
 
 def _bounds(scenario: Scenario) -> BoundsColumns:
-    """The bounds at every k, from one scenario build."""
-    alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
+    """The bounds at every k, from one checked build at the origin: the
+    rapidities do not depend on where the barriers sit, so nothing is
+    translated."""
+    alpha, _ = origin_arrays(scenario.barriers, scenario.k_values)
     return BoundsColumns(rapidity(alpha))
 
 
@@ -97,12 +99,10 @@ def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
     if scenario.mode == "production":
         raise DomainError("sweep analysis needs a spatial model (scattering mode)")
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
-    columns = {"k": _floats(scenario.k_values),
-               "T_exact": _floats(row.t_exact for row in audit.rows),
-               "R_exact": _floats(row.r_exact for row in audit.rows),
-               "N_exact": _floats(row.n_exact for row in audit.rows)}
+    columns = {"k": _floats(scenario.k_values), "T_exact": _floats(audit.t_exact),
+               "R_exact": _floats(audit.r_exact), "N_exact": _floats(audit.n_exact)}
     columns.update(zip(_ENVELOPES, map(_floats, audit.bounds.envelopes)))
-    columns["contained"] = _flags(row.contained for row in audit.rows)
+    columns["contained"] = _flags(audit.contained)
     meta = {
         "k_at_max_T": audit.k_at_max_t,
         "k_at_min_T": audit.k_at_min_t,
@@ -127,7 +127,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     else:
         audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
         bounds = audit.bounds
-        k, contained = _floats(scenario.k_values), _flags(row.contained for row in audit.rows)
+        k, contained = _floats(scenario.k_values), _flags(audit.contained)
         failures = [] if audit.all_contained else ["exact compound values escaped the envelopes"]
 
     worst, failing = recursion_audit(bounds)

@@ -106,7 +106,7 @@ def check_pairs(alpha, beta) -> None:
                                         f"cosh({RAPIDITY_LIMIT}), the trusted range")
         err = np.abs(a2 - (beta.real * beta.real + beta.imag * beta.imag) - 1.0)
         if (err > _SANITY_TOL * np.maximum(1.0, a2)).any():
-            raise NormalizationError(f"|alpha|^2 - |beta|^2 off 1 by {np.max(err)!r}")
+            raise NormalizationError(f"|alpha|^2 - |beta|^2 off 1 by {float(np.max(err))!r}")
 
 
 def fold(alpha, beta):
@@ -193,14 +193,19 @@ def boost_fold(thetas, rho, work=None):
     return np.arcsinh(theta, out=theta)
 
 
-def translate(beta, k, a):
-    """beta of the barrier moved by a at wavenumber k: beta e^{+2ika}.  A k
-    above _PHASE_LIMIT / max(1, |a|) is refused before 2ka is formed."""
-    largest = float(np.max(k, initial=0.0))
+def check_phase_range(largest: float, a: float) -> None:
+    """DomainError unless the phase 2ka of position a stays within double
+    precision up to wavenumber ``largest``: k max(1, |a|) <= _PHASE_LIMIT."""
     if largest > _PHASE_LIMIT / max(1.0, abs(a)):
         raise DomainError(f"wavenumber k = {largest!r} at position {a!r} is out of "
                           f"range: the phase 2ka needs k max(1, |a|) <= {_PHASE_LIMIT:.3g} to "
                           f"stay within double precision")
+
+
+def translate(beta, k, a):
+    """beta of the barrier moved by a at wavenumber k: beta e^{+2ika}.  A k
+    out of check_phase_range is refused before 2ka is formed."""
+    check_phase_range(float(np.max(k, initial=0.0)), a)
     return beta * np.exp(2j * k * a)
 
 
@@ -260,7 +265,7 @@ class ScatteringAmplitudes:
             raise DomainError("non-finite amplitudes")
         off = np.abs(self.T + self.R - 1.0)
         if (off > 10 * NORM_TOL).any():
-            raise NormalizationError(f"|t|^2 + |r|^2 off 1 by {np.max(off)!r}")
+            raise NormalizationError(f"|t|^2 + |r|^2 off 1 by {float(np.max(off))!r}")
 
     @property
     def T(self) -> float:

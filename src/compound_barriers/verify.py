@@ -9,7 +9,10 @@ Evidence that [B_n, S_n] is both correct and sharp:
   group law (transfer.product) and checks the recomposed pair;
 * audits of B_n against the Heaviside recursion (recursion_audit, on the
   caller's rows; equivalence_audit is recursion_audit on random rows), and
-  of exact scenario compositions against the envelopes.
+  of exact scenario compositions against the envelopes
+  (scenario_containment_audit, whose report holds each per-wavenumber
+  result as a column, the form the CLI writes, and builds rows only on
+  request).
 
 Phase gauge: factor i is R(u_i) B(theta_i) R(v_i), with R(x) =
 diag(e^{ix}, e^{-ix}), B(theta) the real boost, u = (phi_alpha + phi_beta)/2
@@ -528,10 +531,18 @@ class ContainmentRow:
 
 @dataclass(frozen=True, slots=True)
 class ContainmentReport:
-    """Scenario-wide audit, worst margins over the sweep; tolerance = widest band;
-    ``bounds`` holds the rows' [B_n, S_n] and envelopes as columns."""
+    """Scenario-wide audit, worst margins over the sweep; tolerance = widest band.
 
-    rows: tuple[ContainmentRow, ...]
+    The per-wavenumber results are columns, one list entry per k: the exact
+    T, R and N and whether the row is contained; ``bounds`` holds the rows'
+    [B_n, S_n] and envelopes as columns.  ``rows`` reads them as one
+    ContainmentRow per k."""
+
+    k: list[float]
+    t_exact: list[float]
+    r_exact: list[float]
+    n_exact: list[float]
+    contained: list[bool]
     all_contained: bool
     t_low_margin: float
     t_high_margin: float
@@ -543,6 +554,12 @@ class ContainmentReport:
     k_at_min_t: float
     tolerance: float
     bounds: BoundsColumns = field(compare=False)
+
+    @property
+    def rows(self) -> tuple[ContainmentRow, ...]:
+        """The columns as one ContainmentRow per wavenumber, built on each access."""
+        return tuple(map(ContainmentRow, self.k, self.t_exact, self.r_exact, self.n_exact,
+                         self.contained))
 
 
 def _theta_error(theta, delta):
@@ -590,17 +607,17 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     total_alpha, total_beta = fold(alpha, beta)
     del alpha, beta  # the (n_k, n) build is not needed past this point
     amps = ScatteringAmplitudes(1.0 / total_alpha, total_beta / total_alpha)
-    exact = np.stack([amps.T, amps.R, np.square(np.abs(total_beta))], axis=1)
+    t, r, n = amps.T, amps.R, np.square(np.abs(total_beta))
+    exact = np.stack([t, r, n], axis=1)
     edges = np.array(bounds.envelopes).T
     # (T, R, N) x (low, high) worst margins, in ContainmentReport's field order
     margins = np.stack([exact - edges[:, 0::2], edges[:, 1::2] - exact], axis=-1).min(axis=0)
     theta_exact = rapidity(total_alpha)
-    low, high = np.array(bounds.b_n), np.array(bounds.s_n)
+    low, high = bounds.b_n_array, bounds.s_n_array
     band = _containment_band(bounds.thetas, theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
-    rows = tuple(ContainmentRow(k, *values, ok)
-                 for k, values, ok in zip(k_sweep, exact.tolist(), contained.tolist()))
-    return ContainmentReport(rows, bool(contained.all()), *margins.ravel().tolist(),
-                             k_at_max_t=k_sweep[int(np.argmax(exact[:, 0]))],
-                             k_at_min_t=k_sweep[int(np.argmin(exact[:, 0]))],
+    return ContainmentReport(list(k_sweep), t.tolist(), r.tolist(), n.tolist(),
+                             contained.tolist(), bool(contained.all()), *margins.ravel().tolist(),
+                             k_at_max_t=k_sweep[int(np.argmax(t))],
+                             k_at_min_t=k_sweep[int(np.argmin(t))],
                              tolerance=float(band.max()), bounds=bounds)

@@ -28,6 +28,7 @@ from compound_barriers import (
     to_polar,
 )
 from compound_barriers import barriers
+from compound_barriers.barriers import origin_arrays
 from compound_barriers.scenario import load_scenario
 from compound_barriers.transfer import translate
 from oracles import ode_transmission, pieces_for, slab_profile_two_branch
@@ -191,6 +192,24 @@ class TestValidation:
         _, beta = scenario_arrays(pair, [1e300, 2e307])
         assert np.isfinite(beta).all()
 
+    def test_build_at_the_origin_refuses_the_same_positions(self):
+        # no 2 k a is formed at the origin, yet the positions are refused alike
+        pair = [Delta(1.5), Delta(1.5, 2.0)]
+        with pytest.raises(DomainError, match=re.escape("k = 1e+308 at position 0.0 ")):
+            origin_arrays(pair, [1e300, 1e308])
+        with pytest.raises(DomainError, match=re.escape("k = 4e+307 at position 2.0 ")):
+            origin_arrays(pair, [1e300, 4e307])
+        origin_arrays(pair, [1e300, 2e307])
+
+    def test_named_refusals_come_before_the_pair_check(self):
+        # the pairs are checked once, after every barrier is built: a later
+        # barrier's position is named before an earlier barrier's |alpha|
+        specs = [Delta(1e160), Delta(1.0, 1e308)]
+        with pytest.raises(DomainError, match=re.escape("k = 1.0 at position 1e+308 ")):
+            origin_arrays(specs, [1.0])
+        with pytest.raises(RapidityOverflowError, match=re.escape("|alpha| = 5e+159 ")):
+            origin_arrays(specs[:1], [1.0])
+
     def test_absurdly_opaque_slab_refused(self):
         from compound_barriers import RapidityOverflowError
         with pytest.raises(RapidityOverflowError):
@@ -260,6 +279,41 @@ def _two_branch_build(monkeypatch, specs, k):
 
 def _same_bits(got, want):
     return all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+
+
+class TestOriginBuild:
+    """The bounds read origin_arrays, the audit scenario_arrays: translation
+    moves beta only, so both give every rapidity the same bits."""
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+    def test_alpha_equals_the_placed_alpha(self, path):
+        scenario = load_scenario(path)
+        at_origin, _ = origin_arrays(scenario.barriers, scenario.k_values)
+        placed, _ = scenario_arrays(scenario.barriers, scenario.k_values)
+        assert _same_bits([at_origin], [placed])
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+    def test_each_beta_is_translated_alone(self, path):
+        # the placed columns equal one-barrier builds at the barrier's
+        # position, whatever the layout of the whole build
+        scenario = load_scenario(path)
+        self.assert_translated_alone(scenario.barriers, scenario.k_values)
+
+    def test_a_wide_build_is_translated_column_by_column(self):
+        # 12000 k x 3 barriers: numpy computes an expression over a
+        # temporary this large in place, which rounds the slabs' complex
+        # products differently from the one-barrier builds
+        specs = [Rectangular(height=4.0, width=1.3, position=-3.0),
+                 PiecewiseConstant(((2.0, 0.4), (4.0, 0.7)), position=0.0),
+                 PiecewiseConstant(((1.0, 0.3), (3.0, 0.5), (2.0, 0.2)), position=2.5)]
+        self.assert_translated_alone(specs, np.linspace(0.3, 3.0, 12000))
+
+    @staticmethod
+    def assert_translated_alone(specs, k):
+        _, placed = scenario_arrays(specs, k)
+        for i, spec in enumerate(specs):
+            _, alone = scenario_arrays([spec], k)
+            assert _same_bits([np.ascontiguousarray(placed[:, i])], [alone[:, 0]]), i
 
 
 class TestSlabProfile:

@@ -389,6 +389,31 @@ class TestCli:
         assert err.startswith("compound-barriers: error: wavenumber k = 1e+308 at position 0.0 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
+    def test_rapidity_past_the_trusted_range_is_named(self, analysis, tmp_path, capsys):
+        # the whole build is checked at once: still refused, naming |alpha|
+        text = "k = 1.0\nbarrier delta position=0.0 strength=1e160\n"
+        self.run(tmp_path, text, "--analysis", analysis, expect=3)
+        assert capsys.readouterr().err == ("compound-barriers: error: |alpha| = 5e+159 exceeds "
+                                           "cosh(350.0), the trusted range\n")
+
+    @pytest.mark.parametrize("text, analysis, named", [
+        # ROADMAP B3's resonant pair: the fold cancels from ~e^{S_n} to ~1
+        ("k = 1.0\nbarrier delta position=0.0 strength=2000000.0\n"
+         "barrier delta position=3.1415916535897934 strength=2000000.0\n",
+         "sweep", "|alpha|^2 - |beta|^2 off 1 by "),
+        ("k = 0.5:1.0:5\nbarrier rect position=0.0 height=1000.0 width=12.0\n",
+         "bounds", "slab opacity kappa*L = "),
+    ], ids=["normalization", "slab-opacity"])
+    def test_error_numbers_are_plain_floats(self, text, analysis, named, tmp_path, capsys):
+        # numpy 2 scalars repr as np.float64(...); the message prints the float
+        self.run(tmp_path, text, "--analysis", analysis, expect=3)
+        err = capsys.readouterr().err
+        assert "np.float64(" not in err
+        prefix = f"compound-barriers: error: {named}"
+        assert err.startswith(prefix)
+        assert math.isfinite(float(err[len(prefix):].split()[0]))
+
     def test_bad_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text("k = -1.0\nbarrier delta position=0 strength=1\n")
@@ -632,21 +657,51 @@ def refuse_scalar_path(monkeypatch):
 class TestArrayBuild:
     @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
     def test_one_scenario_build_per_call(self, analysis, monkeypatch, capsys):
+        # one build at the origin, whether or not the analysis then places it
         refuse_scalar_path(monkeypatch)
         builds = []
-        build = compound_barriers.barriers.scenario_arrays
+        build = compound_barriers.barriers.origin_arrays
 
         def counted(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        for module in (compound_barriers.cli, compound_barriers.verify):
-            monkeypatch.setattr(module, "scenario_arrays", counted)
+        for module in (compound_barriers.barriers, compound_barriers.cli):
+            monkeypatch.setattr(module, "origin_arrays", counted)
         code = main(["--scenario", str(SCENARIO_DIR / "mixed_chain.scn"),
                      "--analysis", analysis])
         assert code == 0
         assert len(builds) == 1
         assert len(builds[0][1]) == 60  # every k of the scenario in the one build
+
+    @pytest.mark.parametrize("analysis", ["bounds", "resonance"])
+    @pytest.mark.parametrize("path", SCATTERING_SCENARIOS, ids=lambda path: path.name)
+    def test_bounds_never_translate(self, path, analysis, monkeypatch, capsys):
+        # the rapidities do not depend on position: the same table with the
+        # translated build refused
+        assert main(["--scenario", str(path), "--analysis", analysis]) == 0
+        unpatched = capsys.readouterr().out
+
+        def translated(*args, **kwargs):
+            raise AssertionError("bounds and resonance must not translate")
+
+        for module in (compound_barriers.barriers, compound_barriers.verify):
+            monkeypatch.setattr(module, "scenario_arrays", translated)
+        assert main(["--scenario", str(path), "--analysis", analysis]) == 0
+        assert capsys.readouterr().out == unpatched
+
+    @pytest.mark.parametrize("analysis", ["sweep", "verify"])
+    @pytest.mark.parametrize("path", SCATTERING_SCENARIOS, ids=lambda path: path.name)
+    def test_audit_tables_are_written_from_columns(self, path, analysis, monkeypatch, capsys):
+        assert main(["--scenario", str(path), "--analysis", analysis, "--samples", "200"]) == 0
+        unpatched = capsys.readouterr().out
+
+        def row(*args, **kwargs):
+            raise AssertionError("the CLI must write the audit's columns")
+
+        monkeypatch.setattr(compound_barriers.verify, "ContainmentRow", row)
+        assert main(["--scenario", str(path), "--analysis", analysis, "--samples", "200"]) == 0
+        assert capsys.readouterr().out == unpatched
 
     @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
     def test_over_opaque_barrier_is_refused(self, analysis, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from functools import reduce
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,6 +37,7 @@ from compound_barriers import (
 )
 from compound_barriers.transfer import boost_fold
 from compound_barriers.errors import BoundViolationError
+from compound_barriers.scenario import load_scenario
 from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rng, _blocks,
                                       _fold_extremes, _quarter_rotors, _run_units, _theta_error)
 from oracles import (b_n_iterative, block_phases, compose_polar, extremal_phase_search,
@@ -805,6 +807,11 @@ class TestRecursionAudit:
         assert worst == pytest.approx(1e-9, rel=1e-3)
 
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED_SCATTERING = [path for path in sorted(SCENARIO_DIR.glob("*.scn"))
+                      if load_scenario(path).mode == "scattering"]
+
+
 class TestScenarioContainmentAudit:
     def test_single_barrier_sits_on_both_edges(self):
         audit = scenario_containment_audit(
@@ -830,6 +837,16 @@ class TestScenarioContainmentAudit:
         for row, t_upper in zip(audit.rows, audit.bounds.envelopes[1]):
             assert row.t_exact < t_upper
             assert t_upper < 1.0
+
+    @pytest.mark.parametrize("path", SHIPPED_SCATTERING, ids=lambda path: path.stem)
+    def test_columns_equal_the_rows_view(self, path):
+        scenario = load_scenario(path)
+        audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
+        columns = (audit.k, audit.t_exact, audit.r_exact, audit.n_exact, audit.contained)
+        assert len(audit.rows) == len(scenario.k_values)
+        for row, *fields in zip(audit.rows, *columns, strict=True):
+            assert (row.k, row.t_exact, row.r_exact, row.n_exact, row.contained) == tuple(fields)
+        assert list(audit.k) == list(scenario.k_values)
 
     def test_mixed_kinds(self):
         specs = [Delta(strength=1.5, position=-2.0),
