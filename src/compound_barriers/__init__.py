@@ -57,7 +57,6 @@ from .transfer import (
     TransferMatrix,
     amplitudes,
     compose,
-    from_polar,
     to_polar,
 )
 from .verify import (

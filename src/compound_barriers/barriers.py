@@ -20,12 +20,12 @@ Supported shapes:
 * Delta(strength): V = lam * delta(x); lam < 0 allowed.
 * PiecewiseConstant(segments): adjacent constant slabs, composed internally.
 
-Every formula takes an array of wavenumbers, and a scenario is built in two
-steps.  origin_arrays builds every barrier at the origin and makes every
-refusal of the build, the phase range of each position included; its alpha,
-and so every rapidity, T_i and bound, is already the placed one.
-scenario_arrays then translates the betas, which only the exact compound
-values need.  transfer_of / scenario_transfer are one-k calls of it.
+Every formula takes an array of wavenumbers.  One build at the origin
+makes every refusal of a scenario, the phase range of each position
+included; its alpha, and so every rapidity, T_i and bound, is already the
+placed one.  origin_arrays checks its pairs as built, scenario_arrays after
+translating the betas, which only the exact compound values need.
+transfer_of / scenario_transfer are one-k calls of scenario_arrays.
 """
 
 from __future__ import annotations
@@ -256,17 +256,13 @@ def check_layout(specs: list[BarrierSpec] | tuple[BarrierSpec, ...]) -> None:
             )
 
 
-def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
-                  k_sweep) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (alpha, beta) of every barrier centered at the origin, at every
-    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
-
-    alpha, and so theta_i, T_i and every bound, is what it is at the
-    barrier's position; only beta moves (scenario_arrays).  The build makes
-    every refusal that placing does: the wavenumbers, the layout, each
-    barrier's named refusals at the origin and the phase range of its
-    position (transfer.check_phase_range), barrier by barrier, then one
-    check_pairs over the whole array."""
+def _origin_build(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
+                  k_sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wavenumbers and the (alpha, beta) of every barrier centered at the
+    origin, shape (len(k_sweep), len(specs)), with every refusal that placing
+    makes: the wavenumbers, the layout, each barrier's named refusals at the
+    origin and the phase range of its position (transfer.check_phase_range),
+    barrier by barrier.  The pairs are left to the caller's one check_pairs."""
     k = np.asarray(k_sweep, dtype=float)
     bad = ~(np.isfinite(k) & (k > 0.0))
     if bad.any():
@@ -280,6 +276,18 @@ def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     for i, spec in enumerate(specs):
         alpha[:, i], beta[:, i] = _at_origin(spec, k)
         check_phase_range(largest, spec.position)
+    return k, alpha, beta
+
+
+def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
+                  k_sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (alpha, beta) of every barrier centered at the origin, at every
+    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
+
+    alpha, and so theta_i, T_i and every bound, is what it is at the
+    barrier's position; only beta moves (scenario_arrays).  _origin_build,
+    then one check_pairs over the whole array."""
+    _, alpha, beta = _origin_build(specs, k_sweep)
     check_pairs(alpha, beta)
     return alpha, beta
 
@@ -289,13 +297,12 @@ def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     """Exact (alpha, beta) of every barrier at its position, at every
     wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
 
-    The origin_arrays build, with each beta column translated to its
+    _origin_build, with each beta column translated to its
     barrier's position, then one check_pairs over the placed pairs, so
     probabilities never depend on placement.  A column is translated as the
     contiguous array translate takes, so its bits do not depend on the
     build's layout."""
-    alpha, beta = origin_arrays(specs, k_sweep)
-    k = np.asarray(k_sweep, dtype=float)
+    k, alpha, beta = _origin_build(specs, k_sweep)
     for i, spec in enumerate(specs):
         beta[:, i] = translate(np.ascontiguousarray(beta[:, i]), k, spec.position)
     check_pairs(alpha, beta)

@@ -204,8 +204,8 @@ def b_n_iterative_rows(thetas) -> np.ndarray:
 
 class BoundsColumns:
     """[B_n, S_n], the six envelopes and the resonance verdict of every row of
-    an (n_rows, n) rapidity array, one list of Python floats (or bools) per
-    quantity, one entry per row.
+    an (n_rows, n) rapidity array, one float (or bool) array per quantity,
+    one entry per row.
 
     S_n (math.fsum per row), theta_peak, B_n and the verdict are computed on
     construction, the other columns on first use, once.  Each column is one
@@ -215,8 +215,7 @@ class BoundsColumns:
     what they give for row j.  A row with S_n above RAPIDITY_LIMIT is
     refused.  That check covers every cell the kernels see, so they skip the
     per-value checks of T_from_theta and friends: each theta_i, theta_peak
-    and B_n lies in [0, S_n].  B_n and S_n are also kept as the float arrays
-    b_n_array and s_n_array, for array passes over the rows.
+    and B_n lies in [0, S_n].
     """
 
     def __init__(self, thetas):
@@ -239,52 +238,44 @@ class BoundsColumns:
                                         f"{RAPIDITY_LIMIT}")
         peak = thetas.max(axis=1) + 0.0  # a zero peak is 0.0, whichever signed zero max picks
         b = np.maximum(2.0 * peak - s, 0.0)
-        self.thetas, self.s_n_array, self._peak, self.b_n_array = thetas, s, peak, b
-        self.s_n, self.theta_peak, self.b_n = s.tolist(), peak.tolist(), b.tolist()
-        self.possible = (b == 0.0).tolist()  # B_n = 0: T = 1 not excluded
+        self.thetas, self.s_n, self.theta_peak, self.b_n = thetas, s, peak, b
+        self.possible = b == 0.0  # B_n = 0: T = 1 not excluded
 
     @cached_property
-    def t_min(self) -> list[float]:
-        return _sech2(self.s_n_array).tolist()
+    def t_min(self) -> np.ndarray:
+        return _sech2(self.s_n)
 
     @cached_property
-    def envelopes(self) -> tuple[list[float], ...]:
+    def envelopes(self) -> tuple[np.ndarray, ...]:
         """T_min, T_upper, R_low, R_high, N_low, N_high:
 
             T in [sech^2 S_n, sech^2 B_n]      R in [tanh^2 B_n, tanh^2 S_n]
             N in [sinh^2 B_n, sinh^2 S_n]
         """
-        b, s = self.b_n_array, self.s_n_array
-        return self.t_min, *(column.tolist() for column in (
-            _sech2(b), _tanh2(b), _tanh2(s), _sinh2(b), _sinh2(s)))
+        b, s = self.b_n, self.s_n
+        return self.t_min, _sech2(b), _tanh2(b), _tanh2(s), _sinh2(b), _sinh2(s)
 
     @cached_property
-    def resonance(self) -> tuple[list[float], ...]:
+    def resonance(self) -> tuple[np.ndarray, ...]:
         """T_peak = sech^2(theta_peak), T_min, threshold = 2 sqrt(T_min) / (1 +
         sqrt(T_min)) and margin = T_peak - threshold: see resonance_assessment."""
-        t_peak, root = _sech2(self._peak), np.sqrt(self.t_min)
+        t_peak, root = _sech2(self.theta_peak), np.sqrt(self.t_min)
         threshold = 2.0 * root / (1.0 + root)
-        return t_peak.tolist(), self.t_min, threshold.tolist(), (t_peak - threshold).tolist()
+        return t_peak, self.t_min, threshold, t_peak - threshold
 
     @cached_property
-    def _per_barrier(self) -> tuple[list[list[float]], list[float]]:
-        """The T_i columns and their left-to-right product, one column at a time."""
-        columns, product = [], np.ones(len(self.s_n_array))
-        for theta in self.thetas.T:
-            t = _sech2(theta)
-            product *= t  # math.prod's order: ((T_1 T_2) T_3) ...
-            columns.append(t.tolist())
-        return columns, product.tolist()
-
-    @property
-    def transmissions(self) -> list[list[float]]:
+    def transmissions(self) -> list[np.ndarray]:
         """Per-barrier T_i, one column per barrier."""
-        return self._per_barrier[0]
+        return [_sech2(theta) for theta in self.thetas.T]
 
-    @property
-    def t_classical(self) -> list[float]:
-        """Particle (no-interference) limit of each row: the plain product of its T_i."""
-        return self._per_barrier[1]
+    @cached_property
+    def t_classical(self) -> np.ndarray:
+        """Particle (no-interference) limit of each row: the plain product of
+        its T_i, in math.prod's order ((T_1 T_2) T_3) ..."""
+        product = np.ones(len(self.s_n))
+        for t in self.transmissions:
+            product *= t
+        return product
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,8 +313,8 @@ def bounds_report(seq: RapiditySequence) -> BoundsReport:
         |alpha| in [cosh B_n, cosh S_n]    |beta| in [sinh B_n, sinh S_n]
     """
     columns = BoundsColumns([seq.thetas])
-    (s,), (b,), (peak,) = columns.s_n, columns.b_n, columns.theta_peak
-    t_lo, t_hi, r_lo, r_hi, n_lo, n_hi = (column[0] for column in columns.envelopes)
+    s, b, peak = columns.s_n.item(), columns.b_n.item(), columns.theta_peak.item()
+    t_lo, t_hi, r_lo, r_hi, n_lo, n_hi = (column.item() for column in columns.envelopes)
     return BoundsReport(
         s_n=s,
         b_n=b,
@@ -345,7 +336,7 @@ def b_n_closed(seq: RapiditySequence) -> float:
     barrier outweighs all the others combined.  Any argmax serves as the
     peak: the value is tie-independent.
     """
-    return BoundsColumns([seq.thetas]).b_n[0]
+    return BoundsColumns([seq.thetas]).b_n.item()
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +373,9 @@ def resonance_assessment(seq: RapiditySequence) -> ResonanceAssessment:
     The one-row call of BoundsColumns.
     """
     columns = BoundsColumns([seq.thetas])
-    (t_peak,), (t_min,), (threshold,), (margin,) = columns.resonance
+    t_peak, t_min, threshold, margin = (column.item() for column in columns.resonance)
     return ResonanceAssessment(
-        possible=columns.possible[0],
+        possible=columns.possible.item(),
         margin=margin,
         t_peak=t_peak,
         t_min=t_min,
@@ -418,7 +409,7 @@ def production_guaranteed(ns: Sequence[float]) -> ProductionAssessment:
     call of BoundsColumns.
     """
     columns = BoundsColumns([RapiditySequence.from_particle_numbers(ns).thetas])
-    (b,), (n_min,), (n_max,) = columns.b_n, *columns.envelopes[4:]
+    b, n_min, n_max = (column.item() for column in (columns.b_n, *columns.envelopes[4:]))
     return ProductionAssessment(
         guaranteed=b > 0.0,
         n_min=n_min,

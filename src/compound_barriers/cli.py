@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import __version__
 from .barriers import origin_arrays
 from .bounds import BoundsColumns, RapiditySequence, production_guaranteed
@@ -55,9 +57,11 @@ class Table:
     failures: list[str]
 
 
-def _floats(values: Iterable[float]) -> Iterator[str]:
-    """repr: the shortest string that reads back as the same float."""
-    return map(repr, values)
+def _floats(values: Sequence[float] | np.ndarray) -> Iterator[str]:
+    """The one step from float to text: each value as a Python float, whose
+    repr is the shortest string that reads back as the same float, so no
+    numpy scalar's repr reaches a table."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
 
 def _flags(values: Iterable[bool]) -> Iterator[str]:
@@ -141,8 +145,8 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     sweeps = random_phase_sweeps(bounds, samples, seed)
     failures += [str(sweep.violation) for sweep in sweeps if sweep.violation is not None]
     columns = {"k": k, "B_n": _floats(bounds.b_n), "S_n": _floats(bounds.s_n),
-               "theta_min_observed": _floats(sweep.theta_min_observed for sweep in sweeps),
-               "theta_max_observed": _floats(sweep.theta_max_observed for sweep in sweeps),
+               "theta_min_observed": _floats([sweep.theta_min_observed for sweep in sweeps]),
+               "theta_max_observed": _floats([sweep.theta_max_observed for sweep in sweeps]),
                "sweep_ok": _flags(sweep.violation is None for sweep in sweeps),
                "exact_contained": contained}
     return Table(columns, meta, failures)

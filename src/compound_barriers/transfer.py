@@ -58,8 +58,8 @@ RAPIDITY_LIMIT = 350.0
 _SANITY_TOL = 1e-6
 
 # |alpha|^2 above cosh^2(RAPIDITY_LIMIT) is refused; the 8 ulps of slack let
-# every pair from_polar builds at RAPIDITY_LIMIT pass, whatever its phase
-# (|cosh e^{i phi}|^2 comes out up to 2 ulps above the rounded cosh^2).
+# every pair (cosh e^{i phi}, sinh e^{i psi}) at RAPIDITY_LIMIT pass, whatever
+# its phase (|cosh e^{i phi}|^2 comes out up to 2 ulps above the rounded cosh^2).
 _ALPHA2_LIMIT = math.cosh(RAPIDITY_LIMIT) ** 2 * (1.0 + 8 * float(np.finfo(float).eps))
 
 _TWO_PI = 2.0 * math.pi
@@ -276,23 +276,8 @@ class ScatteringAmplitudes:
         return np.square(np.abs(self.r))
 
 
-def from_polar(p: HyperbolicParams) -> TransferMatrix:
-    """Build the matrix cosh(theta) e^{i phi_alpha}, sinh(theta) e^{i phi_beta}.
-
-    Normalized by construction; refuses theta beyond RAPIDITY_LIMIT.
-    """
-    if p.theta > RAPIDITY_LIMIT:
-        raise RapidityOverflowError(
-            f"theta = {p.theta!r} exceeds trusted range {RAPIDITY_LIMIT}"
-        )
-    return TransferMatrix(
-        cmath.rect(math.cosh(p.theta), p.phi_alpha),
-        cmath.rect(math.sinh(p.theta), p.phi_beta),
-    )
-
-
 def to_polar(m: TransferMatrix) -> HyperbolicParams:
-    """Invert from_polar: theta = rapidity(alpha) on one element, the CLI's
+    """Polar form: theta = rapidity(alpha) on one element, the CLI's
     acosh|alpha| (clamped) to the bit; phases = args.
 
     beta == 0 yields phi_beta = 0.

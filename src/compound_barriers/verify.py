@@ -310,7 +310,7 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
         raise DomainError(f"need samples >= 1, got {samples!r}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    edges = list(zip(bounds.b_n, bounds.s_n))
+    edges = list(zip(bounds.b_n.tolist(), bounds.s_n.tolist()))
     rows = len(edges)
     if not rows:
         return []
@@ -510,7 +510,7 @@ def recursion_audit(bounds: BoundsColumns) -> tuple[float, list[int]]:
     n eps S_n, doubled for the tolerance.  An absolute tolerance fails long
     chains: 2123 barriers at S_n ~ 316 show gaps above 2e-12.
     """
-    thetas, b = bounds.thetas, np.array(bounds.b_n)
+    thetas, b = bounds.thetas, bounds.b_n
     gaps = np.maximum(np.abs(b_n_iterative_rows(thetas) - b),
                       np.abs(b_n_iterative_rows(thetas[:, ::-1]) - b))
     tolerances = 2.0 * thetas.shape[1] * _EPS * np.maximum(1.0, bounds.s_n)
@@ -609,11 +609,11 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     amps = ScatteringAmplitudes(1.0 / total_alpha, total_beta / total_alpha)
     t, r, n = amps.T, amps.R, np.square(np.abs(total_beta))
     exact = np.stack([t, r, n], axis=1)
-    edges = np.array(bounds.envelopes).T
+    edges = np.stack(bounds.envelopes, axis=1)
     # (T, R, N) x (low, high) worst margins, in ContainmentReport's field order
     margins = np.stack([exact - edges[:, 0::2], edges[:, 1::2] - exact], axis=-1).min(axis=0)
     theta_exact = rapidity(total_alpha)
-    low, high = bounds.b_n_array, bounds.s_n_array
+    low, high = bounds.b_n, bounds.s_n
     band = _containment_band(bounds.thetas, theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
     return ContainmentReport(list(k_sweep), t.tolist(), r.tolist(), n.tolist(),

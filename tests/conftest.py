@@ -17,7 +17,8 @@ settings.load_profile("deterministic")
 
 def boost(theta: float):
     """Real positive boost: the phase-free matrix of rapidity theta."""
-    from compound_barriers import HyperbolicParams, from_polar
+    from compound_barriers import HyperbolicParams
+    from oracles import from_polar
 
     return from_polar(HyperbolicParams(theta, 0.0, 0.0))
 

@@ -12,10 +12,11 @@ draw and fold are checked, together with the full-phase draw of sampling
 contract version 1 (block_phases, reduced by gauge_rotors; compose_polar
 folds it) and a faulty fold that the check must catch.  The exhaustive
 reduced-gauge grid search (extremal_phase_search) brackets the interval
-edges from the same fold, matrices dresses rapidities with a phase
-assignment for the exact object algebra, mp_theta recomposes one in
-mpmath, and b_n_iterative is the plain loop of the Heaviside recursion,
-the bit-for-bit reference of bounds.b_n_iterative_rows.
+edges from the same fold, from_polar builds a matrix from its polar form,
+matrices dresses rapidities with a phase assignment through it for the
+exact object algebra, mp_theta recomposes one in mpmath, and b_n_iterative
+is the plain loop of the Heaviside recursion, the bit-for-bit reference of
+bounds.b_n_iterative_rows.
 bounds_row_literal writes one row of BoundsColumns out in scalar libm
 formulas, apart from the bounds' kernels, and slab_profile_two_branch is
 the slab profile that evaluates both branch pairs over every entry, the
@@ -24,6 +25,7 @@ bit-for-bit reference of barriers._slab_profile.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
@@ -44,7 +46,7 @@ from compound_barriers import (
     RapiditySequence,
     Rectangular,
     SweepResult,
-    from_polar,
+    TransferMatrix,
     support,
     theta_from_N,
     theta_from_R,
@@ -223,6 +225,19 @@ def grid_N_interval(N1: float, N2: float, points: int = 20000) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # exact object algebra, the reduced-gauge grid and the literal recursion
 # ---------------------------------------------------------------------------
+
+def from_polar(p: HyperbolicParams) -> TransferMatrix:
+    """The matrix cosh(theta) e^{i phi_alpha}, sinh(theta) e^{i phi_beta}, in
+    plain complex arithmetic; refuses theta beyond RAPIDITY_LIMIT."""
+    if p.theta > RAPIDITY_LIMIT:
+        raise RapidityOverflowError(
+            f"theta = {p.theta!r} exceeds trusted range {RAPIDITY_LIMIT}"
+        )
+    return TransferMatrix(
+        cmath.rect(math.cosh(p.theta), p.phi_alpha),
+        cmath.rect(math.sinh(p.theta), p.phi_beta),
+    )
+
 
 def matrices(assignment: PhaseAssignment, seq: RapiditySequence):
     """Dress the rapidities with these phases (exact object algebra)."""

@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "Rectangular", "ResonanceAssessment", "RowSweep", "ScatteringAmplitudes", "Scenario",
     "SweepResult", "T_from_theta", "TargetOutOfRangeError", "TransferMatrix", "WaveContext",
     "amplitudes", "attain", "b_n_closed", "bounds_report", "compose", "equivalence_audit",
-    "from_polar", "load_scenario", "parse_scenario", "production_guaranteed",
+    "load_scenario", "parse_scenario", "production_guaranteed",
     "random_phase_sweep", "random_phase_sweeps", "recursion_audit", "resonance_assessment",
     "resonance_possible", "s_n", "scenario_arrays", "scenario_containment_audit",
     "scenario_transfer", "support", "theta_from_N", "theta_from_R", "theta_from_T",
@@ -38,5 +38,5 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(compound_barriers).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert names == PUBLIC_NAMES

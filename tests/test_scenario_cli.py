@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import compound_barriers.barriers
@@ -414,6 +415,11 @@ class TestCli:
         assert err.startswith(prefix)
         assert math.isfinite(float(err[len(prefix):].split()[0]))
 
+    def test_floats_are_written_as_python_floats(self):
+        # numpy 2 scalars repr as np.float64(...): the cells are Python floats
+        assert list(compound_barriers.cli._floats(np.array([0.1, 1e300]))) == ["0.1", "1e+300"]
+        assert list(compound_barriers.cli._floats([np.float64(0.5), 0.25])) == ["0.5", "0.25"]
+
     def test_bad_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text("k = -1.0\nbarrier delta position=0 strength=1\n")
@@ -462,8 +468,7 @@ class TestCli:
         class Shrunk(compound_barriers.verify.BoundsColumns):
             def __init__(self, thetas):
                 super().__init__(thetas)
-                self.s_n = [s - (1.0 if row == middle else 0.0)
-                            for s, row in zip(self.s_n, self.thetas.tolist())]
+                self.s_n[(self.thetas == middle).all(axis=1)] -= 1.0
 
         monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", Shrunk)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
@@ -477,6 +482,22 @@ class TestCli:
                 assert row["theta_min_observed"] == row["theta_max_observed"] == "nan"
             else:
                 assert after == before
+
+    def test_one_copy_of_each_edge(self, monkeypatch, capsys):
+        # the sweep and the containment audit read the same S_n: collapsing
+        # it onto B_n fails every row in both columns
+        class Collapsed(compound_barriers.verify.BoundsColumns):
+            def __init__(self, thetas):
+                super().__init__(thetas)
+                self.s_n = self.b_n
+
+        monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", Collapsed)
+        assert main(["--scenario", str(SCENARIO_DIR / "double_rect.scn"),
+                     "--analysis", "verify", "--samples", "200"]) == 2
+        _, header, body = read_csv(capsys.readouterr().out)
+        rows = [dict(zip(header, fields)) for fields in body]
+        assert len(rows) == 200
+        assert all(row["sweep_ok"] == row["exact_contained"] == "false" for row in rows)
 
     def test_equivalence_failure_on_one_row_exits_2(self, tmp_path, monkeypatch, capsys):
         # the audit compares each printed B_n with the recursion; a
@@ -660,19 +681,35 @@ class TestArrayBuild:
         # one build at the origin, whether or not the analysis then places it
         refuse_scalar_path(monkeypatch)
         builds = []
-        build = compound_barriers.barriers.origin_arrays
+        build = compound_barriers.barriers._origin_build
 
         def counted(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        for module in (compound_barriers.barriers, compound_barriers.cli):
-            monkeypatch.setattr(module, "origin_arrays", counted)
+        monkeypatch.setattr(compound_barriers.barriers, "_origin_build", counted)
         code = main(["--scenario", str(SCENARIO_DIR / "mixed_chain.scn"),
                      "--analysis", analysis])
         assert code == 0
         assert len(builds) == 1
         assert len(builds[0][1]) == 60  # every k of the scenario in the one build
+
+    @pytest.mark.parametrize("build", ["origin_arrays", "scenario_arrays"])
+    def test_one_pair_check_per_build(self, build, monkeypatch):
+        # translating leaves alpha and |beta| as they were: the pairs a build
+        # returns are checked once, after translating where it translates
+        checked = []
+        check = compound_barriers.barriers.check_pairs
+
+        def counted(alpha, beta):
+            checked.append(alpha)
+            check(alpha, beta)
+
+        monkeypatch.setattr(compound_barriers.barriers, "check_pairs", counted)
+        scenario = load_scenario(SCENARIO_DIR / "mixed_chain.scn")
+        alpha, _ = getattr(compound_barriers.barriers, build)(scenario.barriers,
+                                                              scenario.k_values)
+        assert sum(a is alpha for a in checked) == 1
 
     @pytest.mark.parametrize("analysis", ["bounds", "resonance"])
     @pytest.mark.parametrize("path", SCATTERING_SCENARIOS, ids=lambda path: path.name)

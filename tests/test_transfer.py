@@ -19,13 +19,13 @@ from compound_barriers import (
     amplitudes,
     b_n_closed,
     compose,
-    from_polar,
     RapiditySequence,
     s_n,
     to_polar,
 )
 from compound_barriers.transfer import translate
 from conftest import boost
+from oracles import from_polar
 
 # frozen by high-precision evaluation (mpmath, 50 digits)
 ASINH_1 = 0.881373587019543      # = ln(1 + sqrt 2)

@@ -27,7 +27,6 @@ from compound_barriers import (
     b_n_closed,
     compose,
     equivalence_audit,
-    from_polar,
     random_phase_sweep,
     random_phase_sweeps,
     recursion_audit,
@@ -41,8 +40,8 @@ from compound_barriers.scenario import load_scenario
 from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rng, _blocks,
                                       _fold_extremes, _quarter_rotors, _run_units, _theta_error)
 from oracles import (b_n_iterative, block_phases, compose_polar, extremal_phase_search,
-                     fold_rotating_b, gauge_rotors, legendre_half, legendre_half_product, matrices,
-                     mp_theta)
+                     fold_rotating_b, from_polar, gauge_rotors, legendre_half,
+                     legendre_half_product, matrices, mp_theta)
 
 EPS = float(np.finfo(float).eps)
 
