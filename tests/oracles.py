@@ -20,14 +20,16 @@ bounds.b_n_iterative_rows.
 bounds_row_literal writes one row of BoundsColumns out in scalar libm
 formulas, apart from the bounds' kernels, and slab_profile_two_branch is
 the slab profile that evaluates both branch pairs over every entry, the
-bit-for-bit reference of barriers._slab_profile.
+bit-for-bit reference of barriers._slab_profile.  floats_repr is the
+plain repr of each value as a Python float, the byte-for-byte reference of
+cli._floats.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
@@ -525,3 +527,9 @@ def two_barrier_N_bounds_rational(N1: float, N2: float) -> tuple[float, float]:
     low = ((N1 - N2) / (x + y)) ** 2
     high = N1 + N2 + 2.0 * N1 * N2 + 2.0 * math.sqrt(N1 * N2 * (N1 + 1.0) * (N2 + 1.0))
     return low, high
+
+
+def floats_repr(values: Sequence[float] | np.ndarray) -> Iterator[str]:
+    """cli._floats as it was before it formatted through orjson: repr of
+    each value as a Python float."""
+    return map(repr, np.asarray(values, dtype=float).tolist())

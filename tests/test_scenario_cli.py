@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import compound_barriers.barriers
@@ -39,6 +40,7 @@ from compound_barriers.errors import BoundViolationError
 from compound_barriers.scenario import load_scenario
 from compound_barriers.transfer import rapidity
 from compound_barriers.verify import RowSweep
+from oracles import floats_repr
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -61,6 +63,14 @@ analyses = bounds
 episode n=1.0
 episode n=1.0
 """
+
+
+def source_env() -> dict:
+    """The environment of a child interpreter that imports this package from
+    the tree under test."""
+    src = str(Path(compound_barriers.cli.__file__).resolve().parents[1])
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
 
 
 def read_csv(text):
@@ -329,15 +339,12 @@ class TestCli:
         # Either way writing stops quietly with 141, not the bad-input 3
         path = tmp_path / "case.scn"
         path.write_text(DOUBLE_RECT.replace(":400", ":20000") if read_first_line else MINIMAL)
-        src = str(Path(compound_barriers.cli.__file__).resolve().parents[1])
-        path_list = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
         read, write = os.pipe()
         if not read_first_line:
             os.close(read)
         proc = subprocess.Popen([sys.executable, "-m", "compound_barriers.cli", "--scenario",
                                  str(path), "--analysis", "bounds"],
-                                stdout=write, stderr=subprocess.PIPE, env=env)
+                                stdout=write, stderr=subprocess.PIPE, env=source_env())
         os.close(write)
         if read_first_line:
             with os.fdopen(read, "rb") as reader:
@@ -632,6 +639,64 @@ class TestScalarAgreement:
             assert cli == library, k
 
 
+# the doubles either side of repr's two layout changes (0.0001 / 9.999999999999999e-05
+# and 9999999999999998.0 / 1e+16), those orjson writes as null, and the extremes
+FLOAT_EDGES = [0.0, math.nan, math.inf, 5e-324, sys.float_info.max, 1e-4,
+               math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), 1.0, 1e15,
+               123456789012345.6]
+FLOAT_EDGES += [-x for x in FLOAT_EDGES]
+
+
+class TestFloats:
+    """cli._floats writes the text repr writes, byte for byte, a chunk at a time."""
+
+    def test_random_bit_patterns_read_as_repr(self):
+        # every binade of both signs, subnormals, nan payloads and +-inf
+        values = np.frombuffer(np.random.default_rng(25).bytes(8 * 200_000), dtype=float)
+        assert list(compound_barriers.cli._floats(values)) == list(floats_repr(values))
+
+    def test_edge_values_read_as_repr(self):
+        assert list(compound_barriers.cli._floats(FLOAT_EDGES)) == list(floats_repr(FLOAT_EDGES))
+        for value in FLOAT_EDGES:
+            assert list(compound_barriers.cli._floats([value])) == list(floats_repr([value]))
+
+    @pytest.mark.parametrize("length", [0, 1, 255, 256, 257])
+    def test_lengths_around_a_chunk(self, length):
+        rng = np.random.default_rng(length)
+        values = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 20, length)
+        values[::7] = np.resize(FLOAT_EDGES, values[::7].size)
+        fields = list(compound_barriers.cli._floats(values))
+        assert len(fields) == length
+        assert fields == list(floats_repr(values))
+
+    def test_formats_one_chunk_at_a_time(self, monkeypatch):
+        # the writer's row-wise zip reads one field per column at a time, so
+        # a column holds no more than one chunk of 256 strings
+        chunks = []
+        dumps = orjson.dumps
+
+        def counted(chunk, *args, **kwargs):
+            chunks.append(len(chunk))
+            return dumps(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(orjson, "dumps", counted)
+        fields = compound_barriers.cli._floats(np.linspace(0.0, 1.0, 100_000))
+        assert chunks == []
+        assert next(fields) == "0.0"
+        assert chunks == [256]
+
+    def test_package_import_leaves_the_cli_out(self):
+        # the set-up bench/run.py times, an import and a scenario load, pays
+        # for neither the CLI nor its float formatter
+        probe = ("import sys, compound_barriers\n"
+                 "compound_barriers.load_scenario(sys.argv[1])\n"
+                 "print(sorted({'orjson', 'compound_barriers.cli'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(SCENARIO_DIR / "mixed_chain.scn")],
+                              env=source_env(), capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout == "[]\n"
+
+
 # every table the committed scenarios print (a production scenario has no sweep)
 WRITTEN_TABLES = [(path.name, analysis) for path in sorted(SCENARIO_DIR.glob("*.scn"))
                   for analysis in ("bounds", "sweep", "verify", "resonance")
@@ -656,6 +721,16 @@ class TestWriter:
         body = [line for line in written.getvalue().split("\n") if not line.startswith("# ")]
         assert body == oracle.getvalue().split("\n")
         assert len(body) > 2  # header, at least one row, the empty rest after the last "\n"
+
+    @pytest.mark.parametrize("name, analysis", WRITTEN_TABLES)
+    def test_bytes_equal_the_repr_reference(self, name, analysis, monkeypatch, capsys):
+        argv = ["--scenario", str(SCENARIO_DIR / name), "--analysis", analysis,
+                "--seed", "1", "--samples", "500"]
+        code = main(argv)
+        written = capsys.readouterr()
+        monkeypatch.setattr(compound_barriers.cli, "_floats", floats_repr)
+        assert main(argv) == code
+        assert capsys.readouterr() == written
 
     def test_ragged_table_fails_loudly(self):
         scenario = parse_scenario(MINIMAL)
