@@ -118,57 +118,39 @@ def theta_from_N(N: float) -> float:
     return math.asinh(math.sqrt(N))
 
 
-def _check_theta(theta: float) -> float:
-    t = float(theta)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"rapidity must be finite and >= 0, got {theta!r}")
-    if t > RAPIDITY_LIMIT:
-        raise RapidityOverflowError(f"rapidity {t!r} exceeds trusted range {RAPIDITY_LIMIT}")
-    return t
-
-
-def _libm(f, x):
-    """f of a float, or of each entry of a 1-D array, always by libm (numpy's
-    own exp/tanh/sinh loops may differ from it in the last ulp)."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(f, x.tolist()), float, x.size)
-    return f(x)
-
-
-# The three kernels take a checked rapidity, a float or a 1-D array: libm
-# gives the transcendental, and the IEEE arithmetic after it rounds the same
-# in Python and in numpy, so an array entry equals the float call bit for bit.
+# The three kernels take a checked rapidity array (BoundsColumns checks it).
 
 def _sech2(t):
     """sech^2 t, overflow-free."""
-    e = _libm(math.exp, -t)
+    e = np.exp(-t)
     sech = 2.0 * e / (1.0 + e * e)
     return sech * sech
 
 
 def _tanh2(t):
-    th = _libm(math.tanh, t)
+    th = np.tanh(t)
     return th * th
 
 
 def _sinh2(t):
-    s = _libm(math.sinh, t)
+    s = np.sinh(t)
     return s * s
 
 
 def T_from_theta(theta: float) -> float:
-    """T = sech^2(theta), computed overflow-free."""
-    return _sech2(_check_theta(theta))
+    """T = sech^2(theta), computed overflow-free: the one-row call of
+    BoundsColumns ([theta] has S_n = theta)."""
+    return BoundsColumns([[theta]]).t_min.item()
 
 
 def R_from_theta(theta: float) -> float:
-    """R = tanh^2(theta)."""
-    return _tanh2(_check_theta(theta))
+    """R = tanh^2(theta): the one-row call of BoundsColumns."""
+    return BoundsColumns([[theta]]).envelopes[3].item()
 
 
 def N_from_theta(theta: float) -> float:
-    """N = sinh^2(theta)."""
-    return _sinh2(_check_theta(theta))
+    """N = sinh^2(theta): the one-row call of BoundsColumns."""
+    return BoundsColumns([[theta]]).envelopes[5].item()
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +191,13 @@ class BoundsColumns:
 
     S_n (math.fsum per row), theta_peak, B_n and the verdict are computed on
     construction, the other columns on first use, once.  Each column is one
-    pass of this module's formula kernels over an array, the same kernels
-    the float calls (T_from_theta, ..., and the one-row calls b_n_closed,
-    bounds_report, resonance_assessment) run, so entry j equals bit for bit
-    what they give for row j.  A row with S_n above RAPIDITY_LIMIT is
-    refused.  That check covers every cell the kernels see, so they skip the
-    per-value checks of T_from_theta and friends: each theta_i, theta_peak
-    and B_n lies in [0, S_n].
+    pass of this module's formula kernels over an array.  The float calls
+    (T_from_theta, R_from_theta, N_from_theta, b_n_closed, bounds_report,
+    resonance_assessment, production_guaranteed) are its one-row calls, so
+    they give what entry j holds for row j.  Construction is the one check:
+    a non-finite or negative rapidity is a DomainError, a row with S_n above
+    RAPIDITY_LIMIT a RapidityOverflowError.  That covers every cell the
+    kernels see: each theta_i, theta_peak and B_n lies in [0, S_n].
     """
 
     def __init__(self, thetas):
@@ -264,16 +246,16 @@ class BoundsColumns:
         return t_peak, self.t_min, threshold, t_peak - threshold
 
     @cached_property
-    def transmissions(self) -> list[np.ndarray]:
-        """Per-barrier T_i, one column per barrier."""
-        return [_sech2(theta) for theta in self.thetas.T]
+    def transmissions(self) -> np.ndarray:
+        """Per-barrier T_i, shaped as thetas: row j, column i is T_i of row j."""
+        return _sech2(self.thetas)
 
     @cached_property
     def t_classical(self) -> np.ndarray:
         """Particle (no-interference) limit of each row: the plain product of
         its T_i, in math.prod's order ((T_1 T_2) T_3) ..."""
         product = np.ones(len(self.s_n))
-        for t in self.transmissions:
+        for t in self.transmissions.T:
             product *= t
         return product
 

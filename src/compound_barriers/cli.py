@@ -122,7 +122,7 @@ def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
     # per-barrier T_i through the same rapidities as the envelopes, so a
     # one-barrier table degenerates to exact equality of all three columns
     columns = {"k": _floats(scenario.k_values)}
-    columns.update((f"T_{i + 1}", _floats(ts)) for i, ts in enumerate(bounds.transmissions))
+    columns.update((f"T_{i + 1}", _floats(ts)) for i, ts in enumerate(bounds.transmissions.T))
     columns.update(zip(_ENVELOPES, map(_floats, bounds.envelopes)))
     columns["T_classical"] = _floats(bounds.t_classical)
     columns["resonance_possible"] = _flags(bounds.possible)

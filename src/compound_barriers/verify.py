@@ -79,7 +79,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -529,20 +529,20 @@ class ContainmentRow:
     contained: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ContainmentReport:
     """Scenario-wide audit, worst margins over the sweep; tolerance = widest band.
 
-    The per-wavenumber results are columns, one list entry per k: the exact
+    The per-wavenumber results are columns, one array entry per k: the exact
     T, R and N and whether the row is contained; ``bounds`` holds the rows'
     [B_n, S_n] and envelopes as columns.  ``rows`` reads them as one
-    ContainmentRow per k."""
+    ContainmentRow of Python values per k."""
 
-    k: list[float]
-    t_exact: list[float]
-    r_exact: list[float]
-    n_exact: list[float]
-    contained: list[bool]
+    k: np.ndarray
+    t_exact: np.ndarray
+    r_exact: np.ndarray
+    n_exact: np.ndarray
+    contained: np.ndarray
     all_contained: bool
     t_low_margin: float
     t_high_margin: float
@@ -553,13 +553,13 @@ class ContainmentReport:
     k_at_max_t: float
     k_at_min_t: float
     tolerance: float
-    bounds: BoundsColumns = field(compare=False)
+    bounds: BoundsColumns
 
     @property
     def rows(self) -> tuple[ContainmentRow, ...]:
         """The columns as one ContainmentRow per wavenumber, built on each access."""
-        return tuple(map(ContainmentRow, self.k, self.t_exact, self.r_exact, self.n_exact,
-                         self.contained))
+        columns = (self.k, self.t_exact, self.r_exact, self.n_exact, self.contained)
+        return tuple(map(ContainmentRow, *(column.tolist() for column in columns)))
 
 
 def _theta_error(theta, delta):
@@ -616,8 +616,8 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     low, high = bounds.b_n, bounds.s_n
     band = _containment_band(bounds.thetas, theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
-    return ContainmentReport(list(k_sweep), t.tolist(), r.tolist(), n.tolist(),
-                             contained.tolist(), bool(contained.all()), *margins.ravel().tolist(),
+    return ContainmentReport(np.asarray(k_sweep, dtype=float), t, r, n,
+                             contained, bool(contained.all()), *margins.ravel().tolist(),
                              k_at_max_t=k_sweep[int(np.argmax(t))],
                              k_at_min_t=k_sweep[int(np.argmin(t))],
                              tolerance=float(band.max()), bounds=bounds)

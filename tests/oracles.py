@@ -17,10 +17,14 @@ matrices dresses rapidities with a phase assignment through it for the
 exact object algebra, mp_theta recomposes one in mpmath, and b_n_iterative
 is the plain loop of the Heaviside recursion, the bit-for-bit reference of
 bounds.b_n_iterative_rows.
-bounds_row_literal writes one row of BoundsColumns out in scalar libm
-formulas, apart from the bounds' kernels, and slab_profile_two_branch is
+bounds_row_literal writes one row of BoundsColumns out in scalar formulas,
+numpy's exp/tanh/sinh on one Python float at a time, apart from the
+bounds' kernels, and slab_profile_two_branch is
 the slab profile that evaluates both branch pairs over every entry, the
-bit-for-bit reference of barriers._slab_profile.  floats_repr is the
+bit-for-bit reference of barriers._slab_profile.  hyperbolic_squares_dd
+gives sech^2, tanh^2 and sinh^2 to about 100 bits from mpmath's exp, in
+double-double arithmetic, the reference the envelope kernels are held to
+within ulp bounds.  floats_repr is the
 plain repr of each value as a Python float, the byte-for-byte reference of
 cli._floats.
 """
@@ -357,26 +361,30 @@ def b_n_iterative(seq: RapiditySequence) -> float:
 
 
 def bounds_row_literal(row: Sequence[float]) -> list[float]:
-    """One row of BoundsColumns by the literal scalar formulas, libm per value:
+    """One row of BoundsColumns by the literal scalar formulas, numpy's
+    exp/tanh/sinh called on each value as a Python float:
 
         [S_n, B_n, theta_peak, T_min, T_upper, R_low, R_high, N_low, N_high,
          T_peak, threshold, T_classical, T_1, ..., T_n]
 
     with sech^2 t = (2 e / (1 + e^2))^2, e = exp(-t), S_n by fsum and
     T_classical by math.prod, written out apart from the bounds' kernels.
+    The arithmetic after the transcendental is Python's, which rounds as
+    numpy's loops do, so a whole-array kernel agrees bit for bit only if
+    numpy's loops give each entry the bits of a one-value call.
     """
 
     def sech2(t: float) -> float:
-        e = math.exp(-t)
+        e = float(np.exp(-t))
         sech = 2.0 * e / (1.0 + e * e)
         return sech * sech
 
     def tanh2(t: float) -> float:
-        th = math.tanh(t)
+        th = float(np.tanh(t))
         return th * th
 
     def sinh2(t: float) -> float:
-        sh = math.sinh(t)
+        sh = float(np.sinh(t))
         return sh * sh
 
     s, peak = math.fsum(row), max(row)
@@ -385,6 +393,88 @@ def bounds_row_literal(row: Sequence[float]) -> list[float]:
     root = math.sqrt(sech2(s))
     return [s, b, peak, sech2(s), sech2(b), tanh2(b), tanh2(s), sinh2(b), sinh2(s),
             sech2(peak), 2.0 * root / (1.0 + root), math.prod(ts), *ts]
+
+
+# ---------------------------------------------------------------------------
+# sech^2, tanh^2 and sinh^2 to ~100 bits: mpmath's exp, double-double algebra
+# ---------------------------------------------------------------------------
+
+_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _dd_mul(x, y):
+    p = x[0] * y[0]
+    ah, al = _split(x[0])
+    bh, bl = _split(y[0])
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + err = x[0] y[0] exactly
+    return _two_sum(p, err + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_div(x, y):
+    q = x[0] / y[0]
+    r = _dd_add(x, _dd_mul((-q, np.zeros_like(q)), y))  # x - q y
+    return _two_sum(q, (r[0] + r[1]) / y[0])
+
+
+def _exp_neg_dd(values: np.ndarray):
+    """exp(-v) of each value by mpmath at 120 bits, as double-double (hi, lo)."""
+    hi, lo = np.empty(len(values)), np.empty(len(values))
+    with mpmath.workprec(120):
+        for i, v in enumerate(values.tolist()):
+            e = mpmath.exp(-mpmath.mpf(v))
+            hi[i] = float(e)
+            lo[i] = float(e - hi[i])
+    return hi, lo
+
+
+def hyperbolic_squares_dd(anchors: np.ndarray, offsets: np.ndarray):
+    """sech^2 t, tanh^2 t and sinh^2 t of t = anchor + offset, elementwise,
+    each a double-double (hi, lo) good to about 100 bits.
+
+    The caller makes each sum exact.  e = exp(-t) is exp(-anchor) exp(-offset),
+    both by mpmath (once per distinct value, so a grid of a few hundred
+    anchors and offsets costs a few hundred mpmath calls), and then
+
+        sech^2 = (2e / (1 + e^2))^2,  tanh^2 = ((1 - e^2) / (1 + e^2))^2,
+        sinh^2 = ((1 - e^2) / (2e))^2
+
+    in double-double arithmetic, vectorized.  1 - e^2 cancels at small t: at
+    t = 1e-12 about 40 of the ~106 bits go, still far more than a double
+    holds.  For t <= 350 every leading part is a normal double; near 350 the
+    trailing parts of sech^2 reach the subnormals, which still leaves it
+    good to about 2^-66.
+    """
+    def expanded(values):
+        distinct, index = np.unique(values, return_inverse=True)
+        hi, lo = _exp_neg_dd(distinct)
+        return hi[index], lo[index]
+
+    e = _dd_mul(expanded(anchors), expanded(offsets))
+    one = (np.ones_like(e[0]), np.zeros_like(e[0]))
+    e2 = _dd_mul(e, e)
+    plus = _dd_add(one, e2)
+    minus = _dd_add(one, (-e2[0], -e2[1]))
+    sech = _dd_div((2.0 * e[0], 2.0 * e[1]), plus)
+    tanh = _dd_div(minus, plus)
+    sinh = _dd_div(minus, (2.0 * e[0], 2.0 * e[1]))
+    return _dd_mul(sech, sech), _dd_mul(tanh, tanh), _dd_mul(sinh, sinh)
 
 
 def slab_profile_two_branch(u: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:

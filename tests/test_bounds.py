@@ -14,6 +14,7 @@ from compound_barriers import (
     DomainError,
     EmptySequenceError,
     N_from_theta,
+    RAPIDITY_LIMIT,
     R_from_theta,
     RapidityOverflowError,
     RapiditySequence,
@@ -35,6 +36,7 @@ from oracles import (
     bounds_row_literal,
     grid_N_interval,
     grid_T_interval,
+    hyperbolic_squares_dd,
     two_barrier_N_bounds_rational,
     two_barrier_R_bounds_rational,
     two_barrier_T_bounds_rational,
@@ -385,15 +387,15 @@ class TestBoundsColumns:
             t_peak, _, threshold, _ = (column[j] for column in columns.resonance)
             got = [columns.s_n[j], columns.b_n[j], columns.theta_peak[j],
                    *(column[j] for column in columns.envelopes), t_peak, threshold,
-                   columns.t_classical[j],
-                   *(column[j] for column in columns.transmissions)]
+                   columns.t_classical[j], *columns.transmissions[j]]
             assert bits(got) == bits(want)
             assert columns.possible[j] == (b == 0.0)
 
     @pytest.mark.parametrize("n, count", [(1, 8), (2, 8), (3, 8), (7, 8), (20, 8), (20, 2000)])
     def test_columns_equal_the_literal_formulas_bit_for_bit(self, n, count):
-        # T_from_theta and the columns share one kernel, so the comparison
-        # above cannot see a fault in it; bounds_row_literal is written apart
+        # T_from_theta is the columns' one-row call, so the comparison above
+        # cannot see a fault in their kernels; bounds_row_literal is written
+        # apart, numpy's exp/tanh/sinh on one Python float at a time
         rows = columns_test_rows(n, count)
         columns = BoundsColumns(rows)
         assert columns.t_classical is columns.t_classical  # cached like the other columns
@@ -401,7 +403,7 @@ class TestBoundsColumns:
             got = [columns.s_n[j], columns.b_n[j], columns.theta_peak[j],
                    *(column[j] for column in columns.envelopes),
                    columns.resonance[0][j], columns.resonance[2][j], columns.t_classical[j],
-                   *(column[j] for column in columns.transmissions)]
+                   *columns.transmissions[j]]
             assert bits(got) == bits(bounds_row_literal(row))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -445,6 +447,61 @@ class TestBoundsColumns:
             BoundsColumns(np.zeros((3, 0)))
         with pytest.raises(RapidityOverflowError):
             BoundsColumns([[1.0, 2.0], [200.0, 200.0]])
+
+
+def ulps_off(got, reference):
+    """|got - exact| in ulps of the exact value, the exact value a
+    double-double (hi, lo)."""
+    hi, lo = reference
+    ulp = np.spacing(np.abs(hi))
+    ulp = np.where((np.frexp(hi)[0] == 0.5) & (lo < 0.0), ulp / 2.0, ulp)  # exact just below 2^k
+    return np.abs((got - hi) - lo) / ulp  # got - hi is exact: both sit within a few ulps
+
+
+class TestKernelAccuracy:
+    def test_envelope_kernels_within_their_ulp_bounds(self):
+        """sech^2, tanh^2 and sinh^2 of 106 002 rapidities in [0,
+        RAPIDITY_LIMIT] against mpmath (oracles.hyperbolic_squares_dd).
+
+        The transcendentals are taken to be as accurate as numpy's own
+        accuracy tests (umath-validation-set-*.csv) require of float64: exp
+        and sinh within 1 ulp of the correctly rounded value and tanh within
+        2, so within 1.5 and 2.5 ulps of the exact value, a relative error of
+        at most 3u and 5u (u = 2^-53; one ulp is at most 2u relatively).  A
+        relative error r is below r / u ulps.  Then, to first order:
+
+        - tanh^2 = th * th: 2 (5u) + u = 11u, so below 11 ulps;
+        - sinh^2 = sh * sh: 2 (3u) + u = 7u, so below 7 ulps;
+        - sech^2 = (2e / (1 + e^2))^2, e = exp(-t): 2e / (1 + e^2) moves by
+          at most e's relative error, 3u (its log-derivative in e is
+          (1 - e^2) / (1 + e^2) <= 1); rounding e * e and 1 + e^2 moves the
+          denominator by at most u e^2 / (1 + e^2) + u <= 1.5u and the
+          quotient adds u, so sech is off by 3u + 2.5u = 5.5u and its
+          square by 2 (5.5u) + u = 12u: below 12 ulps.
+
+        The second-order terms and the reference's own error (~2^-66
+        relative at worst) are far below 0.01 ulp.
+        """
+        rng = np.random.default_rng(2011)
+        # t = anchor + offset, exact: integer anchors, offsets in [0, 1) on a
+        # 2^-44 grid, so each sum (< 2^9) fits 53 bits; the log-spaced small
+        # rapidities keep all their bits, on the anchor 0
+        anchors = np.arange(RAPIDITY_LIMIT)
+        offsets = rng.integers(0, 2 ** 44, 300) / 2.0 ** 44
+        small = 10.0 ** rng.uniform(-12.0, 0.0, 1000)
+        a = np.concatenate([np.repeat(anchors, len(offsets)), np.zeros(len(small)), [0.0],
+                            [RAPIDITY_LIMIT]])
+        b = np.concatenate([np.tile(offsets, len(anchors)), small, [0.0], [0.0]])
+        t = a + b
+        assert (t - a == b).all() and len(t) >= 100_000
+        assert t.min() == 0.0 and t.max() == RAPIDITY_LIMIT
+        columns = BoundsColumns(t[:, None])
+        got = columns.t_min, columns.envelopes[3], columns.envelopes[5]
+        for name, value, reference, limit in zip(("sech^2", "tanh^2", "sinh^2"), got,
+                                                 hyperbolic_squares_dd(a, b), (12.0, 11.0, 7.0)):
+            off = ulps_off(value, reference)
+            worst = int(np.argmax(off))
+            assert off[worst] <= limit, f"{name}({t[worst]!r}) is {off[worst]:.2f} ulps off"
 
 
 def classical_transmission(ts):
