@@ -21,10 +21,10 @@ Supported shapes:
 * PiecewiseConstant(segments): adjacent constant slabs, composed internally.
 
 Every formula takes an array of wavenumbers.  One build at the origin
-makes every refusal of a scenario, the phase range of each position
-included; its alpha, and so every rapidity, T_i and bound, is already the
-placed one.  origin_arrays checks its pairs as built, scenario_arrays after
-translating the betas, which only the exact compound values need.
+(origin_arrays) makes every refusal of a scenario, the phase range of each
+position included, and checks its pairs once; its alpha, and so every
+rapidity, T_i and bound, is already the placed one.  scenario_arrays
+translates the betas, which only the exact compound values need.
 transfer_of / scenario_transfer are one-k calls of scenario_arrays.
 """
 
@@ -256,13 +256,17 @@ def check_layout(specs: list[BarrierSpec] | tuple[BarrierSpec, ...]) -> None:
             )
 
 
-def _origin_build(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
-                  k_sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The wavenumbers and the (alpha, beta) of every barrier centered at the
-    origin, shape (len(k_sweep), len(specs)), with every refusal that placing
-    makes: the wavenumbers, the layout, each barrier's named refusals at the
-    origin and the phase range of its position (transfer.check_phase_range),
-    barrier by barrier.  The pairs are left to the caller's one check_pairs."""
+def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
+                  k_sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (alpha, beta) of every barrier centered at the origin, at every
+    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
+
+    The one build of a scenario, with every refusal that placing makes: the
+    wavenumbers, the layout, each barrier's named refusals at the origin and
+    the phase range of its position (transfer.check_phase_range), barrier by
+    barrier; then one check_pairs over the whole array.  alpha, and so
+    theta_i, T_i and every bound, is what it is at the barrier's position;
+    only beta moves (scenario_arrays)."""
     k = np.asarray(k_sweep, dtype=float)
     bad = ~(np.isfinite(k) & (k > 0.0))
     if bad.any():
@@ -276,18 +280,6 @@ def _origin_build(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     for i, spec in enumerate(specs):
         alpha[:, i], beta[:, i] = _at_origin(spec, k)
         check_phase_range(largest, spec.position)
-    return k, alpha, beta
-
-
-def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
-                  k_sweep) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (alpha, beta) of every barrier centered at the origin, at every
-    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
-
-    alpha, and so theta_i, T_i and every bound, is what it is at the
-    barrier's position; only beta moves (scenario_arrays).  _origin_build,
-    then one check_pairs over the whole array."""
-    _, alpha, beta = _origin_build(specs, k_sweep)
     check_pairs(alpha, beta)
     return alpha, beta
 
@@ -297,15 +289,16 @@ def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     """Exact (alpha, beta) of every barrier at its position, at every
     wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
 
-    _origin_build, with each beta column translated to its
-    barrier's position, then one check_pairs over the placed pairs, so
-    probabilities never depend on placement.  A column is translated as the
-    contiguous array translate takes, so its bits do not depend on the
-    build's layout."""
-    k, alpha, beta = _origin_build(specs, k_sweep)
+    origin_arrays, with each beta column translated to its barrier's
+    position, so probabilities never depend on placement.  The placed pairs
+    are not checked again: translation leaves alpha untouched and turns beta
+    by a unit phase, which moves |beta| by a few ulps.  A column is
+    translated as the contiguous array translate takes, so its bits do not
+    depend on the build's layout."""
+    k = np.asarray(k_sweep, dtype=float)
+    alpha, beta = origin_arrays(specs, k)
     for i, spec in enumerate(specs):
         beta[:, i] = translate(np.ascontiguousarray(beta[:, i]), k, spec.position)
-    check_pairs(alpha, beta)
     return alpha, beta
 
 

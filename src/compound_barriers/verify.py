@@ -256,7 +256,9 @@ def _run_units(units: list, workers: int, make_worker) -> list:
     calling thread among them.  ``make_worker()`` gives each thread its
     function of a unit (and so its own scratch).  A failure stops the other
     threads after their current unit and is raised here.  No name the
-    benchmark's tracer wraps runs on these threads."""
+    benchmark's tracer wraps runs on these threads.  The calling thread
+    works too: a concurrent.futures pool, whose caller only waits, was
+    measured slower on both sweep workloads."""
     import threading
 
     results: list = [None] * len(units)

@@ -187,6 +187,31 @@ def legendre_half_product(thetas) -> float:
     return math.prod(legendre_half(np.asarray(thetas, float)).tolist())
 
 
+def log_cosh_sq(theta):
+    """ln cosh^2 theta = 2 (theta + log1p(e^{-2 theta}) - ln 2), elementwise for
+    theta >= 0, finite across the trusted range (cosh overflows past ~710).
+
+    Under uniform random phases its mean is additive: E[ln cosh^2
+    theta_total] = sum_i ln cosh^2 theta_i, since ln(1/T) = ln |alpha|^2
+    averages to the sum over each phase by Jensen's formula (Anderson,
+    Thouless, Abrahams & Fisher, Phys. Rev. B 22, 3519 (1980))."""
+    theta = np.asarray(theta, float)
+    return 2.0 * (theta + np.log1p(np.exp(-2.0 * theta)) - math.log(2.0))
+
+
+def pair_law_cdf(x, a, b):
+    """P(theta_total <= x) for two barriers of rapidities a, b at a uniform
+    relative phase psi, elementwise over x.
+
+    The composed rapidity obeys cosh 2x = cosh 2a cosh 2b + sinh 2a sinh 2b
+    cos psi, i.e. sinh^2 x = sinh^2(a+b) cos^2(psi/2) + sinh^2(a-b)
+    sin^2(psi/2), and sin^2(psi/2) follows the arcsine law, so the CDF is
+    (2/pi) asin sqrt((sinh^2 x - sinh^2(a-b)) / (sinh 2a sinh 2b)), clipped
+    to [|a-b|, a+b] (no cancellation of e^{2(a+b)} terms)."""
+    share = (np.sinh(x) ** 2 - math.sinh(a - b) ** 2) / (math.sinh(2.0 * a) * math.sinh(2.0 * b))
+    return 2.0 / math.pi * np.arcsin(np.sqrt(np.clip(share, 0.0, 1.0)))
+
+
 def fold_rotating_b(thetas, rho):
     """transfer.boost_fold with one fault: each step also rotates b by its
     rotor (b <- tau q + b rho, not tau q + b).  On (1, 0.2, 0.7, 0.5) its

@@ -281,9 +281,11 @@ def _same_bits(got, want):
     return all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
 
 
+@pytest.mark.dispatch
 class TestOriginBuild:
-    """The bounds read origin_arrays, the audit scenario_arrays: translation
-    moves beta only, so both give every rapidity the same bits."""
+    """The bounds read origin_arrays, the audit scenario_arrays, which is
+    origin_arrays plus translation: translation moves beta only, so both
+    give every rapidity the same bits."""
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
     def test_alpha_equals_the_placed_alpha(self, path):
@@ -316,6 +318,7 @@ class TestOriginBuild:
             assert _same_bits([np.ascontiguousarray(placed[:, i])], [alone[:, 0]]), i
 
 
+@pytest.mark.dispatch
 class TestSlabProfile:
     """Each slab branch runs only on its own entries; the pairs equal bit for
     bit those of the two-branch reference, which runs both over every entry

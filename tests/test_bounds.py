@@ -370,6 +370,7 @@ def columns_test_rows(n, count=8):
     return rows
 
 
+@pytest.mark.dispatch
 class TestBoundsColumns:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
     def test_columns_equal_the_scalar_formulas_bit_for_bit(self, n):
@@ -458,6 +459,7 @@ def ulps_off(got, reference):
     return np.abs((got - hi) - lo) / ulp  # got - hi is exact: both sit within a few ulps
 
 
+@pytest.mark.dispatch
 class TestKernelAccuracy:
     def test_envelope_kernels_within_their_ulp_bounds(self):
         """sech^2, tanh^2 and sinh^2 of 106 002 rapidities in [0,

@@ -468,14 +468,11 @@ class TestCli:
         path.write_text(DOUBLE_RECT.replace("0.4:2.2:400", "0.4:2.2:5"))
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 0
         _, header, clean = read_csv(capsys.readouterr().out)
-        scenario = parse_scenario(path.read_text())
-        alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
-        middle = rapidity(alpha)[2].tolist()
 
         class Shrunk(compound_barriers.verify.BoundsColumns):
             def __init__(self, thetas):
                 super().__init__(thetas)
-                self.s_n[(self.thetas == middle).all(axis=1)] -= 1.0
+                self.s_n[2] -= 1.0
 
         monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", Shrunk)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
@@ -511,13 +508,10 @@ class TestCli:
         # disagreement injected on one row fails the run and names the row
         path = tmp_path / "case.scn"
         path.write_text(DOUBLE_RECT.replace("0.4:2.2:400", "0.4:2.2:5"))
-        scenario = parse_scenario(path.read_text())
-        alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
-        middle = rapidity(alpha)[2]
         recursion = compound_barriers.verify.b_n_iterative_rows
 
         def off(thetas):
-            return recursion(thetas) + 1e-6 * (thetas == middle).all(axis=1)
+            return recursion(thetas) + 1e-6 * (np.arange(len(thetas)) == 2)
 
         monkeypatch.setattr(compound_barriers.verify, "b_n_iterative_rows", off)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
@@ -551,6 +545,7 @@ class TestCli:
         self.run(tmp_path, MINIMAL, "--analysis", analysis, "--seed", "-1", expect=3)
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.dispatch
     def test_committed_scenarios_run(self, capsys):
         # every committed scenario under every analysis: a production
         # scenario has no spatial model to sweep, which is bad input
@@ -595,6 +590,7 @@ SCATTERING_SCENARIOS = [path for path in sorted(SCENARIO_DIR.glob("*.scn"))
                         if load_scenario(path).mode == "scattering"]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("path", SCATTERING_SCENARIOS, ids=lambda path: path.name)
 class TestScalarAgreement:
     """The scalar API is the one-element call of the array algebra the CLI
@@ -687,10 +683,11 @@ class TestFloats:
 
     def test_package_import_leaves_the_cli_out(self):
         # the set-up bench/run.py times, an import and a scenario load, pays
-        # for neither the CLI nor its float formatter
+        # for neither the CLI nor its float formatter, nor a thread pool
         probe = ("import sys, compound_barriers\n"
                  "compound_barriers.load_scenario(sys.argv[1])\n"
-                 "print(sorted({'orjson', 'compound_barriers.cli'} & set(sys.modules)))\n")
+                 "print(sorted({'orjson', 'compound_barriers.cli', 'concurrent.futures'}\n"
+                 "             & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", probe, str(SCENARIO_DIR / "mixed_chain.scn")],
                               env=source_env(), capture_output=True, text=True, timeout=60,
                               check=True)
@@ -750,19 +747,23 @@ def refuse_scalar_path(monkeypatch):
             monkeypatch.setattr(module, name, scalar_path, raising=False)
 
 
+@pytest.mark.dispatch
 class TestArrayBuild:
     @pytest.mark.parametrize("analysis", ["bounds", "sweep", "verify", "resonance"])
     def test_one_scenario_build_per_call(self, analysis, monkeypatch, capsys):
         # one build at the origin, whether or not the analysis then places it
         refuse_scalar_path(monkeypatch)
         builds = []
-        build = compound_barriers.barriers._origin_build
+        build = compound_barriers.barriers.origin_arrays
 
         def counted(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(compound_barriers.barriers, "_origin_build", counted)
+        # counted where a module imports origin_arrays by name (cli does) and in
+        # barriers, where scenario_arrays looks it up
+        for module in (compound_barriers.barriers, compound_barriers.cli, compound_barriers.verify):
+            monkeypatch.setattr(module, "origin_arrays", counted, raising=False)
         code = main(["--scenario", str(SCENARIO_DIR / "mixed_chain.scn"),
                      "--analysis", analysis])
         assert code == 0
@@ -772,7 +773,7 @@ class TestArrayBuild:
     @pytest.mark.parametrize("build", ["origin_arrays", "scenario_arrays"])
     def test_one_pair_check_per_build(self, build, monkeypatch):
         # translating leaves alpha and |beta| as they were: the pairs a build
-        # returns are checked once, after translating where it translates
+        # returns are checked once, at the origin
         checked = []
         check = compound_barriers.barriers.check_pairs
 

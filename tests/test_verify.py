@@ -41,7 +41,10 @@ from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rn
                                       _fold_extremes, _quarter_rotors, _run_units, _theta_error)
 from oracles import (b_n_iterative, block_phases, compose_polar, extremal_phase_search,
                      fold_rotating_b, from_polar, gauge_rotors, legendre_half,
-                     legendre_half_product, matrices, mp_theta)
+                     legendre_half_product, log_cosh_sq, matrices, mp_theta, pair_law_cdf)
+
+# the sweep's rotors take numpy's tan, which is SVML's or libm's by dispatch
+pytestmark = pytest.mark.dispatch
 
 EPS = float(np.finfo(float).eps)
 
@@ -246,15 +249,69 @@ LAW_BLOCKS = 50  # 204,800 samples
 LAW_FALSE_ALARM = 1e-6
 
 
+def sweep_rotors(seed, n):
+    """rotors(block): a block's (n-1, 4096) rotors as the sweep draws them
+    (the quarter angles of sampling contract version 2)."""
+    return lambda block: _quarter_rotors(_block_angles(seed, block, 4096, n))
+
+
+def law_draws(thetas, rotors, fold=boost_fold):
+    """The composed rapidities of LAW_BLOCKS blocks of 4096 samples:
+    ``rotors(block)`` gives a block's (n-1, 4096) rotors, ``fold`` their
+    composed rapidities."""
+    thetas = np.asarray(thetas, float)
+    return np.concatenate([fold(thetas, rotors(block)) for block in range(LAW_BLOCKS)])
+
+
+def law_half_width(count):
+    """sqrt(ln(2/delta)/(2N)) at delta = LAW_FALSE_ALARM: Hoeffding's bound on
+    the mean of N draws of a statistic of range 1, and the
+    Dvoretzky-Kiefer-Wolfowitz-Massart bound on a Kolmogorov-Smirnov
+    distance."""
+    return math.sqrt(math.log(2.0 / LAW_FALSE_ALARM) / (2.0 * count))
+
+
 def law_gap(thetas, rotors, fold=boost_fold):
-    """|mean of P_{-1/2}(cosh 2 theta) over LAW_BLOCKS blocks - its exact mean|,
-    and the Hoeffding half-width at LAW_FALSE_ALARM.  ``rotors(block)`` gives
-    a block's (n-1, 4096) rotors, ``fold`` their composed rapidities."""
-    total = math.fsum(float(legendre_half(fold(thetas, rotors(block))).sum())
-                      for block in range(LAW_BLOCKS))
-    count = LAW_BLOCKS * 4096
-    half_width = math.sqrt(math.log(2.0 / LAW_FALSE_ALARM) / (2.0 * count))
-    return abs(total / count - legendre_half_product(thetas)), half_width
+    """|mean of P_{-1/2}(cosh 2 theta) over law_draws - its exact mean|, and
+    the Hoeffding half-width."""
+    draws = law_draws(thetas, rotors, fold)
+    gap = math.fsum(legendre_half(draws).tolist()) / draws.size - legendre_half_product(thetas)
+    return abs(gap), law_half_width(draws.size)
+
+
+def _spread(n, high, seed, low=0.0):
+    """n rapidities drawn uniformly from [low, high), to two decimals."""
+    return tuple(np.random.default_rng(seed).uniform(low, high, n).round(2).tolist())
+
+
+# The random-phase law across the trusted range: theta_i <= 350/n, n up to 64
+# and S_n from 2.4 to ~320; each sequence's draws are seeded by its length
+WIDE_LAW_SEQUENCES = [(140.0, 124.0), (1.2, 0.7, 0.5), _spread(4, 350 / 4, 0),
+                      _spread(5, 350 / 5, 3), _spread(16, 350 / 16, 2),
+                      _spread(64, 350 / 64, 0, low=4.5)]
+LAW_PAIRS = [(140.0, 124.0), (1.5, 0.9)]
+
+
+def log_cosh_gap(thetas, fold=boost_fold):
+    """|mean of ln cosh^2 theta over the sweep's draws - sum_i ln cosh^2
+    theta_i|, and the Hoeffding half-width of a statistic that ranges over
+    [ln cosh^2 B_n, ln cosh^2 S_n]."""
+    edges = BoundsColumns([thetas])
+    spread = float(log_cosh_sq(edges.s_n.item()) - log_cosh_sq(edges.b_n.item()))
+    draws = law_draws(thetas, sweep_rotors(len(thetas), len(thetas)), fold)
+    gap = math.fsum(log_cosh_sq(draws).tolist()) / draws.size - math.fsum(
+        log_cosh_sq(thetas).tolist())
+    return abs(gap), spread * law_half_width(draws.size)
+
+
+def pair_law_distance(thetas, fold=boost_fold):
+    """Kolmogorov-Smirnov distance of two barriers' draws from pair_law_cdf,
+    and its bound."""
+    draws = law_draws(thetas, sweep_rotors(2, 2), fold)
+    cdf = pair_law_cdf(np.sort(draws), *thetas)
+    rank = np.arange(1, cdf.size + 1) / cdf.size
+    distance = max(float((rank - cdf).max()), float((cdf - (rank - 1.0 / cdf.size)).max()))
+    return distance, law_half_width(cdf.size)
 
 
 class TestRandomPhaseLaw:
@@ -269,7 +326,13 @@ class TestRandomPhaseLaw:
     LAW_FALSE_ALARM = 1e-6 per sequence, about 6e-3 at N = 204,800.  The
     check has power only at moderate S_n, where the product is not small
     against that half-width; an opaque chain's product is ~e^{-S_n}, and any
-    law passes there."""
+    law passes there.
+
+    Across the trusted range the statistic is ln cosh^2 theta, whose mean is
+    additive (tests/oracles.log_cosh_sq), bounded by Hoeffding over its range
+    [ln cosh^2 B_n, ln cosh^2 S_n].  For two barriers a fold that always
+    returns S_n can stay within that half-width, so their draws are also
+    held to the closed-form law by a Kolmogorov-Smirnov test."""
 
     def test_statistic_is_the_legendre_function(self):
         thetas = np.array([0.01, 0.1, 0.5, 1.0, 3.0, 10.0])
@@ -281,8 +344,7 @@ class TestRandomPhaseLaw:
     @pytest.mark.parametrize("i, thetas", enumerate(LAW_SEQUENCES))
     def test_sweep_draw_keeps_the_law(self, i, thetas):
         # the quarter angles of sampling contract version 2, folded as the sweep folds them
-        gap, half_width = law_gap(
-            thetas, lambda block: _quarter_rotors(_block_angles(i, block, 4096, len(thetas))))
+        gap, half_width = law_gap(thetas, sweep_rotors(i, len(thetas)))
         assert gap <= half_width
 
     @pytest.mark.parametrize("i, thetas", enumerate(LAW_SEQUENCES))
@@ -296,10 +358,36 @@ class TestRandomPhaseLaw:
     def test_a_fold_that_rotates_b_breaks_the_law(self, i, thetas):
         # on (1, 0.2, 0.7, 0.5) the faulty fold stays inside [B_n, S_n], so
         # containment alone passes it there; the law check catches it everywhere
-        gap, half_width = law_gap(
-            thetas, lambda block: _quarter_rotors(_block_angles(i, block, 4096, len(thetas))),
-            fold_rotating_b)
+        gap, half_width = law_gap(thetas, sweep_rotors(i, len(thetas)), fold_rotating_b)
         assert gap > half_width
+
+    def test_log_cosh_statistic_matches_mpmath(self):
+        # to a few eps absolutely near 0 (ln 2 cancels), relatively past 1
+        for theta in (0.0, 1e-8, 0.3, 2.0, 20.0, 350.0):
+            ref = 2 * mpmath.log(mpmath.cosh(mpmath.mpf(theta)))
+            assert abs(float(log_cosh_sq(theta)) - float(ref)) <= 4.0 * EPS * max(1.0, theta)
+
+    @pytest.mark.parametrize("thetas", WIDE_LAW_SEQUENCES, ids=lambda thetas: f"n{len(thetas)}")
+    def test_sweep_draw_keeps_the_log_cosh_mean(self, thetas):
+        gap, half_width = log_cosh_gap(thetas)
+        assert gap <= half_width
+
+    @pytest.mark.parametrize("thetas", [thetas for thetas in WIDE_LAW_SEQUENCES if len(thetas) >= 3],
+                             ids=lambda thetas: f"n{len(thetas)}")
+    def test_log_cosh_mean_catches_a_fold_that_rotates_b(self, thetas):
+        gap, half_width = log_cosh_gap(thetas, fold_rotating_b)
+        assert gap > half_width
+
+    @pytest.mark.parametrize("thetas", LAW_PAIRS, ids=lambda thetas: "-".join(map(str, thetas)))
+    def test_sweep_draw_keeps_the_pair_law(self, thetas):
+        distance, bound = pair_law_distance(thetas)
+        assert distance <= bound
+
+    @pytest.mark.parametrize("thetas", LAW_PAIRS, ids=lambda thetas: "-".join(map(str, thetas)))
+    def test_pair_law_catches_a_fold_that_rotates_b(self, thetas):
+        # with two barriers the faulty fold returns S_n at every phase
+        distance, bound = pair_law_distance(thetas, fold_rotating_b)
+        assert distance > bound
 
 
 class TestExactCompositionContainment:
