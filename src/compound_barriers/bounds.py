@@ -184,15 +184,75 @@ def b_n_iterative_rows(thetas) -> np.ndarray:
     return b
 
 
+# Arrays of fewer rows take math.fsum row by row: the cascade's ~7 n numpy
+# calls cost more than fsum's ~0.2-3 us a row there.  Measured in process
+# on a 2-vCPU VM pinned to one CPU, best of 7 x 200 _row_sums calls, fsum
+# against the cascade: n = 20 at 1 row 2 / 97 us, 64 rows 47 / 64 us, 96
+# rows 74 / 63 us; n = 1 64 rows 14 / 14 us; n = 2 96 rows 24 / 25 us;
+# n = 64 64 rows 123 / 173 us, 96 rows 189 / 175 us.  Every n crosses
+# between 64 and 96 rows.
+_CASCADE_MIN_ROWS = 80
+
+
+def _fsum_rows(thetas: np.ndarray, rows) -> np.ndarray:
+    """math.fsum of each listed row of a C-contiguous (n_rows, n) array.  It
+    reads the row's memory: its floats are made one at a time as fsum reads
+    them, not as nested lists first."""
+    n, flat = thetas.shape[1], memoryview(thetas.reshape(-1))
+    return np.fromiter((math.fsum(flat[i * n:i * n + n]) for i in rows), float, len(rows))
+
+
+def _row_sums(thetas: np.ndarray) -> np.ndarray:
+    """Each row's sum correctly rounded, bit for bit math.fsum's value, for a
+    C-contiguous (n_rows, n) array of finite rapidities >= 0.
+
+    A cascade of Knuth's error-free TwoSum down the columns carries each
+    row's running sum hi and the plain sum lo of the exact rounding errors
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005), Sum2).  The
+    double-double hi + lo lies within gamma_{n-1}^2 sum|theta_i| of the
+    exact sum S, gamma_k = k u / (1 - k u), u = 2^-53; with theta_i >= 0
+    that is ~(n - 1)^2 u^2 S.  Rounding it once gives s and the exact
+    residual d = hi + lo - s; s is S correctly rounded when |d| plus that
+    bound stays below half the gap from s down to the next float (the
+    smaller of its two gaps), since every real that close to s rounds to
+    it.  Rows this cannot decide (exact double-double ties, zero and
+    subnormal sums, an overflowing sum) take math.fsum, as do arrays too
+    small for the cascade to pay (_CASCADE_MIN_ROWS).
+    """
+    rows, n = thetas.shape
+    if rows < _CASCADE_MIN_ROWS:
+        return _fsum_rows(thetas, range(rows))
+    columns = thetas.T
+    hi, lo = columns[0], np.zeros(rows)
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow is left to fsum
+        for t in columns[1:]:  # TwoSum: total + the error lo takes == hi + t exactly
+            total = hi + t
+            back = total - hi
+            lo += (hi - (total - back)) + (t - back)
+            hi = total
+        s = hi + lo
+        back = s - hi
+        residual = (hi - (s - back)) + (lo - back)
+        # 2 (n-1)^2 u^2 s covers gamma_{n-1}^2 S and its own rounding; the
+        # n 2^-1074 covers that product's underflow
+        bound = 2.0 * (n - 1) ** 2 * 2.0 ** -106 * s + n * 2.0 ** -1074
+        undecided = np.flatnonzero(~(np.abs(residual) + bound
+                                     < 0.5 * (s - np.nextafter(s, 0.0))))
+    s[undecided] = _fsum_rows(thetas, undecided.tolist())
+    return s
+
+
 class BoundsColumns:
     """[B_n, S_n], the six envelopes and the resonance verdict of every row of
     an (n_rows, n) rapidity array, one float (or bool) array per quantity,
     one entry per row.
 
-    S_n (math.fsum per row), theta_peak, B_n and the verdict are computed on
-    construction, the other columns on first use, once.  Each column is one
-    pass of this module's formula kernels over an array.  The float calls
-    (T_from_theta, R_from_theta, N_from_theta, b_n_closed, bounds_report,
+    S_n (each row's sum correctly rounded, math.fsum's value bit for bit:
+    an error-free TwoSum cascade over the columns, with fsum for the rows it
+    cannot decide and for arrays of few rows, see _row_sums), theta_peak,
+    B_n and the verdict are computed on construction, the other columns on
+    first use, once.  Each column is one pass of this module's formula
+    kernels over an array.  The float calls (T_from_theta, R_from_theta, N_from_theta, b_n_closed, bounds_report,
     resonance_assessment, production_guaranteed) are its one-row calls, so
     they give what entry j holds for row j.  Construction is the one check:
     a non-finite or negative rapidity is a DomainError, a row with S_n above
@@ -209,11 +269,8 @@ class BoundsColumns:
         bad = ~np.isfinite(thetas) | (thetas < 0.0)
         if bad.any():
             raise DomainError(f"rapidities must be finite and >= 0, got {float(thetas[bad][0])!r}")
-        # fsum of each row's memory: its floats are made one at a time as
-        # fsum reads them, not as nested lists first
-        n, flat = thetas.shape[1], memoryview(np.ascontiguousarray(thetas).reshape(-1))
-        s = np.fromiter((math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)), float,
-                        thetas.shape[0])
+        thetas = np.ascontiguousarray(thetas)
+        s = _row_sums(thetas)  # correctly rounded: recursion_audit's tolerance assumes it
         over = s > RAPIDITY_LIMIT
         if over.any():
             raise RapidityOverflowError(f"S_n = {float(s[over][0])!r} exceeds trusted range "

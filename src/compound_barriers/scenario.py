@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .barriers import BarrierSpec, Delta, PiecewiseConstant, Rectangular, check_layout, support
 from .errors import DomainError, ParseError
 
@@ -58,9 +60,11 @@ class Scenario:
         for a in self.analyses:
             if a not in ANALYSES:
                 raise DomainError(f"unknown analysis {a!r}, expected one of {ANALYSES}")
-        for k in self.k_values:
-            if not (math.isfinite(k) and k > 0.0):
-                raise DomainError(f"wavenumbers must be finite and > 0, got {k!r}")
+        k = np.asarray(self.k_values)  # no dtype: a k that is not a number stays a TypeError
+        bad = ~(np.isfinite(k) & (k > 0.0))  # one array test, no Python call per k
+        if bad.any():
+            raise DomainError(f"wavenumbers must be finite and > 0, "
+                              f"got {self.k_values[bad.argmax()]!r}")
         if self.mode == "scattering":
             if not self.barriers:
                 raise DomainError("scattering scenario needs at least one barrier")
@@ -170,7 +174,10 @@ def _parse_sweep(value: str, line_no: int) -> tuple[float, ...]:
         if steps == 1:
             return (start,)
         h = (stop - start) / (steps - 1)
-        return tuple(start + i * h for i in range(steps))
+        # start + i * h, the same two IEEE operations per k as a Python loop;
+        # an overflow to inf or nan is left for Scenario to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple((start + np.arange(steps) * h).tolist())
     items = value.replace(",", " ").split()
     if not items:
         raise ParseError("k needs at least one value", line_no, "k")

@@ -508,9 +508,10 @@ def recursion_audit(bounds: BoundsColumns) -> tuple[float, list[int]]:
     The recursion sums plainly: its running sum is off by at most (n - 1) u S_n
     (u = eps/2) and its n - 1 subtractions add at most (n - 1) u S_n, since
     B_{m+1} = max(t - S_m, B_m - t, 0) moves no more than its arguments; B_n
-    (fsum, one subtraction) is off by at most 2 u S_n.  So the gap is at most
-    n eps S_n, doubled for the tolerance.  An absolute tolerance fails long
-    chains: 2123 barriers at S_n ~ 316 show gaps above 2e-12.
+    (correctly rounded S_n, one subtraction) is off by at most 2 u S_n.  So
+    the gap is at most n eps S_n, doubled for the tolerance.  An absolute
+    tolerance fails long chains: 2123 barriers at S_n ~ 316 show gaps above
+    2e-12.
     """
     thetas, b = bounds.thetas, bounds.b_n
     gaps = np.maximum(np.abs(b_n_iterative_rows(thetas) - b),
@@ -582,9 +583,9 @@ def _containment_band(thetas, theta_exact, s):
     (c = 8, generous), i.e. _theta_error(theta_exact, delta) in rapidity.
     The edges carry the per-barrier errors _theta_error(theta_i, c eps
     cosh(theta_i)), at most three times their sum (B_n = 2 theta_peak -
-    S_n); 4 eps S_n covers the last acosh, fsum and subtraction.  Relative
-    to cosh(S_n), the band holds across the trusted range; an absolute N
-    tolerance does not."""
+    S_n); 4 eps S_n covers the last acosh, the one rounding of the correctly
+    rounded S_n and the subtraction.  Relative to cosh(S_n), the band holds
+    across the trusted range; an absolute N tolerance does not."""
     delta = _C_EPS * thetas.shape[-1] * np.cosh(s)
     edges = _theta_error(thetas, _C_EPS * np.cosh(thetas)).sum(axis=-1)
     return _theta_error(theta_exact, delta) + 3.0 * edges + _C_EPS / 2.0 * np.maximum(1.0, s)

@@ -29,7 +29,7 @@ from compound_barriers import (
     theta_from_R,
     theta_from_T,
 )
-from compound_barriers.bounds import b_n_iterative_rows
+from compound_barriers.bounds import _CASCADE_MIN_ROWS, b_n_iterative_rows
 from conftest import two_barrier_N, two_barrier_R, two_barrier_T
 from oracles import (
     b_n_iterative,
@@ -370,6 +370,38 @@ def columns_test_rows(n, count=8):
     return rows
 
 
+def sum_test_rows(n, count):
+    """count rows of n rapidities, each drawn from one of seven kinds that a
+    sum rounded once could get wrong: uniform below 350/n, log-uniform from
+    1e-300 to 350/n, powers of two from the smallest subnormal up, exact
+    ties (one 1 and one 2^-53, the rest 0, 2^-106, 2^-54 or 2^-53, shuffled
+    and scaled by a power of two), all zeros, subnormal terms among uniform
+    ones, and rows just above a tie whose error sum rounds below it (1.5,
+    2^-53 - 2^-106, then three of 0.49 2^-106: the double-double reads
+    1.5 + 2^-53 - 2^-106, the exact sum is 0.47 2^-106 past the midpoint
+    1.5 + 2^-53).  No row sums above 350."""
+    rng = np.random.default_rng(1000 * n + count)
+    top = 350.0 / n
+    ties = rng.choice([0.0, 2.0 ** -106, 2.0 ** -54, 2.0 ** -53], (count, n))
+    ties[:, 0] = 1.0
+    ties[:, 1:2] = 2.0 ** -53
+    subnormal = rng.uniform(0.0, top, (count, n))
+    tiny = rng.random((count, n)) < 0.5
+    subnormal[tiny] = 5e-324 * rng.integers(1, 2 ** 52, np.count_nonzero(tiny))
+    past = np.zeros((count, n))
+    past[:, :5] = [1.5, 2.0 ** -53 - 2.0 ** -106, *[0.49 * 2.0 ** -106] * 3][:n]
+    kinds = np.stack([
+        rng.uniform(0.0, top, (count, n)),
+        10.0 ** rng.uniform(-300.0, math.log10(top), (count, n)),
+        np.ldexp(1.0, rng.integers(-1074, math.floor(math.log2(top)), (count, n))),
+        rng.permuted(ties, axis=1) * np.ldexp(1.0, rng.integers(-1000, 1, (count, 1))),
+        np.zeros((count, n)),
+        subnormal,
+        past * np.ldexp(1.0, rng.integers(-1000, 1, (count, 1))),
+    ])
+    return kinds[rng.integers(0, len(kinds), count), np.arange(count)]
+
+
 @pytest.mark.dispatch
 class TestBoundsColumns:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -422,6 +454,26 @@ class TestBoundsColumns:
             assert res.possible == columns.possible[j]
             assert bits([res.t_peak, res.t_min, res.threshold, res.margin]) == bits(
                 [column[j] for column in columns.resonance])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 33, 64])
+    def test_s_n_is_fsum_bit_for_bit(self, n, monkeypatch):
+        # below _CASCADE_MIN_ROWS every row takes fsum; from it on the
+        # TwoSum cascade decides the rows and fsum takes the ones it cannot:
+        # the ties, the zero rows
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+        for count in (1, _CASCADE_MIN_ROWS - 1, _CASCADE_MIN_ROWS, 600):
+            rows = sum_test_rows(n, count)
+            calls.clear()
+            got = BoundsColumns(rows).s_n
+            routed = len(calls)
+            assert bits(got) == bits(fsum(row) for row in rows.tolist())
+            if count < _CASCADE_MIN_ROWS:
+                assert routed == count
+            else:
+                assert 0 < routed < count
+        for row in rows[:100].tolist():
+            assert bits([s_n(seq(*row))]) == bits([BoundsColumns([row]).s_n.item()])
 
     def test_permuted_rows_give_identical_edges(self):
         rows = columns_test_rows(20)

@@ -19,6 +19,7 @@ import compound_barriers.barriers
 import compound_barriers.cli
 import compound_barriers.verify
 from compound_barriers import (
+    BoundsColumns,
     Delta,
     DomainError,
     OverlapError,
@@ -26,6 +27,7 @@ from compound_barriers import (
     PiecewiseConstant,
     RapiditySequence,
     Rectangular,
+    Scenario,
     WaveContext,
     amplitudes,
     bounds_report,
@@ -34,10 +36,10 @@ from compound_barriers import (
     scenario_transfer,
     transfer_of,
 )
-from compound_barriers.barriers import scenario_arrays
+from compound_barriers.barriers import origin_arrays, scenario_arrays
 from compound_barriers.cli import EXIT_BROKEN_PIPE, main
 from compound_barriers.errors import BoundViolationError
-from compound_barriers.scenario import load_scenario
+from compound_barriers.scenario import _parse_sweep, load_scenario
 from compound_barriers.transfer import rapidity
 from compound_barriers.verify import RowSweep
 from oracles import floats_repr
@@ -128,6 +130,33 @@ class TestParsing:
                 k = -1.0
                 barrier delta position=0.0 strength=1.0
             """)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 2000])
+    def test_sweep_grid_is_the_python_loop_bit_for_bit(self, steps):
+        # start + i * h for each i, as a Python loop of floats writes it;
+        # ascending and descending ranges of random ends and spans
+        rng = np.random.default_rng(steps)
+        ends = [(0.5, 2.0), (3.0, 0.3), (1e-3, 1e3)]
+        ends += [tuple((rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-4.0, 4.0, 2)).tolist())
+                 for _ in range(40)]
+        assert any(start > stop for start, stop in ends[3:])
+        for start, stop in ends:
+            got = _parse_sweep(f"{start!r}:{stop!r}:{steps}", 1)
+            if steps == 1:
+                want = (start,)
+            else:
+                h = (stop - start) / (steps - 1)
+                want = tuple(start + i * h for i in range(steps))
+            assert [type(k) for k in got] == [float] * steps
+            assert [k.hex() for k in got] == [k.hex() for k in want]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5])
+    def test_bad_wavenumber_is_named(self, bad):
+        # one array test for the whole sweep, and the first bad k in the message
+        barriers = (Delta(strength=1.0, position=0.0),)
+        with pytest.raises(DomainError) as err:
+            Scenario(barriers=barriers, k_values=(0.5, 1.0, bad, -3.0, math.nan))
+        assert str(err.value) == f"wavenumbers must be finite and > 0, got {bad!r}"
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as err:
@@ -665,6 +694,21 @@ class TestFloats:
         assert len(fields) == length
         assert fields == list(floats_repr(values))
 
+    def test_repr_cells_at_chunk_edges(self):
+        # cells repr lays out apart, at both ends of the first two chunks and
+        # at the last value, found once for the column and patched per chunk
+        values = np.linspace(0.5, 2.0, 700)
+        specials = [1e-5, math.nan, math.inf, -1e17, -math.inf, 5e-324]
+        values[[0, 255, 256, 511, 512, 699]] = specials
+        assert list(compound_barriers.cli._floats(values)) == list(floats_repr(values))
+        assert list(compound_barriers.cli._floats(values[255:257])) == ["nan", "inf"]
+
+    def test_all_repr_column(self):
+        values = np.resize([1e-5, -1e20, math.nan, math.inf, -math.inf, 1e-300, -5e-324], 1000)
+        fields = list(compound_barriers.cli._floats(values))
+        assert fields == list(floats_repr(values))
+        assert fields[:5] == ["1e-05", "-1e+20", "nan", "inf", "-inf"]
+
     def test_formats_one_chunk_at_a_time(self, monkeypatch):
         # the writer's row-wise zip reads one field per column at a time, so
         # a column holds no more than one chunk of 256 strings
@@ -735,6 +779,64 @@ class TestWriter:
                                              "contained": ["true", "true"]}, {}, [])
         with pytest.raises(ValueError, match="shorter"):
             compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+
+
+def chain_scenario_text(steps):
+    """A 20-barrier chain (7 rects, 3 rect wells, 4 deltas, 2 delta wells,
+    4 two-segment slabs, drawn in the chain-scan benchmark's ranges) swept
+    over steps k from 0.3 to 3.0."""
+    rng = np.random.default_rng(2000)
+    kinds = ["rect"] * 7 + ["well"] * 3 + ["delta"] * 4 + ["dwell"] * 2 + ["slab"] * 4
+    lines, left = [f"k = 0.3:3.0:{steps}"], 0.0
+    for kind in rng.permutation(kinds):
+        left += rng.uniform(0.3, 1.5)
+        if kind in ("rect", "well"):
+            height = rng.uniform(0.5, 2.5) if kind == "rect" else -rng.uniform(0.3, 1.5)
+            width = rng.uniform(0.2, 0.8)
+            lines.append(f"barrier rect position={left + width / 2:.6f} "
+                         f"height={height:.6f} width={width:.6f}")
+            left += width
+        elif kind in ("delta", "dwell"):
+            strength = rng.uniform(0.3, 2.0) * (1.0 if kind == "delta" else -1.0)
+            lines.append(f"barrier delta position={left:.6f} strength={strength:.6f}")
+        else:
+            segments = rng.uniform([0.5, 0.2], [2.0, 0.5], (2, 2))
+            width = segments[:, 1].sum()
+            body = ",".join(f"{h:.6f}x{w:.6f}" for h, w in segments)
+            lines.append(f"barrier slab position={left + width / 2:.6f} segments={body}")
+            left += width
+    return "\n".join(lines) + "\n"
+
+
+class TestArrayPasses:
+    """The chain-scan path runs its rows in array passes, not one Python
+    call per row or per k.  Counts, not timings."""
+
+    def test_chain_scan_bounds_take_fsum_on_few_rows(self, monkeypatch):
+        # S_n comes from the TwoSum cascade; fsum takes only the rows it
+        # cannot decide
+        scenario = parse_scenario(chain_scenario_text(2000))
+        alpha, _ = origin_arrays(scenario.barriers, scenario.k_values)
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+        bounds = BoundsColumns(rapidity(alpha))
+        assert bounds.thetas.shape == (2000, 20)
+        assert len(calls) <= 0.02 * 2000
+
+    def test_sweep_scenario_makes_no_python_call_per_k(self):
+        # the profiler sees every Python frame and every builtin called from
+        # one; a 2000-step sweep sees exactly as many as a 20-step one
+        def events(steps):
+            text, seen = chain_scenario_text(steps), []
+            sys.setprofile(lambda frame, event, arg: seen.append(event))
+            try:
+                parse_scenario(text)
+            finally:
+                sys.setprofile(None)
+            return len(seen)
+
+        few = events(20)
+        assert events(2000) == few
 
 
 def refuse_scalar_path(monkeypatch):
