@@ -5,10 +5,11 @@
 Output is RFC-4180-style CSV preceded by '#'-prefixed metadata lines
 (units convention, seed, generator, tool version), so a table is fully
 reproducible from the file alone.  Every float field is the text repr
-writes for it, the shortest that reads back as the same double; orjson's
-Ryu formatter writes it, 256 values at a time, with repr itself for the
-values whose layout differs (below 1e-4, from 1e16, nan and inf).  The CLI
-alone imports orjson, so `import compound_barriers` does not load it.
+writes for it, the shortest that reads back as the same double.  The table
+is written 256 rows at a time: orjson's Ryu formatter writes each block's
+float matrix in one call, commas included, and repr itself writes the cells
+whose layout differs (from 1e-9 to below 1e-4, from 1e16, nan and inf).
+The CLI alone imports orjson, so `import compound_barriers` does not load it.
 
 Exit codes: 0 all checks pass, 2 a containment/equivalence check failed, 3
 bad input (an unreadable or invalid scenario, an analysis its mode cannot
@@ -29,7 +30,7 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import orjson
@@ -52,58 +53,22 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10_000
 EXIT_BROKEN_PIPE = 141
 _ENVELOPES = ("T_min", "T_upper", "R_low", "R_high", "N_low", "N_high")
-# floats formatted at once per column: the writer's row-wise zip holds one
-# chunk of strings per column, so the 2000-row bounds table of a 20-barrier
-# chain (28 float columns) holds at most 28 x 256 strings, not 56 000;
-# whole columns measured ~3.5 MB more peak RSS on that table
-_FLOAT_CHUNK = 256
+# rows written at once: a block is one float matrix, one orjson dump and one
+# write, made and dropped before the next, so a table of any length holds
+# one block's matrix and text (on the 2000-row, 29-column bounds table of a
+# 20-barrier chain, ~60 KB and ~130 KB, where the whole text is ~1 MB)
+_ROW_BLOCK = 256
 
 
 @dataclass
 class Table:
-    """CSV columns by name, each an iterable of fields read once, as the
-    table is written."""
+    """CSV columns by name, each one-dimensional and all of one length: floats
+    (written as repr writes each value as a Python float), bools (true or
+    false) or str (written as they are, the '-' of production verify)."""
 
-    columns: dict[str, Iterable[str]]
+    columns: dict[str, Sequence | np.ndarray]
     meta: dict[str, object]
     failures: list[str]
-
-
-def _floats(values: Sequence[float] | np.ndarray) -> Iterator[str]:
-    """The one step from float to text: the text repr writes for each value
-    as a Python float, the shortest that reads back as the same float, so no
-    numpy scalar's repr reaches a table.  Formatted lazily, a chunk at a
-    time: one orjson dump and one split per chunk, patched with repr at the
-    column's repr cells, which are found once per column."""
-    values = np.ascontiguousarray(values, dtype=float)
-    # orjson writes the same shortest, nearest digits as repr (both are
-    # round-trip exact), but not repr's layout outside [1e-4, 1e16) -- repr
-    # takes exponent form there, as 1e-05 and 1e+16 -- nor nan and +-inf,
-    # which it writes as null.  The test on the double is exact: one below
-    # 1e-4 cannot print as 0.0001, one below 1e16 cannot print as 1e+16.
-    magnitude = np.abs(values)
-    apart = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16) | (magnitude == 0.0)))
-    # the column's repr cells, cut by chunk: chunk c patches cells
-    # apart[cuts[c]:cuts[c + 1]].  Their text is made as the chunk is: all of
-    # a table's at once measured ~0.4 MB more peak RSS on chain-scan
-    starts = range(0, values.size, _FLOAT_CHUNK)
-    cuts = np.searchsorted(apart, [*starts, values.size]).tolist()
-
-    def chunk(c: int) -> list[str]:
-        start, cells = starts[c], apart[cuts[c]:cuts[c + 1]]
-        fields = orjson.dumps(values[start:start + _FLOAT_CHUNK],
-                              option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-        for i, value in zip((cells - start).tolist(), values[cells].tolist()):
-            fields[i] = repr(value)
-        return fields
-
-    return itertools.chain.from_iterable(map(chunk, range(len(starts))))
-
-
-def _flags(values: Sequence[bool] | np.ndarray) -> Iterator[str]:
-    """true/false for each value, taken from a two-entry array by index."""
-    texts = np.array(("false", "true"), dtype=object)
-    return iter(texts.take(np.asarray(values, dtype=np.intp)))
 
 
 def _bounds(scenario: Scenario) -> BoundsColumns:
@@ -120,19 +85,19 @@ def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
         check = production_guaranteed(scenario.episodes)
         names = [f"N_{i + 1}" for i in range(len(scenario.episodes))]
         values = [*scenario.episodes, check.n_min, check.n_max, check.threshold]
-        columns = {name: _floats([value]) for name, value
+        columns = {name: [value] for name, value
                    in zip(names + ["N_low", "N_high", "threshold"], values)}
-        columns["production_guaranteed"] = _flags([check.guaranteed])
+        columns["production_guaranteed"] = [check.guaranteed]
         return Table(columns, {}, [])
 
     bounds = _bounds(scenario)
     # per-barrier T_i through the same rapidities as the envelopes, so a
     # one-barrier table degenerates to exact equality of all three columns
-    columns = {"k": _floats(scenario.k_values)}
-    columns.update((f"T_{i + 1}", _floats(ts)) for i, ts in enumerate(bounds.transmissions.T))
-    columns.update(zip(_ENVELOPES, map(_floats, bounds.envelopes)))
-    columns["T_classical"] = _floats(bounds.t_classical)
-    columns["resonance_possible"] = _flags(bounds.possible)
+    columns = {"k": scenario.k_values}
+    columns.update((f"T_{i + 1}", ts) for i, ts in enumerate(bounds.transmissions.T))
+    columns.update(zip(_ENVELOPES, bounds.envelopes))
+    columns["T_classical"] = bounds.t_classical
+    columns["resonance_possible"] = bounds.possible
     return Table(columns, {}, [])
 
 
@@ -141,10 +106,10 @@ def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
     if scenario.mode == "production":
         raise DomainError("sweep analysis needs a spatial model (scattering mode)")
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
-    columns = {"k": _floats(scenario.k_values), "T_exact": _floats(audit.t_exact),
-               "R_exact": _floats(audit.r_exact), "N_exact": _floats(audit.n_exact)}
-    columns.update(zip(_ENVELOPES, map(_floats, audit.bounds.envelopes)))
-    columns["contained"] = _flags(audit.contained)
+    columns = {"k": scenario.k_values, "T_exact": audit.t_exact,
+               "R_exact": audit.r_exact, "N_exact": audit.n_exact}
+    columns.update(zip(_ENVELOPES, audit.bounds.envelopes))
+    columns["contained"] = audit.contained
     meta = {
         "k_at_max_T": audit.k_at_max_t,
         "k_at_min_T": audit.k_at_min_t,
@@ -169,7 +134,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     else:
         audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
         bounds = audit.bounds
-        k, contained = _floats(scenario.k_values), _flags(audit.contained)
+        k, contained = scenario.k_values, audit.contained
         failures = [] if audit.all_contained else ["exact compound values escaped the envelopes"]
 
     worst, failing = recursion_audit(bounds)
@@ -182,10 +147,10 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
         failures.append(f"iterative/closed-form equivalence audit failed in rows {failing}")
     sweeps = random_phase_sweeps(bounds, samples, seed)
     failures += [str(sweep.violation) for sweep in sweeps if sweep.violation is not None]
-    columns = {"k": k, "B_n": _floats(bounds.b_n), "S_n": _floats(bounds.s_n),
-               "theta_min_observed": _floats([sweep.theta_min_observed for sweep in sweeps]),
-               "theta_max_observed": _floats([sweep.theta_max_observed for sweep in sweeps]),
-               "sweep_ok": _flags([sweep.violation is None for sweep in sweeps]),
+    columns = {"k": k, "B_n": bounds.b_n, "S_n": bounds.s_n,
+               "theta_min_observed": [sweep.theta_min_observed for sweep in sweeps],
+               "theta_max_observed": [sweep.theta_max_observed for sweep in sweeps],
+               "sweep_ok": [sweep.violation is None for sweep in sweeps],
                "exact_contained": contained}
     return Table(columns, meta, failures)
 
@@ -195,17 +160,17 @@ def run_resonance(scenario: Scenario, seed: int, samples: int) -> Table:
     condition for nonzero production (production mode)."""
     if scenario.mode == "production":
         check = production_guaranteed(scenario.episodes)
-        columns = {"N_peak": _floats([check.n_peak]), "N_max": _floats([check.n_max]),
-                   "threshold": _floats([check.threshold]),
-                   "margin": _floats([check.n_peak - check.threshold]),
-                   "production_guaranteed": _flags([check.guaranteed]),
-                   "N_min_guaranteed": _floats([check.n_min])}
+        columns = {"N_peak": [check.n_peak], "N_max": [check.n_max],
+                   "threshold": [check.threshold],
+                   "margin": [check.n_peak - check.threshold],
+                   "production_guaranteed": [check.guaranteed],
+                   "N_min_guaranteed": [check.n_min]}
         return Table(columns, {}, [])
 
     bounds = _bounds(scenario)
-    columns = {"k": _floats(scenario.k_values)}
-    columns.update(zip(("T_peak", "T_min", "threshold", "margin"), map(_floats, bounds.resonance)))
-    columns["resonance_possible"] = _flags(bounds.possible)
+    columns = {"k": scenario.k_values}
+    columns.update(zip(("T_peak", "T_min", "threshold", "margin"), bounds.resonance))
+    columns["resonance_possible"] = bounds.possible
     return Table(columns, {}, [])
 
 
@@ -222,16 +187,54 @@ def _resolve(flag: int | None, file_value: int | None, fallback: int) -> int:
     return flag if flag is not None else file_value if file_value is not None else fallback
 
 
+def _block_text(parts: list[np.ndarray]) -> str:
+    """The lines of a block of rows, one part of each column: floats as the
+    text repr writes, bools as true/false and str cells as they are.  One
+    float matrix and one orjson dump, split once at the row breaks and once
+    at the nulls, and one join; all of it is dropped on return."""
+    is_float = np.array([part.dtype.kind == "f" for part in parts])
+    block = np.full((len(parts[0]), len(parts)), np.nan)
+    texts = np.empty(block.shape, dtype=object)
+    flag_text = np.array(["false", "true"], dtype=object)
+    for j, part in enumerate(parts):
+        if is_float[j]:
+            block[:, j] = part
+        else:
+            texts[:, j] = flag_text.take(part) if part.dtype == bool else part
+    # orjson writes the same shortest, nearest digits as repr (both are
+    # round-trip exact), but not repr's layout from 1e-9 to below 1e-4 or from
+    # 1e16 -- repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and
+    # 1e16 -- and it writes nan and +-inf as null.  Below 1e-9 the exponent
+    # has two or three digits, and both write it alike (1e-10).  The test on
+    # the double is exact: one below 1e-4 cannot print as 0.0001, one below
+    # 1e16 cannot print as 1e+16.  Those cells and the flag and text cells
+    # (nan in block) are dumped as null, which no finite cell's text holds,
+    # and spliced back in row-major order, orjson's order
+    magnitude = np.abs(block)
+    apart = ~((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16))
+    by_repr = apart & is_float
+    texts[by_repr] = list(map(repr, block[by_repr].tolist()))
+    block[apart] = np.nan
+    pieces = (b"\n".join(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+                          .split(b"],[")).decode().split("null"))
+    fields = [*texts[apart].tolist(), "\n"]
+    return "".join(itertools.chain.from_iterable(zip(pieces, fields, strict=True)))
+
+
 def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
                  seed: int, samples: int) -> None:
-    """The '#' metadata, then the header and one joined line per row, streamed.
+    """The '#' metadata, then the header and the rows, a block of rows at a time.
 
     No header or field needs CSV quoting: headers are plain identifiers and
     every field is the text repr writes for a float, true/false or '-', none
-    holding a comma, a quote or a line break.  So joining with commas writes
-    exactly what csv.writer with a newline line terminator would.  A column
-    shorter than the others raises ValueError instead of dropping rows.
+    holding a comma, a quote or a line break.  So the lines are exactly what
+    csv.writer with a newline line terminator would write.  Columns of
+    unequal length raise ValueError before anything is written.
     """
+    columns = [np.asarray(column) for column in table.columns.values()]
+    lengths = {name: len(column) for name, column in zip(table.columns, columns)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"a table column is shorter than the others: {lengths}")
     meta = {
         "tool": f"compound-barriers {__version__}",
         "units": "hbar = 2m = 1, energy E = k^2",
@@ -247,8 +250,8 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
     for key, value in meta.items():
         stream.write(f"# {key}: {value}\n")
     stream.write(",".join(table.columns) + "\n")
-    rows = zip(*table.columns.values(), strict=True)
-    stream.writelines(",".join(fields) + "\n" for fields in rows)
+    stream.writelines(_block_text([column[start:start + _ROW_BLOCK] for column in columns])
+                      for start in range(0, len(columns[0]), _ROW_BLOCK))
 
 
 def _open_out(path: str):

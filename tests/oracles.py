@@ -25,8 +25,9 @@ bit-for-bit reference of barriers._slab_profile.  hyperbolic_squares_dd
 gives sech^2, tanh^2 and sinh^2 to about 100 bits from mpmath's exp, in
 double-double arithmetic, the reference the envelope kernels are held to
 within ulp bounds.  floats_repr is the
-plain repr of each value as a Python float, the byte-for-byte reference of
-cli._floats.
+plain repr of each value as a Python float, and rows_repr joins it, with
+true/false and text cells, into one line per row: the byte-for-byte
+reference of the rows cli._write_table writes a block at a time.
 """
 
 from __future__ import annotations
@@ -645,6 +646,23 @@ def two_barrier_N_bounds_rational(N1: float, N2: float) -> tuple[float, float]:
 
 
 def floats_repr(values: Sequence[float] | np.ndarray) -> Iterator[str]:
-    """cli._floats as it was before it formatted through orjson: repr of
-    each value as a Python float."""
+    """The table's float cells as they were before the CLI formatted through
+    orjson: repr of each value as a Python float."""
     return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def fields_repr(column: Sequence | np.ndarray) -> list[str]:
+    """One table column as text: true/false for bools, str cells as they
+    are, floats_repr for the rest."""
+    column = np.asarray(column)
+    if column.dtype == bool:
+        return ["true" if flag else "false" for flag in column.tolist()]
+    if column.dtype.kind == "U":
+        return column.tolist()
+    return list(floats_repr(column))
+
+
+def rows_repr(columns: Sequence[Sequence | np.ndarray]) -> Iterator[str]:
+    """The lines of cli._block_text as one comma-joined line per row, cell
+    by cell: the lines as the CLI wrote them before it wrote by row blocks."""
+    return (",".join(row) + "\n" for row in zip(*map(fields_repr, columns), strict=True))

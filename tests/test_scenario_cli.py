@@ -42,7 +42,7 @@ from compound_barriers.errors import BoundViolationError
 from compound_barriers.scenario import _parse_sweep, load_scenario
 from compound_barriers.transfer import rapidity
 from compound_barriers.verify import RowSweep
-from oracles import floats_repr
+from oracles import rows_repr
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -73,6 +73,22 @@ def source_env() -> dict:
     src = str(Path(compound_barriers.cli.__file__).resolve().parents[1])
     path_list = [src, os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+
+
+def written_rows(columns: dict) -> list[str]:
+    """The row lines _write_table writes for these columns, header and
+    metadata left out."""
+    stream = io.StringIO()
+    table = compound_barriers.cli.Table(columns, {}, [])
+    compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL), "bounds", 0, 1)
+    lines = stream.getvalue().split("\n")
+    assert lines[-1] == ""
+    return lines[lines.index(",".join(columns)) + 1:-1]
+
+
+def reference_rows(columns: dict) -> list[str]:
+    """The same rows, one comma join of repr fields per row."""
+    return [line[:-1] for line in rows_repr(list(columns.values()))]
 
 
 def read_csv(text):
@@ -453,8 +469,9 @@ class TestCli:
 
     def test_floats_are_written_as_python_floats(self):
         # numpy 2 scalars repr as np.float64(...): the cells are Python floats
-        assert list(compound_barriers.cli._floats(np.array([0.1, 1e300]))) == ["0.1", "1e+300"]
-        assert list(compound_barriers.cli._floats([np.float64(0.5), 0.25])) == ["0.5", "0.25"]
+        columns = {"a": np.array([0.1, 1e300]), "b": [np.float64(0.5), 0.25],
+                   "c": [np.float64(1e-5), np.float64(np.nan)]}
+        assert written_rows(columns) == ["0.1,0.5,1e-05", "1e+300,0.25,nan"]
 
     def test_bad_scenario_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
@@ -664,66 +681,112 @@ class TestScalarAgreement:
             assert cli == library, k
 
 
-# the doubles either side of repr's two layout changes (0.0001 / 9.999999999999999e-05
-# and 9999999999999998.0 / 1e+16), those orjson writes as null, and the extremes
-FLOAT_EDGES = [0.0, math.nan, math.inf, 5e-324, sys.float_info.max, 1e-4,
-               math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), 1.0, 1e15,
+# the doubles either side of where orjson's layout leaves repr's (9.999999999999999e-10 /
+# 1e-09, 0.0001 / 9.999999999999999e-05 and 9999999999999998.0 / 1e+16) and of 1e-10,
+# those orjson writes as null, and the extremes
+FLOAT_EDGES = [0.0, math.nan, math.inf, 5e-324, sys.float_info.max, 1.0, 1e15,
                123456789012345.6]
+for edge in (1e-10, 1e-9, 1e-4, 1e16):
+    FLOAT_EDGES += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
 FLOAT_EDGES += [-x for x in FLOAT_EDGES]
+# rows where a block of _ROW_BLOCK = 256 rows starts or ends
+BLOCK_EDGES = [0, 255, 256, 511]
+
+
+def float_table(rows: int, seed: int) -> dict:
+    """A table of rows rows: floats of every size, dense log-uniform values
+    around 1e-9, the edge values, nan and +-inf where blocks meet and in the
+    last row, an all-nan column and a flag column."""
+    rng = np.random.default_rng(seed)
+    scattered = rng.standard_normal(rows) * 10.0 ** rng.integers(-12, 20, rows)
+    scattered[::7] = np.resize(FLOAT_EDGES, scattered[::7].size)
+    dense = 10.0 ** rng.uniform(-11, -8, rows) * rng.choice([-1.0, 1.0], rows)
+    spread = rng.uniform(0.5, 2.0, rows)
+    at_edges = [row for row in [*BLOCK_EDGES, rows - 1] if 0 <= row < rows]
+    spread[at_edges] = np.resize([math.nan, math.inf, -math.inf], len(at_edges))
+    return {"scattered": scattered, "dense": dense, "spread": spread,
+            "flag": rng.random(rows) < 0.5, "nan": np.full(rows, math.nan)}
 
 
 class TestFloats:
-    """cli._floats writes the text repr writes, byte for byte, a chunk at a time."""
+    """The writer writes each float cell as repr writes the value, byte for
+    byte, a block of rows at a time."""
 
     def test_random_bit_patterns_read_as_repr(self):
         # every binade of both signs, subnormals, nan payloads and +-inf
         values = np.frombuffer(np.random.default_rng(25).bytes(8 * 200_000), dtype=float)
-        assert list(compound_barriers.cli._floats(values)) == list(floats_repr(values))
+        columns = {f"x{j}": column for j, column in enumerate(values.reshape(8, -1))}
+        assert written_rows(columns) == reference_rows(columns)
+
+    def test_dense_small_values_read_as_repr(self):
+        # below 1e-9 orjson's text is repr's; from 1e-9 on it is not
+        rng = np.random.default_rng(29)
+        values = 10.0 ** rng.uniform(-11, -8, 200_000)
+        columns = {"x": values, "y": -values[::-1]}
+        assert written_rows(columns) == reference_rows(columns)
 
     def test_edge_values_read_as_repr(self):
-        assert list(compound_barriers.cli._floats(FLOAT_EDGES)) == list(floats_repr(FLOAT_EDGES))
+        columns = {"x": FLOAT_EDGES, "flag": [True] * len(FLOAT_EDGES)}
+        assert written_rows(columns) == reference_rows(columns)
+        row = {f"x{j}": [value] for j, value in enumerate(FLOAT_EDGES)}
+        assert written_rows(row) == reference_rows(row)
         for value in FLOAT_EDGES:
-            assert list(compound_barriers.cli._floats([value])) == list(floats_repr([value]))
+            assert written_rows({"x": [value]}) == reference_rows({"x": [value]})
 
-    @pytest.mark.parametrize("length", [0, 1, 255, 256, 257])
+    @pytest.mark.parametrize("length", [0, 1, 255, 256, 257, 2000])
     def test_lengths_around_a_chunk(self, length):
-        rng = np.random.default_rng(length)
-        values = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 20, length)
-        values[::7] = np.resize(FLOAT_EDGES, values[::7].size)
-        fields = list(compound_barriers.cli._floats(values))
-        assert len(fields) == length
-        assert fields == list(floats_repr(values))
+        columns = float_table(length, length)
+        rows = written_rows(columns)
+        assert len(rows) == length
+        assert rows == reference_rows(columns)
 
     def test_repr_cells_at_chunk_edges(self):
-        # cells repr lays out apart, at both ends of the first two chunks and
-        # at the last value, found once for the column and patched per chunk
+        # cells repr lays out apart at both ends of the first two blocks and
+        # in the last row, in every column
         values = np.linspace(0.5, 2.0, 700)
         specials = [1e-5, math.nan, math.inf, -1e17, -math.inf, 5e-324]
         values[[0, 255, 256, 511, 512, 699]] = specials
-        assert list(compound_barriers.cli._floats(values)) == list(floats_repr(values))
-        assert list(compound_barriers.cli._floats(values[255:257])) == ["nan", "inf"]
+        columns = {"a": values, "flag": values > 1.0, "b": values[::-1], "c": values}
+        assert written_rows(columns) == reference_rows(columns)
+        assert written_rows({"a": values[255:257]}) == ["nan", "inf"]
 
     def test_all_repr_column(self):
-        values = np.resize([1e-5, -1e20, math.nan, math.inf, -math.inf, 1e-300, -5e-324], 1000)
-        fields = list(compound_barriers.cli._floats(values))
-        assert fields == list(floats_repr(values))
-        assert fields[:5] == ["1e-05", "-1e+20", "nan", "inf", "-inf"]
+        values = np.resize([1e-5, -1e20, math.nan, math.inf, -math.inf, 1e-9, -5e-324], 1000)
+        columns = {"a": values, "b": values[::-1], "flag": np.arange(1000) % 3 == 0,
+                   "text": ["-"] * 1000}
+        rows = written_rows(columns)
+        assert rows == reference_rows(columns)
+        assert rows[:3] == ["1e-05,1e-09,true,-", "-1e+20,-inf,false,-", "nan,inf,false,-"]
+        production = {"k": ["-"], "B_n": [0.0], "ok": [True], "exact_contained": ["-"]}
+        assert written_rows(production) == ["-,0.0,true,-"]
 
     def test_formats_one_chunk_at_a_time(self, monkeypatch):
-        # the writer's row-wise zip reads one field per column at a time, so
-        # a column holds no more than one chunk of 256 strings
-        chunks = []
+        # a block's text is made and written before the next block's matrix
+        # is dumped, so the writer holds one block of text, not the table's
+        events = []
         dumps = orjson.dumps
 
-        def counted(chunk, *args, **kwargs):
-            chunks.append(len(chunk))
-            return dumps(chunk, *args, **kwargs)
+        def counted(block, *args, **kwargs):
+            events.append(("dump", len(block)))
+            return dumps(block, *args, **kwargs)
+
+        class Stream:
+            def write(self, text):
+                if not text.startswith("#"):
+                    events.append(("write", text.count("\n")))
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
 
         monkeypatch.setattr(orjson, "dumps", counted)
-        fields = compound_barriers.cli._floats(np.linspace(0.0, 1.0, 100_000))
-        assert chunks == []
-        assert next(fields) == "0.0"
-        assert chunks == [256]
+        rows = 100_000
+        columns = {"x": np.linspace(0.0, 1.0, rows), "flag": np.ones(rows, dtype=bool)}
+        compound_barriers.cli._write_table(Stream(), compound_barriers.cli.Table(columns, {}, []),
+                                           parse_scenario(MINIMAL), "bounds", 0, 1)
+        blocks = [*[256] * (rows // 256), rows % 256]
+        assert events == [("write", 1)] + [event for size in blocks
+                                           for event in (("dump", size), ("write", size))]
 
     def test_package_import_leaves_the_cli_out(self):
         # the set-up bench/run.py times, an import and a scenario load, pays
@@ -749,16 +812,15 @@ class TestWriter:
     def test_body_is_what_csv_writer_writes(self, name, analysis):
         scenario = load_scenario(SCENARIO_DIR / name)
         table = compound_barriers.cli._RUNNERS[analysis](scenario, 1, 500)
-        table.columns = {key: list(fields) for key, fields in table.columns.items()}
-        for header, fields in table.columns.items():
-            for text in (header, *fields):  # nothing csv.writer would quote
-                assert text and not set(text) & set(',"\r\n'), text
+        fields = [line[:-1].split(",") for line in rows_repr(list(table.columns.values()))]
+        for text in (*table.columns, *(field for row in fields for field in row)):
+            assert text and not set(text) & set(',"\r\n'), text  # nothing csv.writer quotes
         written = io.StringIO()
         compound_barriers.cli._write_table(written, table, scenario, analysis, 1, 500)
         oracle = io.StringIO()
         writer = csv.writer(oracle, lineterminator="\n")
         writer.writerow(table.columns)
-        writer.writerows(zip(*table.columns.values()))
+        writer.writerows(fields)
         body = [line for line in written.getvalue().split("\n") if not line.startswith("# ")]
         assert body == oracle.getvalue().split("\n")
         assert len(body) > 2  # header, at least one row, the empty rest after the last "\n"
@@ -769,7 +831,8 @@ class TestWriter:
                 "--seed", "1", "--samples", "500"]
         code = main(argv)
         written = capsys.readouterr()
-        monkeypatch.setattr(compound_barriers.cli, "_floats", floats_repr)
+        monkeypatch.setattr(compound_barriers.cli, "_block_text",
+                            lambda parts: "".join(rows_repr(parts)))
         assert main(argv) == code
         assert capsys.readouterr() == written
 
@@ -779,6 +842,18 @@ class TestWriter:
                                              "contained": ["true", "true"]}, {}, [])
         with pytest.raises(ValueError, match="shorter"):
             compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+
+    @pytest.mark.parametrize("short", [0, 255, 256, 299])
+    def test_ragged_table_writes_nothing(self, short):
+        # the lengths are compared before the first byte, however far into
+        # the table the short column would end
+        table = compound_barriers.cli.Table({"k": np.ones(300), "T_min": np.ones(short),
+                                             "contained": np.ones(300, dtype=bool)}, {}, [])
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="shorter"):
+            compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL),
+                                               "bounds", 0, 1)
+        assert stream.getvalue() == ""
 
 
 def chain_scenario_text(steps):
@@ -837,6 +912,33 @@ class TestArrayPasses:
 
         few = events(20)
         assert events(2000) == few
+
+    def test_chain_scan_table_is_written_a_block_at_a_time(self, monkeypatch):
+        # one orjson dump per block of 256 rows, and a profiler event count
+        # that grows with the blocks, not with the rows or the cells
+        def bounds_table(steps):
+            scenario = parse_scenario(chain_scenario_text(steps))
+            return scenario, compound_barriers.cli.run_bounds(scenario, 0, 1)
+
+        def events(steps):
+            scenario, table = bounds_table(steps)
+            seen = []
+            sys.setprofile(lambda frame, event, arg: seen.append(event))
+            try:
+                compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+            finally:
+                sys.setprofile(None)
+            return len(seen)
+
+        block = events(1000) - events(744)  # 4 blocks against 3
+        assert events(2000) == events(1793) == events(1000) + 4 * block
+        assert block < 256  # fewer events than rows in a block
+        dumps, calls = orjson.dumps, []
+        monkeypatch.setattr(orjson, "dumps", lambda *args, **kwargs: calls.append(1)
+                            or dumps(*args, **kwargs))
+        scenario, table = bounds_table(2000)
+        compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+        assert len(calls) == math.ceil(2000 / 256)
 
 
 def refuse_scalar_path(monkeypatch):
