@@ -6,10 +6,12 @@ Output is RFC-4180-style CSV preceded by '#'-prefixed metadata lines
 (units convention, seed, generator, tool version), so a table is fully
 reproducible from the file alone.  Every float field is the text repr
 writes for it, the shortest that reads back as the same double.  The table
-is written 256 rows at a time: orjson's Ryu formatter writes each block's
-float matrix in one call, commas included, and repr itself writes the cells
-whose layout differs (from 1e-9 to below 1e-4, from 1e16, nan and inf).
-The CLI alone imports orjson, so `import compound_barriers` does not load it.
+is written 256 rows at a time: orjson's Ryu formatter writes each run of
+float columns in one call, commas included, and the true/false and '-'
+cells are spliced in row by row, not through orjson's null.  The finite
+cells whose layout differs (from 1e-9 to below 1e-4, from 1e16) are re-laid
+from orjson's own digits; repr itself writes only nan and +-inf.  The CLI
+alone imports orjson, so `import compound_barriers` does not load it.
 
 Exit codes: 0 all checks pass, 2 a containment/equivalence check failed, 3
 bad input (an unreadable or invalid scenario, an analysis its mode cannot
@@ -58,6 +60,7 @@ _ENVELOPES = ("T_min", "T_upper", "R_low", "R_high", "N_low", "N_high")
 # one block's matrix and text (on the 2000-row, 29-column bounds table of a
 # 20-barrier chain, ~60 KB and ~130 KB, where the whole text is ~1 MB)
 _ROW_BLOCK = 256
+_FLAG_TEXT = np.array(["false", "true"], dtype=object)
 
 
 @dataclass
@@ -71,12 +74,14 @@ class Table:
     failures: list[str]
 
 
-def _bounds(scenario: Scenario) -> BoundsColumns:
-    """The bounds at every k, from one checked build at the origin: the
+def _bounds(scenario: Scenario) -> tuple[np.ndarray, BoundsColumns]:
+    """The wavenumbers as one float array, the build's and the k column's,
+    and the bounds at every k, from one checked build at the origin: the
     rapidities do not depend on where the barriers sit, so nothing is
     translated."""
-    alpha, _ = origin_arrays(scenario.barriers, scenario.k_values)
-    return BoundsColumns(rapidity(alpha))
+    k = np.asarray(scenario.k_values, dtype=float)
+    alpha, _ = origin_arrays(scenario.barriers, k)
+    return k, BoundsColumns(rapidity(alpha))
 
 
 def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
@@ -90,10 +95,10 @@ def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
         columns["production_guaranteed"] = [check.guaranteed]
         return Table(columns, {}, [])
 
-    bounds = _bounds(scenario)
+    k, bounds = _bounds(scenario)
     # per-barrier T_i through the same rapidities as the envelopes, so a
     # one-barrier table degenerates to exact equality of all three columns
-    columns = {"k": scenario.k_values}
+    columns = {"k": k}
     columns.update((f"T_{i + 1}", ts) for i, ts in enumerate(bounds.transmissions.T))
     columns.update(zip(_ENVELOPES, bounds.envelopes))
     columns["T_classical"] = bounds.t_classical
@@ -106,7 +111,7 @@ def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
     if scenario.mode == "production":
         raise DomainError("sweep analysis needs a spatial model (scattering mode)")
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
-    columns = {"k": scenario.k_values, "T_exact": audit.t_exact,
+    columns = {"k": audit.k, "T_exact": audit.t_exact,
                "R_exact": audit.r_exact, "N_exact": audit.n_exact}
     columns.update(zip(_ENVELOPES, audit.bounds.envelopes))
     columns["contained"] = audit.contained
@@ -134,7 +139,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     else:
         audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
         bounds = audit.bounds
-        k, contained = scenario.k_values, audit.contained
+        k, contained = audit.k, audit.contained
         failures = [] if audit.all_contained else ["exact compound values escaped the envelopes"]
 
     worst, failing = recursion_audit(bounds)
@@ -167,8 +172,8 @@ def run_resonance(scenario: Scenario, seed: int, samples: int) -> Table:
                    "N_min_guaranteed": [check.n_min]}
         return Table(columns, {}, [])
 
-    bounds = _bounds(scenario)
-    columns = {"k": scenario.k_values}
+    k, bounds = _bounds(scenario)
+    columns = {"k": k}
     columns.update(zip(("T_peak", "T_min", "threshold", "margin"), bounds.resonance))
     columns["resonance_possible"] = bounds.possible
     return Table(columns, {}, [])
@@ -187,38 +192,71 @@ def _resolve(flag: int | None, file_value: int | None, fallback: int) -> int:
     return flag if flag is not None else file_value if file_value is not None else fallback
 
 
+def _apart_texts(values: np.ndarray) -> list[str]:
+    """The text repr writes for each value of a cell it lays out apart from
+    orjson: nan and +-inf by repr, the finite ones re-laid from orjson's
+    digits, as both write the shortest digits that read back as the double.
+    Of |value|, orjson writes 0.0000123 from 1e-5 to below 1e-4 (repr:
+    1.23e-05), 9.755796312221822e-8 from 1e-9 to below 1e-5 (e-08) and
+    3.1e18 from 1e16 (e+18): one dump of the magnitudes, the signs put back
+    in front."""
+    texts = orjson.dumps(np.abs(values), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    signs = np.where(values < 0.0, "-", "").tolist()
+    return [repr(value) if t == "null"
+            else sign + (t[6] + "." + t[7:] if t[7:] else t[6]) + "e-05" if t[0] == "0"
+            else sign + t[:-1] + "0" + t[-1] if t[-2] == "-"
+            else sign + t[:-2] + "+" + t[-2:] if t[-3] == "e"
+            else sign + t[:-3] + "+" + t[-3:]
+            for value, sign, t in zip(values.tolist(), signs, texts[1:-1].split(","))]
+
+
 def _block_text(parts: list[np.ndarray]) -> str:
     """The lines of a block of rows, one part of each column: floats as the
-    text repr writes, bools as true/false and str cells as they are.  One
-    float matrix and one orjson dump, split once at the row breaks and once
-    at the nulls, and one join; all of it is dropped on return."""
-    is_float = np.array([part.dtype.kind == "f" for part in parts])
-    block = np.full((len(parts[0]), len(parts)), np.nan)
-    texts = np.empty(block.shape, dtype=object)
-    flag_text = np.array(["false", "true"], dtype=object)
-    for j, part in enumerate(parts):
-        if is_float[j]:
-            block[:, j] = part
-        else:
-            texts[:, j] = flag_text.take(part) if part.dtype == bool else part
-    # orjson writes the same shortest, nearest digits as repr (both are
-    # round-trip exact), but not repr's layout from 1e-9 to below 1e-4 or from
-    # 1e16 -- repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and
-    # 1e16 -- and it writes nan and +-inf as null.  Below 1e-9 the exponent
-    # has two or three digits, and both write it alike (1e-10).  The test on
-    # the double is exact: one below 1e-4 cannot print as 0.0001, one below
-    # 1e16 cannot print as 1e+16.  Those cells and the flag and text cells
-    # (nan in block) are dumped as null, which no finite cell's text holds,
-    # and spliced back in row-major order, orjson's order
-    magnitude = np.abs(block)
-    apart = ~((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16))
-    by_repr = apart & is_float
-    texts[by_repr] = list(map(repr, block[by_repr].tolist()))
-    block[apart] = np.nan
-    pieces = (b"\n".join(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-                          .split(b"],[")).decode().split("null"))
-    fields = [*texts[apart].tolist(), "\n"]
-    return "".join(itertools.chain.from_iterable(zip(pieces, fields, strict=True)))
+    text repr writes, bools as true/false and str cells as they are.
+
+    The columns fall into runs of float columns and single other columns.  A
+    float run is one matrix, one orjson dump (commas included) and one split
+    at the row breaks; any other column is one text per row, taken by index
+    from true/false or the cells as they are.  A line is its runs' texts in
+    column order, joined by commas.  orjson writes the shortest digits that
+    read back as the double, as repr does, but not repr's layout from 1e-9
+    to below 1e-4 or from 1e16, and it writes nan and +-inf as null.  Below
+    1e-9 the exponent has two or three digits, and both write it alike
+    (1e-10).  The test on the double is exact: one below 1e-4 cannot print
+    as 0.0001, one below 1e16 cannot print as 1e+16.  In a run that holds
+    such cells they are set to nan, so that its dump holds null there and
+    nowhere else, and their texts (_apart_texts) are spliced back in
+    row-major order from one split at null.  All of it is dropped on return.
+    """
+    runs = []
+    for is_float, group in itertools.groupby(parts, key=lambda part: part.dtype.kind == "f"):
+        if not is_float:
+            runs += [_FLAG_TEXT.take(part).tolist() if part.dtype == bool else part.tolist()
+                     for part in group]
+            continue
+        block = np.array(list(group)).T.copy()  # C order, as orjson takes it
+        magnitude = np.abs(block)
+        apart = ~((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16))
+        texts = _apart_texts(block[apart]) if apart.any() else None
+        block[apart] = np.nan
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2]
+        if texts:
+            text = "".join(itertools.chain.from_iterable(
+                zip(text.split("null"), [*texts, ""], strict=True)))
+        runs.append(text.split("],["))
+    line = [*itertools.chain.from_iterable((run, itertools.repeat(",")) for run in runs)]
+    line[-1] = itertools.repeat("\n")
+    return "".join(itertools.chain.from_iterable(zip(*line)))
+
+
+def _table_columns(table: Table) -> list[np.ndarray]:
+    """The table's columns as arrays; ValueError naming every length if they
+    differ (a fault of the runner that made the table, not of the input)."""
+    columns = [np.asarray(column) for column in table.columns.values()]
+    lengths = {name: len(column) for name, column in zip(table.columns, columns)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"a table column is shorter than the others: {lengths}")
+    return columns
 
 
 def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
@@ -231,10 +269,7 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
     csv.writer with a newline line terminator would write.  Columns of
     unequal length raise ValueError before anything is written.
     """
-    columns = [np.asarray(column) for column in table.columns.values()]
-    lengths = {name: len(column) for name, column in zip(table.columns, columns)}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"a table column is shorter than the others: {lengths}")
+    columns = _table_columns(table)
     meta = {
         "tool": f"compound-barriers {__version__}",
         "units": "hbar = 2m = 1, energy E = k^2",
@@ -263,24 +298,26 @@ def _open_out(path: str):
         return open(path, "w", encoding="utf-8", newline=""), False
 
 
+# built once, at import: parse_args reads it and changes nothing in it
+_PARSER = argparse.ArgumentParser(
+    prog="compound-barriers",
+    description="Phase-free scattering/production bounds for compound 1D "
+                "barriers, verified against exact transfer-matrix composition.",
+)
+_PARSER.add_argument("--scenario", required=True, help="scenario file path")
+_PARSER.add_argument("--analysis", choices=sorted(_RUNNERS),
+                     help="analysis to run (default: the scenario's single listed analysis)")
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help=f"RNG seed (default: the scenario's, else {DEFAULT_SEED})")
+_PARSER.add_argument("--samples", type=int, default=None,
+                     help=f"random-sweep sample count (default: the scenario's, "
+                          f"else {DEFAULT_SAMPLES})")
+_PARSER.add_argument("--out", default="-",
+                     help="output path, '-' or 'stdout' for standard output")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="compound-barriers",
-        description="Phase-free scattering/production bounds for compound 1D "
-                    "barriers, verified against exact transfer-matrix composition.",
-    )
-    parser.add_argument("--scenario", required=True, help="scenario file path")
-    parser.add_argument("--analysis", choices=sorted(_RUNNERS),
-                        help="analysis to run (default: the scenario's single "
-                             "listed analysis)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: the scenario's, else {DEFAULT_SEED})")
-    parser.add_argument("--samples", type=int, default=None,
-                        help=f"random-sweep sample count (default: the scenario's, "
-                             f"else {DEFAULT_SAMPLES})")
-    parser.add_argument("--out", default="-",
-                        help="output path, '-' or 'stdout' for standard output")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         scenario = load_scenario(args.scenario)
@@ -299,9 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if samples < 1:
             raise CompoundBarrierError(f"samples must be >= 1, got {samples}")
         table = _RUNNERS[analysis](scenario, seed, samples)
-        out_is_stdout = args.out in ("-", "stdout")
-        out, created = ((contextlib.nullcontext(sys.stdout), False) if out_is_stdout
-                        else _open_out(args.out))
     except BoundViolationError as exc:
         print(f"compound-barriers: containment violation: {exc}", file=sys.stderr)
         return 2
@@ -309,7 +343,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"compound-barriers: error: {exc}", file=sys.stderr)
         return 3
 
+    _table_columns(table)  # a ragged table raises here, before --out is opened
+    out_is_stdout, created = args.out in ("-", "stdout"), False
     try:
+        if out_is_stdout:
+            out = contextlib.nullcontext(sys.stdout)
+        else:
+            out, created = _open_out(args.out)
         with out as stream:
             _write_table(stream, table, scenario, analysis, seed, samples)
             stream.flush()  # stdout too, so that a closed reader shows here

@@ -603,9 +603,10 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     The T/R/N margins, (exact - lower edge) and (upper edge - exact)
     minimized over the sweep, are reported as is.
     """
-    if len(k_sweep) == 0:
+    k = np.asarray(k_sweep, dtype=float)
+    if k.size == 0:
         raise EmptySequenceError("audit needs at least one wavenumber")
-    alpha, beta = scenario_arrays(specs, k_sweep)
+    alpha, beta = scenario_arrays(specs, k)
     bounds = BoundsColumns(rapidity(alpha))
     total_alpha, total_beta = fold(alpha, beta)
     del alpha, beta  # the (n_k, n) build is not needed past this point
@@ -619,8 +620,8 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     low, high = bounds.b_n, bounds.s_n
     band = _containment_band(bounds.thetas, theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
-    return ContainmentReport(np.asarray(k_sweep, dtype=float), t, r, n,
+    return ContainmentReport(k, t, r, n,
                              contained, bool(contained.all()), *margins.ravel().tolist(),
-                             k_at_max_t=k_sweep[int(np.argmax(t))],
-                             k_at_min_t=k_sweep[int(np.argmin(t))],
+                             k_at_max_t=k[np.argmax(t)].item(),
+                             k_at_min_t=k[np.argmin(t)].item(),
                              tolerance=float(band.max()), bounds=bounds)

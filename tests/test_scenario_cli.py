@@ -42,7 +42,7 @@ from compound_barriers.errors import BoundViolationError
 from compound_barriers.scenario import _parse_sweep, load_scenario
 from compound_barriers.transfer import rapidity
 from compound_barriers.verify import RowSweep
-from oracles import rows_repr
+from oracles import floats_repr, rows_repr
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -760,14 +760,81 @@ class TestFloats:
         production = {"k": ["-"], "B_n": [0.0], "ok": [True], "exact_contained": ["-"]}
         assert written_rows(production) == ["-,0.0,true,-"]
 
+    def test_small_values_of_both_layouts_read_as_repr(self):
+        # from 1e-9 to below 1e-4 orjson writes 0.0000123 (from 1e-5) or
+        # 9.755796312221822e-8 (below), and the writer re-lays both
+        rng = np.random.default_rng(31)
+        values = 10.0 ** rng.uniform(-9, -4, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        dumped = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        assert b"-0.0000" in dumped and b",0.0000" in dumped
+        assert b"e-9" in dumped and b"e-6" in dumped
+        columns = {"x": values, "flag": values > 0, "y": values[::-1]}
+        assert written_rows(columns) == reference_rows(columns)
+        assert written_rows({"x": values}) == list(floats_repr(values))
+
+    def test_large_values_read_as_repr(self):
+        # from 1e16 orjson writes 3.1e18 and 1.7976931348623157e308, repr
+        # 3.1e+18 and 1.7976931348623157e+308
+        rng = np.random.default_rng(32)
+        values = 10.0 ** rng.uniform(16, 308.25, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+        values[:2] = 1e16, sys.float_info.max
+        columns = {"x": values, "y": values[::-1]}
+        assert written_rows(columns) == reference_rows(columns)
+        assert written_rows({"x": values}) == list(floats_repr(values))
+
+    def test_layout_edges_read_as_repr(self):
+        edges = [1e-9, 9.999999999999999e-05, 1e16, 1e100]
+        texts = ["1e-09", "9.999999999999999e-05", "1e+16", "1e+100"]
+        values = [*edges, *(-x for x in edges)]
+        assert written_rows({"x": values}) == [*texts, *("-" + text for text in texts)]
+        assert written_rows({"x": values}) == list(floats_repr(values))
+        row = {f"x{j}": [value] for j, value in enumerate(values)}
+        assert written_rows(row) == [",".join(floats_repr(values))]
+
+    @pytest.mark.parametrize("order", [
+        ["flag", "a", "b"], ["a", "flag", "b"], ["a", "b", "flag"], ["text", "flag", "a", "b"],
+        ["a", "flag", "text", "b"], ["a", "b", "flag", "text"], ["text", "a", "flag", "b", "text"],
+    ], ids="-".join)
+    def test_other_columns_anywhere(self, order):
+        # bool and str columns leading, between float runs, trailing and two
+        # abreast, over several blocks, with cells repr lays out apart
+        table = float_table(600, 33)
+        table["a"], table["b"], table["text"] = table["scattered"], table["spread"], ["-"] * 600
+        columns = {f"{name}{j}": table[name] for j, name in enumerate(order)}
+        assert written_rows(columns) == reference_rows(columns)
+
+    @pytest.mark.parametrize("name", ["production_pair.scn"])
+    @pytest.mark.parametrize("analysis", ["bounds", "verify", "resonance"])
+    def test_production_tables(self, name, analysis):
+        # verify leads with a '-' and ends with a flag and a '-'; resonance
+        # has a flag between floats
+        table = compound_barriers.cli._RUNNERS[analysis](load_scenario(SCENARIO_DIR / name), 1, 50)
+        kinds = [np.asarray(column).dtype.kind for column in table.columns.values()]
+        assert {"verify": ["U", "f", "f", "f", "f", "b", "U"],
+                "resonance": ["f", "f", "f", "f", "b", "f"]}.get(analysis, kinds) == kinds
+        assert written_rows(table.columns) == reference_rows(table.columns)
+
+    def test_repr_writes_only_nan_and_inf(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(compound_barriers.cli, "repr",
+                            lambda value: seen.append(value) or repr(value), raising=False)
+        columns = float_table(2000, 34)
+        assert written_rows(columns) == reference_rows(columns)
+        floats = np.concatenate([column for column in columns.values() if column.dtype.kind == "f"])
+        assert len(seen) == np.count_nonzero(~np.isfinite(floats)) > 2000
+        assert not any(map(math.isfinite, seen))
+
     def test_formats_one_chunk_at_a_time(self, monkeypatch):
         # a block's text is made and written before the next block's matrix
-        # is dumped, so the writer holds one block of text, not the table's
+        # is dumped, so the writer holds one block of text, not the table's:
+        # one dump per float run, after one of the block's cells repr lays
+        # out apart if it holds any (here the 9 of the first block from 1e-5
+        # to below 1e-4)
         events = []
         dumps = orjson.dumps
 
         def counted(block, *args, **kwargs):
-            events.append(("dump", len(block)))
+            events.append(("dump", block.shape))
             return dumps(block, *args, **kwargs)
 
         class Stream:
@@ -781,12 +848,18 @@ class TestFloats:
 
         monkeypatch.setattr(orjson, "dumps", counted)
         rows = 100_000
-        columns = {"x": np.linspace(0.0, 1.0, rows), "flag": np.ones(rows, dtype=bool)}
+        x = np.linspace(0.0, 1.0, rows)
+        columns = {"x": x, "flag": np.ones(rows, dtype=bool)}
         compound_barriers.cli._write_table(Stream(), compound_barriers.cli.Table(columns, {}, []),
                                            parse_scenario(MINIMAL), "bounds", 0, 1)
-        blocks = [*[256] * (rows // 256), rows % 256]
-        assert events == [("write", 1)] + [event for size in blocks
-                                           for event in (("dump", size), ("write", size))]
+        expected = [("write", 1)]
+        for start in range(0, rows, 256):
+            part = x[start:start + 256]
+            apart = np.count_nonzero((part >= 1e-9) & (part < 1e-4))
+            expected += [("dump", (apart,))] * bool(apart)
+            expected += [("dump", (part.size, 1)), ("write", part.size)]
+        assert events == expected
+        assert expected[1:4] == [("dump", (9,)), ("dump", (256, 1)), ("write", 256)]
 
     def test_package_import_leaves_the_cli_out(self):
         # the set-up bench/run.py times, an import and a scenario load, pays
@@ -825,6 +898,8 @@ class TestWriter:
         assert body == oracle.getvalue().split("\n")
         assert len(body) > 2  # header, at least one row, the empty rest after the last "\n"
 
+    # the cells' last bits differ under numpy's other CPU dispatch
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("name, analysis", WRITTEN_TABLES)
     def test_bytes_equal_the_repr_reference(self, name, analysis, monkeypatch, capsys):
         argv = ["--scenario", str(SCENARIO_DIR / name), "--analysis", analysis,
@@ -854,6 +929,20 @@ class TestWriter:
             compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL),
                                                "bounds", 0, 1)
         assert stream.getvalue() == ""
+
+
+    def test_ragged_table_leaves_no_out_file(self, tmp_path, monkeypatch, capsys):
+        # a ragged table is the runner's fault, not bad input: it raises
+        # before --out is opened, so no file of this call stays behind
+        ragged = compound_barriers.cli.Table({"k": np.ones(3), "T_min": np.ones(2)}, {}, [])
+        monkeypatch.setitem(compound_barriers.cli._RUNNERS, "bounds", lambda *args: ragged)
+        out = tmp_path / "ragged_out.csv"
+        argv = ["--scenario", str(SCENARIO_DIR / "double_rect.scn"), "--analysis", "bounds"]
+        for target in (["--out", str(out)], []):
+            with pytest.raises(ValueError, match="shorter"):
+                main(argv + target)
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "")
 
 
 def chain_scenario_text(steps):
@@ -914,11 +1003,21 @@ class TestArrayPasses:
         assert events(2000) == few
 
     def test_chain_scan_table_is_written_a_block_at_a_time(self, monkeypatch):
-        # one orjson dump per block of 256 rows, and a profiler event count
-        # that grows with the blocks, not with the rows or the cells
+        # one orjson dump per block of 256 rows and one more for the cells
+        # repr lays out apart in the blocks that hold any; a profiler event
+        # count that grows with those two counts, not with the rows or the
+        # cells; and the flag column never dumped as null
         def bounds_table(steps):
             scenario = parse_scenario(chain_scenario_text(steps))
             return scenario, compound_barriers.cli.run_bounds(scenario, 0, 1)
+
+        def apart_blocks(table):
+            floats = np.stack([column for column in table.columns.values()
+                               if column.dtype.kind == "f"], axis=1)
+            magnitude = np.abs(floats)
+            apart = ~((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16))
+            return [np.count_nonzero(apart[start:start + 256])
+                    for start in range(0, len(apart), 256)]
 
         def events(steps):
             scenario, table = bounds_table(steps)
@@ -928,17 +1027,29 @@ class TestArrayPasses:
                 compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
             finally:
                 sys.setprofile(None)
-            return len(seen)
+            counts = apart_blocks(table)
+            return [1, len(counts), np.count_nonzero(counts)], len(seen)
 
-        block = events(1000) - events(744)  # 4 blocks against 3
-        assert events(2000) == events(1793) == events(1000) + 4 * block
-        assert block < 256  # fewer events than rows in a block
+        sizes = [events(steps) for steps in (744, 1000, 1793, 2000, 1500)]
+        # 744, 1000 and 1793 steps: 3, 4 and 8 blocks, 2, 2 and 3 of them
+        # with such cells; the fit from them predicts 2000 and 1500 steps
+        counts, seen = map(np.array, zip(*sizes))
+        assert np.linalg.matrix_rank(counts[:3]) == 3
+        per = np.linalg.solve(counts[:3], seen[:3])
+        assert (counts[3:] @ per).round(6).tolist() == seen[3:].tolist()
+        assert 0 < per[1] < 256 and 0 < per[2] < 256  # fewer events than rows in a block
         dumps, calls = orjson.dumps, []
-        monkeypatch.setattr(orjson, "dumps", lambda *args, **kwargs: calls.append(1)
-                            or dumps(*args, **kwargs))
+        monkeypatch.setattr(orjson, "dumps", lambda block, *args, **kwargs: calls.append(
+            (block.shape, dumps(block, *args, **kwargs).count(b"null")))
+                            or dumps(block, *args, **kwargs))
         scenario, table = bounds_table(2000)
         compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
-        assert len(calls) == math.ceil(2000 / 256)
+        expected = []
+        for start, apart in zip(range(0, 2000, 256), apart_blocks(table)):
+            rows = min(256, 2000 - start)
+            expected += [((apart,), 0)] * bool(apart) + [((rows, 28), apart)]
+        assert calls == expected
+        assert len(calls) == 8 + 4
 
 
 def refuse_scalar_path(monkeypatch):
