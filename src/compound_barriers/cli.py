@@ -197,9 +197,9 @@ def _apart_texts(values: np.ndarray) -> list[str]:
     orjson: nan and +-inf by repr, the finite ones re-laid from orjson's
     digits, as both write the shortest digits that read back as the double.
     Of |value|, orjson writes 0.0000123 from 1e-5 to below 1e-4 (repr:
-    1.23e-05), 9.755796312221822e-8 from 1e-9 to below 1e-5 (e-08) and
-    3.1e18 from 1e16 (e+18): one dump of the magnitudes, the signs put back
-    in front."""
+    1.23e-05), 9.755796312221822e-8 from 1e-9 to below 1e-5 (e-08: one
+    exponent digit) and 3.1e18 from 1e16 (e+18: two or three digits): one
+    dump of the magnitudes, the signs put back in front."""
     texts = orjson.dumps(np.abs(values), option=orjson.OPT_SERIALIZE_NUMPY).decode()
     signs = np.where(values < 0.0, "-", "").tolist()
     return [repr(value) if t == "null"

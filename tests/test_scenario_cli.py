@@ -803,15 +803,14 @@ class TestFloats:
         columns = {f"{name}{j}": table[name] for j, name in enumerate(order)}
         assert written_rows(columns) == reference_rows(columns)
 
-    @pytest.mark.parametrize("name", ["production_pair.scn"])
-    @pytest.mark.parametrize("analysis", ["bounds", "verify", "resonance"])
-    def test_production_tables(self, name, analysis):
+    @pytest.mark.parametrize("analysis, kinds", [("verify", "UffffbU"), ("resonance", "ffffbf")])
+    def test_production_tables(self, analysis, kinds):
         # verify leads with a '-' and ends with a flag and a '-'; resonance
         # has a flag between floats
-        table = compound_barriers.cli._RUNNERS[analysis](load_scenario(SCENARIO_DIR / name), 1, 50)
-        kinds = [np.asarray(column).dtype.kind for column in table.columns.values()]
-        assert {"verify": ["U", "f", "f", "f", "f", "b", "U"],
-                "resonance": ["f", "f", "f", "f", "b", "f"]}.get(analysis, kinds) == kinds
+        scenario = load_scenario(SCENARIO_DIR / "production_pair.scn")
+        table = compound_barriers.cli._RUNNERS[analysis](scenario, 1, 50)
+        assert "".join(np.asarray(column).dtype.kind
+                       for column in table.columns.values()) == kinds
         assert written_rows(table.columns) == reference_rows(table.columns)
 
     def test_repr_writes_only_nan_and_inf(self, monkeypatch):
@@ -929,7 +928,6 @@ class TestWriter:
             compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL),
                                                "bounds", 0, 1)
         assert stream.getvalue() == ""
-
 
     def test_ragged_table_leaves_no_out_file(self, tmp_path, monkeypatch, capsys):
         # a ragged table is the runner's fault, not bad input: it raises
