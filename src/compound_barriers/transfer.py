@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def boost_fold(thetas, rho, work=None):
     per column of the (n-1, samples) rotors rho = e^{2iw}, unguarded.
     Rapidities (n,) give (samples,); (rows, n), one sequence per row, give
     (rows, samples), each row bit-identical to its own (n,) call, since every
-    step is elementwise.
+    step is elementwise and runs numpy's same loop at any number of rows.
 
     Step i multiplies (a, b) by the pair (cosh theta_i e^{iw_i}, sinh theta_i
     e^{iw_i}); by product() that is cosh theta_i e^{-iw_i} (a rho_i + tau_i b,
@@ -178,6 +178,9 @@ def boost_fold(thetas, rho, work=None):
     a_re, b_re, q_re = a.view(float), b.view(float), q.view(float)  # real scalings
     old = np.setbufsize(max(16, min(8192, shape[-1] // 16 * 16)))
     try:
+        # rho_i as a row of the state's ndim: numpy multiplies a (1, 1) state
+        # by a (1,) row in another loop, which rounds otherwise
+        rho = np.expand_dims(rho, tuple(range(1, taus.ndim)))
         # tau_i as a column against the (..., samples) state
         for tau, r in zip(np.moveaxis(taus, -1, 0)[1:, ..., None], rho):
             np.multiply(a, r, out=q)
@@ -255,25 +258,22 @@ class HyperbolicParams:
 @dataclass(frozen=True, slots=True)
 class ScatteringAmplitudes:
     """Transmission/reflection amplitudes with |t|^2 + |r|^2 = 1, a pair of
-    scalars or of arrays, checked and squared elementwise in numpy."""
+    scalars or of arrays, checked and squared elementwise in numpy.  T =
+    |t|^2 and R = |r|^2 are squared once, by the check, and kept."""
 
     t: complex
     r: complex
+    T: float = field(init=False, repr=False, compare=False)
+    R: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _finite(self.t, self.r):
             raise DomainError("non-finite amplitudes")
+        object.__setattr__(self, "T", np.square(np.abs(self.t)))
+        object.__setattr__(self, "R", np.square(np.abs(self.r)))
         off = np.abs(self.T + self.R - 1.0)
         if (off > 10 * NORM_TOL).any():
             raise NormalizationError(f"|t|^2 + |r|^2 off 1 by {float(np.max(off))!r}")
-
-    @property
-    def T(self) -> float:
-        return np.square(np.abs(self.t))
-
-    @property
-    def R(self) -> float:
-        return np.square(np.abs(self.r))
 
 
 def to_polar(m: TransferMatrix) -> HyperbolicParams:

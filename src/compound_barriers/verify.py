@@ -54,24 +54,27 @@ phi_beta_{i+1} = phi_beta_i + 4 h_i.  (Version 1 drew the 2n phases
 rotors e^{2i w_i}; the CLI's rng metadata line names the version.)
 Rows swept together on one seed (random_phase_sweeps, one row per
 wavenumber) share each block's draw: only the boost fold runs per row, so
-every row gets exactly the result of random_phase_sweep on that row alone.
+every row gets exactly the extremes of random_phase_sweep on that row
+alone.
 
 Schedule: random_phase_sweeps runs units of (block, row slice) on a thread
 per CPU the process may use, up to two (its affinity mask, so taskset
 narrows it; no option sets it), the calling thread among them.  A unit
-draws its whole block's angles in one call (_block_angles, the draw
-random_phase_sweep redraws an extreme from), turns them into rotors and
-folds its rows over them: no block is drawn in parts, and none is drawn
-once and shared (a one-block sweep's row slices each draw it).  numpy
-releases the GIL inside each call, and the calls are made long (tiles of
-rows) so that threads rarely wait for it.  boost_fold runs its broadcast
-passes with numpy's ufunc buffer cut to a row, so that rows shorter than
-the 8192-element default (chain-verify's 2000 samples) are not copied
-through it; calls that cheap need tiles of 24576 elements (_TILE) to keep
-the waits rare.  The calling thread then reduces the units' extremes in
-(block, row) order, as a sequential loop would: ties go to the first
-sample, and a row's violation is the first block that escapes, however the
-units ran.  The output is bit-identical under any number of threads.
+draws its whole block's angles in one call (_block_angles), turns them
+into rotors and folds its rows over them: no block is drawn in parts, and
+none is drawn once and shared (a one-block sweep's row slices each draw
+it).  numpy releases the GIL inside each call, and the calls are made long
+(tiles of rows) so that threads rarely wait for it.  boost_fold runs its
+broadcast passes with numpy's ufunc buffer cut to a row, so that rows
+shorter than the 8192-element default (chain-verify's 2000 samples) are
+not copied through it; calls that cheap need tiles of 24576 elements
+(_TILE) to keep the waits rare.  A row's bits do not depend on the tile it
+is folded in (boost_fold).  The calling thread then reduces the units' minima and maxima; their
+(block, row) order only makes a row's violation the first block that
+escapes, however the units ran.  The output is bit-identical under any
+number of threads.  random_phase_sweep, the one-row call, then draws and
+folds its row again to locate each extreme at the first sample that
+attains it.
 """
 
 from __future__ import annotations
@@ -201,14 +204,11 @@ def _quarter_rotors(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class RowSweep:
-    """One row of random_phase_sweeps: observed extremes, located as (block,
-    index) in the seed's draws, or the violation that stopped the row (then
-    the extremes are NaN and the locations None)."""
+    """One row of random_phase_sweeps: observed extremes, or the violation
+    that stopped the row (then the extremes are NaN)."""
 
     theta_min_observed: float
     theta_max_observed: float
-    argmin_at: tuple[int, int] | None
-    argmax_at: tuple[int, int] | None
     violation: BoundViolationError | None
 
 
@@ -232,23 +232,20 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
 
 
 def _fold_extremes(thetas: np.ndarray, rho: np.ndarray,
-                   work: np.ndarray, tile_size: int) -> tuple[list, list, list, list]:
-    """Per row of thetas (rows, n), the index and value of the first minimum
-    and of the first maximum of boost_fold over a block's rotors rho, as
-    np.argmin/np.argmax give them.  Rows are folded in tiles of at most
-    tile_size complex elements (one row at least), which with _TILE keeps
-    each fold call long enough to leave the GIL to the other threads;
-    ``work``, if given, holds a tile's a, b and q."""
+                   work: np.ndarray, tile_size: int) -> tuple[list, list]:
+    """Per row of thetas (rows, n), the minimum and the maximum of boost_fold
+    over a block's rotors rho.  Rows are folded in tiles of at most tile_size
+    complex elements (one row at least), which with _TILE keeps each fold
+    call long enough to leave the GIL to the other threads; ``work``, if
+    given, holds a tile's a, b and q."""
     rows = len(thetas)
     step = max(1, tile_size // rho.shape[1])
-    span = np.arange(min(step, rows))
-    at, value = np.empty((2, rows), np.intp), np.empty((2, rows))  # (min, max) per row
+    low, high = np.empty((2, rows))
     for r0, r1 in _spans(rows, -(-rows // step)):
         observed = boost_fold(thetas[r0:r1], rho, work)
-        lo, hi, k = observed.argmin(axis=1), observed.argmax(axis=1), span[:r1 - r0]
-        at[:, r0:r1] = lo, hi
-        value[:, r0:r1] = observed[k, lo], observed[k, hi]
-    return at[0].tolist(), value[0].tolist(), at[1].tolist(), value[1].tolist()
+        observed.min(axis=1, out=low[r0:r1])
+        observed.max(axis=1, out=high[r0:r1])
+    return low.tolist(), high.tolist()
 
 
 def _run_units(units: list, workers: int, make_worker) -> list:
@@ -293,19 +290,19 @@ def _run_units(units: list, workers: int, make_worker) -> list:
 def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[RowSweep]:
     """random_phase_sweep of every row of the caller's BoundsColumns.
 
-    Row j is bit-identical to random_phase_sweep(RapiditySequence(
-    bounds.thetas[j])).  The edges are the columns' [B_n, S_n].  A row
-    escaping them by more than CONTAINMENT_BAND keeps its
-    BoundViolationError (first escaping block) and no later block counts
-    for it; other rows go on.
+    Row j's extremes are bit-identical to random_phase_sweep(
+    RapiditySequence(bounds.thetas[j]))'s.  The edges are the columns'
+    [B_n, S_n].  A row escaping them by more than CONTAINMENT_BAND keeps
+    its BoundViolationError (first escaping block) and no later block
+    counts for it; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
     sliced only when the sweep is one block.  Each unit draws its whole
-    block through _block_angles, the draw random_phase_sweep redraws an
-    extreme from, so a one-block sweep draws its block once per slice.
-    Each thread folds tiles of at most _TILE elements in a scratch of its
-    own, one thread as any other.  The extremes are reduced here in
-    (block, row) order, so none of this shows in the result.
+    block through _block_angles, so a one-block sweep draws its block once
+    per slice.  Each thread folds tiles of at most _TILE elements in a
+    scratch of its own, one thread as any other.  The extremes are reduced
+    here in (block, row) order, which picks the first escaping block, so
+    none of this shows in the result.
     """
     thetas, n = bounds.thetas, bounds.thetas.shape[1]
     if samples < 1:
@@ -317,8 +314,6 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
     if not rows:
         return []
     low, high = [math.inf] * rows, [-math.inf] * rows
-    low_at: list[tuple[int, int] | None] = [None] * rows
-    high_at: list[tuple[int, int] | None] = [None] * rows
     violations: list[BoundViolationError | None] = [None] * rows
 
     blocks = list(_blocks(samples))
@@ -340,7 +335,7 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
 
     results = _run_units(units, threads, make_worker)
     for (block, _, first, _), extremes in zip(units, results):
-        for j, lo_i, worst_low, hi_i, worst_high in zip(range(first, rows), *extremes):
+        for j, worst_low, worst_high in zip(range(first, rows), *extremes):
             if violations[j] is not None:
                 continue
             b, s = edges[j]
@@ -350,14 +345,10 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
                     f"observed [{worst_low}, {worst_high}] in block {block}"
                 )
                 low[j] = high[j] = math.nan
-                low_at[j] = high_at[j] = None
                 continue
-            if worst_low < low[j]:
-                low[j], low_at[j] = worst_low, (block, lo_i)
-            if worst_high > high[j]:
-                high[j], high_at[j] = worst_high, (block, hi_i)
+            low[j], high[j] = min(low[j], worst_low), max(high[j], worst_high)
 
-    return [RowSweep(*fields) for fields in zip(low, high, low_at, high_at, violations)]
+    return [RowSweep(*fields) for fields in zip(low, high, violations)]
 
 
 def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepResult:
@@ -366,28 +357,30 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepR
     Deterministic for a fixed seed regardless of how blocks would be
     scheduled.  A sample escaping the interval by more than CONTAINMENT_BAND
     raises BoundViolationError: the bounds are theorems, so that is a bug,
-    not a statistic.  The one-row call of random_phase_sweeps; the extreme
-    assignments are redrawn from their blocks, in the reduced gauge (the
-    module docstring's sampling contract).
+    not a statistic.  The one-row call of random_phase_sweeps.  Each extreme
+    is located at the first sample that attains it, ties going to the
+    earliest block and index: the row is folded again block by block as the
+    sweep folds it, a (1, n) tile, so the values match bit for bit.  Its
+    assignment is reported in the reduced gauge (the module docstring's
+    sampling contract).
     """
-    (row,) = random_phase_sweeps(BoundsColumns([seq.thetas]), samples, seed)
+    thetas = np.array([seq.thetas])
+    (row,) = random_phase_sweeps(BoundsColumns(thetas), samples, seed)
     if row.violation is not None:
         raise row.violation
-
-    def drawn(at: tuple[int, int]) -> PhaseAssignment:
-        block, index = at
-        count = min(_BLOCK, samples - block * _BLOCK)
-        steps = (4.0 * _block_angles(seed, block, count, len(seq))[:, index]).tolist()
-        return PhaseAssignment((0.0, phi) for phi in itertools.accumulate(steps, initial=0.0))
-
-    return SweepResult(
-        theta_min_observed=row.theta_min_observed,
-        theta_max_observed=row.theta_max_observed,
-        argmin=drawn(row.argmin_at),
-        argmax=drawn(row.argmax_at),
-        sample_count=samples,
-        seed=seed,
-    )
+    extremes = (row.theta_min_observed, row.theta_max_observed)
+    found: list[PhaseAssignment | None] = [None, None]
+    for block, count in _blocks(samples):
+        h = _block_angles(seed, block, count, len(seq))
+        observed = boost_fold(thetas, _quarter_rotors(h.copy()))[0]
+        for i, extreme in enumerate(extremes):
+            if found[i] is None and (hits := np.flatnonzero(observed == extreme)).size:
+                steps = (4.0 * h[:, hits[0]]).tolist()
+                found[i] = PhaseAssignment((0.0, phi)
+                                           for phi in itertools.accumulate(steps, initial=0.0))
+        if None not in found:
+            break
+    return SweepResult(*extremes, *found, sample_count=samples, seed=seed)
 
 
 def attain(seq: RapiditySequence, target: float) -> PhaseAssignment:
@@ -534,7 +527,7 @@ class ContainmentRow:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ContainmentReport:
-    """Scenario-wide audit, worst margins over the sweep; tolerance = widest band.
+    """Scenario-wide audit, worst margins over the sweep.
 
     The per-wavenumber results are columns, one array entry per k: the exact
     T, R and N and whether the row is contained; ``bounds`` holds the rows'
@@ -555,7 +548,6 @@ class ContainmentReport:
     n_high_margin: float
     k_at_max_t: float
     k_at_min_t: float
-    tolerance: float
     bounds: BoundsColumns
 
     @property
@@ -599,7 +591,7 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     BoundsColumns give the edges and envelopes, and, folded, the exact
     compound pair.  A row is contained when
     theta_exact = acosh|alpha_total| lies in [B_n - band, S_n + band], the
-    band from _containment_band (the widest is reported as ``tolerance``).
+    band from _containment_band.
     The T/R/N margins, (exact - lower edge) and (upper edge - exact)
     minimized over the sweep, are reported as is.
     """
@@ -623,5 +615,4 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     return ContainmentReport(k, t, r, n,
                              contained, bool(contained.all()), *margins.ravel().tolist(),
                              k_at_max_t=k[np.argmax(t)].item(),
-                             k_at_min_t=k[np.argmin(t)].item(),
-                             tolerance=float(band.max()), bounds=bounds)
+                             k_at_min_t=k[np.argmin(t)].item(), bounds=bounds)

@@ -59,6 +59,13 @@ barrier rect position=0.0 height=2.0 width=1.0
 barrier rect position=2.2 height=2.0 width=1.0
 """
 
+RECT_DELTA_RECT = """
+k = 0.5:1.5:{}
+barrier rect position=0.0 height=2.0 width=1.0
+barrier delta position=2.0 strength=1.5
+barrier rect position=3.5 height=1.0 width=0.7
+"""
+
 PRODUCTION = """
 mode = production
 analyses = bounds
@@ -294,6 +301,18 @@ class TestCli:
         assert row["sweep_ok"] == "true"
         assert row["exact_contained"] == "true"
 
+    @pytest.mark.parametrize("ks", [2, 3])
+    def test_one_sample_verify_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
+                                                                   capsys, ks):
+        # one sample per row: two threads fold these rows in slices of one row
+        # (a (1, 1) tile), one thread in a single (ks, 1) tile
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            tables.append(self.run(tmp_path, RECT_DELTA_RECT.format(ks), "--analysis", "verify",
+                                   "--samples", "1", "--seed", "0", capsys=capsys))
+        assert tables[0] == tables[1]
+
     def test_production_bounds(self, tmp_path, capsys):
         out = self.run(tmp_path, PRODUCTION, capsys=capsys)
         _, header, body = read_csv(out)
@@ -497,8 +516,7 @@ class TestCli:
 
     def test_violation_exit_code_in_production_mode(self, tmp_path, monkeypatch, capsys):
         def violated(bounds, samples, seed):
-            return [RowSweep(math.nan, math.nan, None, None,
-                             BoundViolationError("injected violation"))]
+            return [RowSweep(math.nan, math.nan, BoundViolationError("injected violation"))]
 
         monkeypatch.setattr(compound_barriers.cli, "random_phase_sweeps", violated)
         path = tmp_path / "case.scn"

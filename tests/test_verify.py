@@ -470,22 +470,18 @@ class TestRandomPhaseSweep:
 class TestRandomPhaseSweeps:
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_rows_equal_the_one_row_call(self, n):
-        rows = np.random.default_rng(n).uniform(0.0, 3.0, (5, n))
-        samples, seed = 10_000, 41  # two full blocks and a partial one
-        batch = random_phase_sweeps(BoundsColumns(rows), samples, seed)
-        assert len(batch) == len(rows)
-        for row, got in zip(rows, batch):
-            one = random_phase_sweep(seq(*row), samples, seed)
-            assert got.violation is None
-            assert got.theta_min_observed == one.theta_min_observed
-            assert got.theta_max_observed == one.theta_max_observed
-            for (block, index), assignment in ((got.argmin_at, one.argmin),
-                                               (got.argmax_at, one.argmax)):
-                count = min(4096, samples - 4096 * block)
-                phis = [(0.0, 0.0)]
-                for h in _block_angles(seed, block, count, n)[:, index].tolist():
-                    phis.append((0.0, phis[-1][1] + 4.0 * h))
-                assert tuple(phis) == assignment.phis
+        # one block of one sample, a last block of one sample (a (rows, 1)
+        # tile against the one-row call's (1, 1)), and two full blocks and a
+        # partial one
+        rows = np.random.default_rng(n).uniform(0.0, 3.0, (24, n))
+        for samples in (1, 4097, 10_000):
+            batch = random_phase_sweeps(BoundsColumns(rows), samples, 41)
+            assert len(batch) == len(rows)
+            for row, got in zip(rows, batch):
+                one = random_phase_sweep(seq(*row), samples, 41)
+                assert got.violation is None
+                assert got.theta_min_observed == one.theta_min_observed, samples
+                assert got.theta_max_observed == one.theta_max_observed, samples
 
     def test_violation_stays_in_its_own_row(self, monkeypatch):
         rows = np.random.default_rng(3).uniform(0.2, 2.0, (5, 4))
@@ -521,8 +517,42 @@ def block_extremes(thetas, samples, seed):
 
 
 def sweep_key(sweeps):
-    return [(s.theta_min_observed.hex(), s.theta_max_observed.hex(), s.argmin_at, s.argmax_at,
-             str(s.violation)) for s in sweeps]
+    return [(s.theta_min_observed.hex(), s.theta_max_observed.hex(), str(s.violation))
+            for s in sweeps]
+
+
+def reduced_gauge(seed, samples, n, block, index):
+    """The reduced-gauge phases of sample ``index`` of block ``block``."""
+    count = min(4096, samples - 4096 * block)
+    phis = [(0.0, 0.0)]
+    for h in _block_angles(seed, block, count, n)[:, index].tolist():
+        phis.append((0.0, phis[-1][1] + 4.0 * h))
+    return tuple(phis)
+
+
+class TestSweepLocator:
+    """random_phase_sweep places each extreme at the first sample, in block
+    then index order, that attains it."""
+
+    @pytest.mark.parametrize("thetas, samples, seed, blocks", [
+        ([2.5], 3 * 4096, 5, (0, 0)),                 # n = 1: every sample ties
+        ([0.0, 0.0, 0.0], 3 * 4096 + 5, 5, (0, 0)),   # every sample composes to exactly 0
+        ([1.5, 0.0, 0.0, 0.0], 2 * 4096, 5, (0, 0)),  # every sample composes to exactly 1.5
+        (np.random.default_rng(8).uniform(0.0, 3.0, 8).tolist(), 3 * 4096 + 5, 17, (1, 2)),
+        ([1.0, 0.6, 0.3], 4097, 466, (0, 1)),         # the maximum is the last block's one sample
+    ], ids=["n1", "zeros", "constant", "later-blocks", "one-sample-last-block"])
+    def test_extremes_are_placed_at_the_first_sample_attaining_them(self, thetas, samples,
+                                                                     seed, blocks):
+        per_block = block_extremes(thetas, samples, seed)
+        low = min(range(len(per_block)), key=lambda b: (per_block[b][0], b))
+        high = min(range(len(per_block)), key=lambda b: (-per_block[b][2], b))
+        assert (low, high) == blocks
+        res = random_phase_sweep(seq(*thetas), samples, seed)
+        assert (res.theta_min_observed, res.theta_max_observed) == (per_block[low][0],
+                                                                    per_block[high][2])
+        n = len(thetas)
+        assert res.argmin.phis == reduced_gauge(seed, samples, n, low, per_block[low][1])
+        assert res.argmax.phis == reduced_gauge(seed, samples, n, high, per_block[high][3])
 
 
 SCHEDULE_CASES = pytest.mark.parametrize("rows, n, samples", [
@@ -531,6 +561,7 @@ SCHEDULE_CASES = pytest.mark.parametrize("rows, n, samples", [
     (3, 20, 3 * 4096 + 5),  # four blocks, a 5-sample last block
     (1, 8, 3 * 4096 + 5),   # one-row tiles; the minimum in block 1, the maximum in block 2
     (2, 1, 500),            # no rotors at all
+    (40, 6, 1),             # one sample: (rows, 1) tiles, a row's tile of one row included
 ])
 
 
@@ -546,12 +577,10 @@ class TestSweepSchedule:
             monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
             seen[workers] = sweep_key(random_phase_sweeps(BoundsColumns(thetas), samples, 17))
         assert seen[1] == seen[2] == seen[4]
-        for row, (lo, hi, lo_at, hi_at, _) in zip(thetas, seen[1]):
+        for row, (lo, hi, _) in zip(thetas, seen[1]):
             per_block = block_extremes(row, samples, 17)
-            low = min(range(len(per_block)), key=lambda b: (per_block[b][0], b))
-            high = min(range(len(per_block)), key=lambda b: (-per_block[b][2], b))
-            assert (lo, lo_at) == (per_block[low][0].hex(), (low, per_block[low][1]))
-            assert (hi, hi_at) == (per_block[high][2].hex(), (high, per_block[high][3]))
+            assert lo == min(b[0] for b in per_block).hex()
+            assert hi == max(b[2] for b in per_block).hex()
 
     @SCHEDULE_CASES
     def test_rows_do_not_depend_on_the_tile_size(self, monkeypatch, rows, n, samples):
@@ -570,7 +599,7 @@ class TestSweepSchedule:
             monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
             for sweep in random_phase_sweeps(BoundsColumns([[2.5], [0.0]]), 3 * 4096, 5):
                 assert sweep.theta_min_observed == sweep.theta_max_observed
-                assert sweep.argmin_at == sweep.argmax_at == (0, 0)
+                assert sweep.violation is None
 
     def test_ties_within_a_block_go_to_the_first(self):
         # rotors all 1: every sample of each row is the same; tiles of one row and of several
@@ -578,8 +607,7 @@ class TestSweepSchedule:
         rho = np.ones((3, 8), complex)
         work = np.empty(3 * 5 * 8, complex)
         for tile_size in (8, 16):
-            at_min, low, at_max, high = _fold_extremes(thetas, rho, work, tile_size)
-            assert at_min == at_max == [0] * 5
+            low, high = _fold_extremes(thetas, rho, work, tile_size)
             assert low == high
 
     @pytest.mark.parametrize("workers, samples, draws", [
@@ -616,7 +644,6 @@ class TestSweepSchedule:
             assert str(batch[j].violation).endswith("in block 3")
             assert math.isnan(batch[j].theta_min_observed)
             assert math.isnan(batch[j].theta_max_observed)
-            assert batch[j].argmin_at is batch[j].argmax_at is None
             assert batch[:j] + batch[j + 1:] == clean[:j] + clean[j + 1:]
 
 
