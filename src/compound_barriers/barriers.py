@@ -22,10 +22,10 @@ Supported shapes:
 
 Every formula takes an array of wavenumbers.  One build at the origin
 (origin_arrays) makes every refusal of a scenario, the phase range of each
-position included, and checks its pairs once; its alpha, and so every
-rapidity, T_i and bound, is already the placed one.  scenario_arrays
-translates the betas, which only the exact compound values need.
-transfer_of / scenario_transfer are one-k calls of scenario_arrays.
+position included, and checks its pairs once; the rapidities theta_i =
+asinh|beta_i|, and so every T_i and bound, are read from it.  place
+translates its betas, which only the exact compound values need, and
+scenario_arrays is both; transfer_of / scenario_transfer are its one-k calls.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "support",
     "transfer_of",
     "origin_arrays",
+    "place",
     "scenario_arrays",
     "scenario_transfer",
 ]
@@ -264,9 +265,9 @@ def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     The one build of a scenario, with every refusal that placing makes: the
     wavenumbers, the layout, each barrier's named refusals at the origin and
     the phase range of its position (transfer.check_phase_range), barrier by
-    barrier; then one check_pairs over the whole array.  alpha, and so
-    theta_i, T_i and every bound, is what it is at the barrier's position;
-    only beta moves (scenario_arrays)."""
+    barrier; then one check_pairs over the whole array.  Translation leaves
+    alpha as it is and only turns beta (place), so theta_i = asinh|beta_i|,
+    T_i and every bound are read here, before it."""
     k = np.asarray(k_sweep, dtype=float)
     bad = ~(np.isfinite(k) & (k > 0.0))
     if bad.any():
@@ -284,21 +285,24 @@ def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     return alpha, beta
 
 
+def place(specs: list[BarrierSpec] | tuple[BarrierSpec, ...], k: np.ndarray,
+          beta: np.ndarray) -> None:
+    """Translate each beta column of an origin_arrays build, in place, to its
+    barrier's position.  The pairs are not checked again: a unit phase moves
+    |beta| by a few ulps.  A column is translated as the contiguous array
+    translate takes, so its bits do not depend on the build's layout."""
+    for i, spec in enumerate(specs):
+        beta[:, i] = translate(np.ascontiguousarray(beta[:, i]), k, spec.position)
+
+
 def scenario_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
                     k_sweep) -> tuple[np.ndarray, np.ndarray]:
     """Exact (alpha, beta) of every barrier at its position, at every
-    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)).
-
-    origin_arrays, with each beta column translated to its barrier's
-    position, so probabilities never depend on placement.  The placed pairs
-    are not checked again: translation leaves alpha untouched and turns beta
-    by a unit phase, which moves |beta| by a few ulps.  A column is
-    translated as the contiguous array translate takes, so its bits do not
-    depend on the build's layout."""
+    wavenumber, as complex arrays of shape (len(k_sweep), len(specs)):
+    origin_arrays, then place."""
     k = np.asarray(k_sweep, dtype=float)
     alpha, beta = origin_arrays(specs, k)
-    for i, spec in enumerate(specs):
-        beta[:, i] = translate(np.ascontiguousarray(beta[:, i]), k, spec.position)
+    place(specs, k, beta)
     return alpha, beta
 
 

@@ -1,6 +1,6 @@
 """Phase-free bounds on compound scattering and particle production.
 
-Given only the per-barrier rapidities theta_i = acosh|alpha_i| (equivalently
+Given only the per-barrier rapidities theta_i = asinh|beta_i| (equivalently
 the individual T_i, R_i or N_i), the compound rapidity of any arrangement is
 confined to the interval [B_n, S_n] with
 
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, EmptySequenceError, RapidityOverflowError
-from .transfer import RAPIDITY_LIMIT, TransferMatrix, to_polar
+from .transfer import RAPIDITY_LIMIT, TransferMatrix
 
 __all__ = [
     "RapiditySequence",
@@ -85,7 +85,8 @@ class RapiditySequence:
 
     @classmethod
     def from_matrices(cls, ms: Iterable[TransferMatrix]) -> "RapiditySequence":
-        return cls(tuple(to_polar(m).theta for m in ms))
+        """theta_i = asinh|beta_i|: the CLI's row, bit for bit, for matrices at the origin."""
+        return cls(tuple(np.arcsinh(np.abs([m.beta for m in ms])).tolist()))
 
 
 # ---------------------------------------------------------------------------

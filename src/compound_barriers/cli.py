@@ -42,7 +42,6 @@ from .barriers import origin_arrays
 from .bounds import BoundsColumns, RapiditySequence, production_guaranteed
 from .errors import BoundViolationError, CompoundBarrierError, DomainError
 from .scenario import Scenario, load_scenario
-from .transfer import rapidity
 from .verify import (
     GENERATOR_NAME,
     SAMPLING_CONTRACT,
@@ -77,11 +76,11 @@ class Table:
 def _bounds(scenario: Scenario) -> tuple[np.ndarray, BoundsColumns]:
     """The wavenumbers as one float array, the build's and the k column's,
     and the bounds at every k, from one checked build at the origin: the
-    rapidities do not depend on where the barriers sit, so nothing is
-    translated."""
+    rapidities theta_i = asinh|beta_i| do not depend on where the barriers
+    sit, so nothing is translated."""
     k = np.asarray(scenario.k_values, dtype=float)
-    alpha, _ = origin_arrays(scenario.barriers, k)
-    return k, BoundsColumns(rapidity(alpha))
+    _, beta = origin_arrays(scenario.barriers, k)
+    return k, BoundsColumns(np.arcsinh(np.abs(beta)))
 
 
 def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:

@@ -9,7 +9,7 @@ which always admits the polar form
 
     alpha = cosh(theta) e^{i phi_alpha},  beta = sinh(theta) e^{i phi_beta},
 
-with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
+with rapidity theta = asinh|beta| >= 0.  Conventions used throughout:
 
 * compound systems compose left-to-right: the first matrix is the first
   barrier encountered, M_total = M_1 M_2 ... M_n (order matters);
@@ -19,12 +19,12 @@ with rapidity theta = acosh|alpha| >= 0.  Conventions used throughout:
   r = beta/alpha = tanh(theta) e^{-i(phi_alpha - phi_beta)}.
 
 The algebra is array-valued (an entry per wavenumber, sample, ...).  The
-scalar API (TransferMatrix, compose, to_polar, amplitudes) is its one-element
-calls: numpy's loops give an element the same bits whatever the array's
-length, so a scalar result equals the array entry bit for bit.  No function
-keeps state, and each leaves its arguments as they were, except boost_fold,
-which works in the scratch array it may be given; so concurrent calls are
-safe unless they share such an array.
+scalar API (TransferMatrix, compose, amplitudes) is its one-element calls:
+numpy's loops give an element the same bits whatever the array's length, so
+a scalar result equals the array entry bit for bit.  No function keeps
+state, and each leaves its arguments as they were, except boost_fold, which
+works in the scratch array it may be given; so concurrent calls are safe
+unless they share such an array.
 """
 
 from __future__ import annotations
@@ -122,11 +122,6 @@ def fold(alpha, beta):
     return a, b
 
 
-def rapidity(alpha):
-    """theta = acosh|alpha| elementwise, float noise below |alpha| = 1 clamped."""
-    return np.arccosh(np.maximum(np.abs(alpha), 1.0))
-
-
 def boost_fold(thetas, rho, work=None):
     """Composed rapidity of B(theta_1) R(w_1) B(theta_2) ... R(w_{n-1}) B(theta_n)
     per column of the (n-1, samples) rotors rho = e^{2iw}, unguarded.
@@ -141,9 +136,8 @@ def boost_fold(thetas, rho, work=None):
     pair, so each step drops both: q = a rho_i, a <- q + tau_i b,
     b <- tau_i q + b, one complex multiply per sample.  From (1, tanh
     theta_1), b ends as beta_total / prod cosh theta_i up to a phase, and the
-    rapidity is read as asinh(|b| prod cosh theta_i).  That read resolves a
-    rapidity near 0, where acosh|alpha| cannot tell less than sqrt(2 eps)
-    from 0: a row of zeros gives b = 0 and exactly 0.
+    rapidity is read as asinh(|b| prod cosh theta_i), the package's read,
+    exact near 0: a row of zeros gives b = 0 and exactly 0.
 
     a, b and q are consecutive thirds of ``work``, a complex scratch array
     of at least 3 rows samples elements, so a caller folding tile after tile
@@ -277,12 +271,12 @@ class ScatteringAmplitudes:
 
 
 def to_polar(m: TransferMatrix) -> HyperbolicParams:
-    """Polar form: theta = rapidity(alpha) on one element, the CLI's
-    acosh|alpha| (clamped) to the bit; phases = args.
+    """Polar form: theta = acosh|alpha| (noise below 1 clamped), the same
+    wherever the barrier sits but 0 below ~2e-8; phases = args.
 
     beta == 0 yields phi_beta = 0.
     """
-    theta = rapidity(np.array([m.alpha]))[0]
+    theta = np.arccosh(max(abs(m.alpha), 1.0))
     phi_beta = cmath.phase(m.beta) if m.beta != 0 else 0.0
     return HyperbolicParams(theta, cmath.phase(m.alpha), phi_beta)
 

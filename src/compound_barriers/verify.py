@@ -24,8 +24,7 @@ drops more of what cannot change the modulus: at step i, the left phase
 e^{i w_i} (it only rotates alpha_total) and the factor cosh(theta_i) (it
 only scales it), leaving one complex multiply per sample and barrier; the
 product of the cosh(theta_i) is put back at the end, and the rapidity is
-read from beta_total as asinh|beta_total|, exact at 0 (acosh|alpha_total|
-cannot tell less than sqrt(2 eps) ~ 2e-8 from 0).  That this loses
+read from beta_total as asinh|beta_total|, exact at 0.  That this loses
 nothing is covered by tests against full-phase composition and against the
 extremes of an exhaustive reduced-gauge grid (tests/oracles.py).
 
@@ -87,7 +86,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .barriers import BarrierSpec, scenario_arrays
+from .barriers import BarrierSpec, origin_arrays, place
 from .bounds import BoundsColumns, RapiditySequence, b_n_closed, b_n_iterative_rows, s_n
 from .errors import (
     BoundViolationError,
@@ -96,7 +95,7 @@ from .errors import (
     EmptySequenceError,
     TargetOutOfRangeError,
 )
-from .transfer import ScatteringAmplitudes, boost_fold, check_pairs, fold, product, rapidity
+from .transfer import ScatteringAmplitudes, boost_fold, check_pairs, fold, product
 
 __all__ = [
     "PhaseAssignment",
@@ -558,39 +557,40 @@ class ContainmentReport:
 
 
 def _theta_error(theta, delta):
-    """Error of theta = acosh|alpha| from an error delta on |alpha|:
-    delta / sinh(theta), capped near 0 by acosh(1 + delta) <= sqrt(2 delta)."""
-    return delta / np.maximum(np.sinh(theta), np.sqrt(0.5 * delta))
+    """Error of theta = asinh|beta| from an error delta on |beta|: delta /
+    cosh(theta), asinh's slope there, which is at most 1 (at theta = 0)."""
+    return delta / np.cosh(theta)
 
 
-def _containment_band(thetas, theta_exact, s):
+def _containment_band(n, theta_exact, s):
     """Rounding band: how far theta_exact can fall outside [B_n, S_n] by rounding.
 
-    thetas (n_k, n) per barrier; theta_exact, s = S_n (n_k,); eps = machine
-    epsilon.  Each factor's entries are off by a few eps relatively.  Step m
-    of the fold adds a few eps of |alpha_acc||alpha_m| + |beta_acc||beta_m|
-    = cosh(x + theta_m), x composed so far, and each later factor j scales
-    that by at most e^{theta_j}: a few eps of e^{S_n} <= 2 cosh(S_n) per
-    factor.  So |alpha_total| is off by at most delta = c n eps cosh(S_n)
-    (c = 8, generous), i.e. _theta_error(theta_exact, delta) in rapidity.
-    The edges carry the per-barrier errors _theta_error(theta_i, c eps
-    cosh(theta_i)), at most three times their sum (B_n = 2 theta_peak -
-    S_n); 4 eps S_n covers the last acosh, the one rounding of the correctly
+    n barriers; theta_exact, s = S_n (n_k,); eps = machine epsilon.  Each
+    factor's entries are off by a few eps of |alpha_i| = cosh(theta_i), and
+    an error delta on |beta| moves asinh|beta| by delta / cosh(theta) at
+    most (_theta_error; no cap at 0, where the slope is 1): c eps per
+    theta_i.  Step m of the fold adds a few eps of |alpha_acc||alpha_m| +
+    |beta_acc||beta_m| = cosh(x + theta_m), x composed so far, and each
+    later factor j scales that by at most e^{theta_j}: a few eps of e^{S_n}
+    <= 2 cosh(S_n) per factor.  So |beta_total| is off by at most delta = c
+    n eps cosh(S_n) (c = 8, generous; it also covers the slope at a true
+    value e below, up to e^e times larger), i.e. _theta_error(theta_exact,
+    delta).  The edges carry 3 n c eps at most (B_n = 2 theta_peak - S_n);
+    4 eps S_n covers the last asinh, the one rounding of the correctly
     rounded S_n and the subtraction.  Relative to cosh(S_n), the band holds
     across the trusted range; an absolute N tolerance does not."""
-    delta = _C_EPS * thetas.shape[-1] * np.cosh(s)
-    edges = _theta_error(thetas, _C_EPS * np.cosh(thetas)).sum(axis=-1)
-    return _theta_error(theta_exact, delta) + 3.0 * edges + _C_EPS / 2.0 * np.maximum(1.0, s)
+    delta = _C_EPS * n * np.cosh(s)
+    return _theta_error(theta_exact, delta) + 3.0 * n * _C_EPS + _C_EPS / 2.0 * np.maximum(1.0, s)
 
 
 def scenario_containment_audit(specs: Sequence[BarrierSpec],
                                k_sweep: Sequence[float]) -> ContainmentReport:
     """Exact compound T/R/N versus the six envelopes at every wavenumber.
 
-    One scenario_arrays build gives each row's rapidities, whose
-    BoundsColumns give the edges and envelopes, and, folded, the exact
-    compound pair.  A row is contained when
-    theta_exact = acosh|alpha_total| lies in [B_n - band, S_n + band], the
+    One origin_arrays build gives each row's rapidities theta_i =
+    asinh|beta_i|, whose BoundsColumns give the edges and envelopes, and,
+    placed and folded, the exact compound pair.  A row is contained when
+    theta_exact = asinh|beta_total| lies in [B_n - band, S_n + band], the
     band from _containment_band.
     The T/R/N margins, (exact - lower edge) and (upper edge - exact)
     minimized over the sweep, are reported as is.
@@ -598,19 +598,21 @@ def scenario_containment_audit(specs: Sequence[BarrierSpec],
     k = np.asarray(k_sweep, dtype=float)
     if k.size == 0:
         raise EmptySequenceError("audit needs at least one wavenumber")
-    alpha, beta = scenario_arrays(specs, k)
-    bounds = BoundsColumns(rapidity(alpha))
+    alpha, beta = origin_arrays(specs, k)
+    bounds = BoundsColumns(np.arcsinh(np.abs(beta)))
+    place(specs, k, beta)
     total_alpha, total_beta = fold(alpha, beta)
     del alpha, beta  # the (n_k, n) build is not needed past this point
     amps = ScatteringAmplitudes(1.0 / total_alpha, total_beta / total_alpha)
-    t, r, n = amps.T, amps.R, np.square(np.abs(total_beta))
+    modulus = np.abs(total_beta)
+    t, r, n = amps.T, amps.R, np.square(modulus)
     exact = np.stack([t, r, n], axis=1)
     edges = np.stack(bounds.envelopes, axis=1)
     # (T, R, N) x (low, high) worst margins, in ContainmentReport's field order
     margins = np.stack([exact - edges[:, 0::2], edges[:, 1::2] - exact], axis=-1).min(axis=0)
-    theta_exact = rapidity(total_alpha)
+    theta_exact = np.arcsinh(modulus)
     low, high = bounds.b_n, bounds.s_n
-    band = _containment_band(bounds.thetas, theta_exact, high)
+    band = _containment_band(len(specs), theta_exact, high)
     contained = (low - band <= theta_exact) & (theta_exact <= high + band)
     return ContainmentReport(k, t, r, n,
                              contained, bool(contained.all()), *margins.ravel().tolist(),

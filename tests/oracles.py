@@ -28,6 +28,10 @@ within ulp bounds.  floats_repr is the
 plain repr of each value as a Python float, and rows_repr joins it, with
 true/false and text cells, into one line per row: the byte-for-byte
 reference of the rows cli._write_table writes a block at a time.
+mp_at_origin solves each barrier from the wave equation in mpmath, apart
+from barriers.py (a slab's segments placed by mp_translate and folded by
+mp_fold), and mp_rapidity reads its rapidity: the reference of every
+printed cell of a scenario.
 """
 
 from __future__ import annotations
@@ -111,6 +115,104 @@ def pieces_for(specs) -> list[tuple[float, float, float]]:
             raise TypeError(f"no oracle pieces for {spec!r}")
         cursor = support(spec)[1]
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# the mpmath reference of a scenario, from the wave equation
+# ---------------------------------------------------------------------------
+
+def _mp_matmul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def _mp_region(k, x0, x1, p_inverse):
+    """Transfer matrix of the region [x0, x1] whose (psi, psi') propagator
+    from x0 to x1 has the inverse p_inverse: it takes the amplitudes (A, B)
+    of psi = A e^{ikx} + B e^{-ikx} right of the region to those left of it,
+    W(x0)^-1 P^-1 W(x1), with W(x) = [[e, 1/e], [ik e, -ik/e]], e = e^{ikx},
+    the (psi, psi') of the two plane waves (det W = -2ik)."""
+    k = mpmath.mpf(k)
+    e0, e1 = mpmath.expj(k * x0), mpmath.expj(k * x1)
+    waves = [[e1, 1 / e1], [1j * k * e1, -1j * k / e1]]
+    inverse_waves = [[1 / (2 * e0), 1 / (2j * k * e0)], [e0 / 2, -e0 / (2j * k)]]
+    return _mp_matmul(inverse_waves, _mp_matmul(p_inverse, waves))
+
+
+def mp_delta(strength, k):
+    """V = lam delta(x): psi is continuous and psi' jumps by lam psi(0), so
+    P = [[1, 0], [lam, 1]] across a region of no width."""
+    return _mp_region(k, 0, 0, [[1, 0], [-mpmath.mpf(strength), 1]])
+
+
+def mp_rect(height, width, k):
+    """V = V0 on [-L/2, L/2]: psi'' = u psi there, u = V0 - E, so (psi, psi')
+    moves across it by P = [[C, S], [u S, C]] (det P = C^2 - u S^2 = 1), with
+    C = cosh(sqrt(u) L), S = sinh(sqrt(u) L) / sqrt(u) below the top (E < V0),
+    C = cos(sqrt(-u) L), S = sin(sqrt(-u) L) / sqrt(-u) above it, and C = 1,
+    S = L at E = V0."""
+    k, length = mpmath.mpf(k), mpmath.mpf(width)
+    u = mpmath.mpf(height) - k * k
+    if u > 0:
+        r = mpmath.sqrt(u)
+        c, s = mpmath.cosh(r * length), mpmath.sinh(r * length) / r
+    elif u < 0:
+        r = mpmath.sqrt(-u)
+        c, s = mpmath.cos(r * length), mpmath.sin(r * length) / r
+    else:
+        c, s = mpmath.mpf(1), length
+    return _mp_region(k, -length / 2, length / 2, [[c, -s], [-u * s, c]])
+
+
+def mp_translate(m, k, a):
+    """The region's matrix moved by a: psi(x - a) has the amplitudes (A e^{-ika},
+    B e^{ika}), so it is D M D^-1 with D = diag(e^{-ika}, e^{ika})."""
+    e2 = mpmath.expj(2 * mpmath.mpf(k) * mpmath.mpf(a))
+    return [[m[0][0], m[0][1] / e2], [m[1][0] * e2, m[1][1]]]
+
+
+def mp_fold(matrices):
+    """The product M_1 M_2 ... M_n, the first matrix the leftmost region."""
+    total = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(0), mpmath.mpf(1)]]
+    for m in matrices:
+        total = _mp_matmul(total, m)
+    return total
+
+
+def mp_slab(segments, k):
+    """Adjacent slabs centered as a whole at 0: each segment's rect, moved to
+    its center, folded left to right.  The fold multiplies factors of size
+    up to e^{theta} that may cancel, so when the segments' rapidities sum to
+    more than 20 ln 10 it runs again with that many more digits."""
+    extra = 0
+    while True:
+        with mpmath.workdps(mpmath.mp.dps + extra):
+            left, pieces = -mpmath.fsum(mpmath.mpf(w) for _, w in segments) / 2, []
+            for h, w in segments:
+                pieces.append(mp_translate(mp_rect(h, w, k), k, left + mpmath.mpf(w) / 2))
+                left += mpmath.mpf(w)
+            lost = mpmath.fsum(mpmath.asinh(abs(m[0][1])) for m in pieces) / math.log(10)
+            if lost <= extra + 20:
+                return mp_fold(pieces)
+        extra = int(lost) + 1
+
+
+def mp_at_origin(spec, k):
+    """The barrier's transfer matrix centered at the origin, at wavenumber k.
+    Its first row is the package's (alpha, beta) conjugated: the package's
+    wave basis turns beta by e^{+2ika} under translation (transfer), a gauge
+    with the same moduli."""
+    if isinstance(spec, Delta):
+        return mp_delta(spec.strength, k)
+    if isinstance(spec, Rectangular):
+        return mp_rect(spec.height, spec.width, k)
+    if isinstance(spec, PiecewiseConstant):
+        return mp_slab(spec.segments, k)
+    raise TypeError(f"no reference for {spec!r}")
+
+
+def mp_rapidity(spec, k):
+    """theta = asinh|beta| of the barrier at wavenumber k."""
+    return mpmath.asinh(abs(mp_at_origin(spec, k)[0][1]))
 
 
 # ---------------------------------------------------------------------------

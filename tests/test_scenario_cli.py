@@ -1,6 +1,7 @@
 """Scenario parsing and the CLI harness (CSV output, exit codes, seeds)."""
 
 import csv
+import dataclasses
 import errno
 import functools
 import io
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import orjson
 import pytest
@@ -36,11 +38,10 @@ from compound_barriers import (
     scenario_transfer,
     transfer_of,
 )
-from compound_barriers.barriers import origin_arrays, scenario_arrays
+from compound_barriers.barriers import origin_arrays
 from compound_barriers.cli import EXIT_BROKEN_PIPE, main
 from compound_barriers.errors import BoundViolationError
 from compound_barriers.scenario import _parse_sweep, load_scenario
-from compound_barriers.transfer import rapidity
 from compound_barriers.verify import RowSweep
 from oracles import floats_repr, rows_repr
 
@@ -654,21 +655,33 @@ SCATTERING_SCENARIOS = [path for path in sorted(SCENARIO_DIR.glob("*.scn"))
                         if load_scenario(path).mode == "scattering"]
 
 
+def at_origin(barriers, ctx):
+    """Each barrier's matrix built at the origin, where the CLI reads its
+    rapidity."""
+    return [transfer_of(dataclasses.replace(b, position=0.0), ctx) for b in barriers]
+
+
 @pytest.mark.dispatch
 @pytest.mark.parametrize("path", SCATTERING_SCENARIOS, ids=lambda path: path.name)
 class TestScalarAgreement:
     """The scalar API is the one-element call of the array algebra the CLI
     runs, so at every k of every shipped scattering scenario its values
     equal the CLI's bit for bit (Python's own complex arithmetic, abs and
-    acosh differ from numpy's loops in the last bits)."""
+    asinh differ from numpy's loops in the last bits).  The CLI reads each
+    theta_i = asinh|beta_i| at the origin, so the library gets its row from
+    the matrices built there."""
 
     def test_from_matrices_equals_the_rapidity_rows(self, path):
+        # placed matrices stay within 2 ulps: translation turns beta by a
+        # rounded unit factor
         scenario = load_scenario(path)
-        alpha, _ = scenario_arrays(scenario.barriers, scenario.k_values)
-        for k, row in zip(scenario.k_values, rapidity(alpha).tolist()):
+        _, bounds = compound_barriers.cli._bounds(scenario)
+        for k, row in zip(scenario.k_values, bounds.thetas):
             ctx = WaveContext(k=k)
-            seq = RapiditySequence.from_matrices(transfer_of(b, ctx) for b in scenario.barriers)
-            assert list(seq.thetas) == row, k
+            seq = RapiditySequence.from_matrices(at_origin(scenario.barriers, ctx))
+            assert list(seq.thetas) == row.tolist(), k
+            placed = RapiditySequence.from_matrices(transfer_of(b, ctx) for b in scenario.barriers)
+            assert (np.abs(np.array(placed.thetas) - row) <= 2 * np.spacing(row)).all(), k
 
     def test_composed_scalars_equal_scenario_transfer(self, path):
         scenario = load_scenario(path)
@@ -688,8 +701,8 @@ class TestScalarAgreement:
         assert len(tables["bounds"]) == len(tables["sweep"]) == len(scenario.k_values)
         for k, bounds_row, sweep_row in zip(scenario.k_values, tables["bounds"], tables["sweep"]):
             ctx = WaveContext(k=k)
-            report = bounds_report(
-                RapiditySequence.from_matrices(transfer_of(b, ctx) for b in scenario.barriers))
+            seq = RapiditySequence.from_matrices(at_origin(scenario.barriers, ctx))
+            report = bounds_report(seq)
             amps = amplitudes(scenario_transfer(scenario.barriers, ctx))
             # repr round-trips, so the floats read back are the CLI's values
             cli = [float(bounds_row[name]) for name in ("T_min", "T_upper", "R_high", "N_high")]
@@ -697,6 +710,43 @@ class TestScalarAgreement:
             library = [*report.t_interval, report.r_interval[1], report.n_interval[1],
                        amps.T, amps.R]
             assert cli == library, k
+
+
+def cli_rows(name, analysis, capsys, *flags):
+    """The rows of ``analysis`` on the shipped scenario ``name``, as dicts of
+    the printed cells."""
+    assert main(["--scenario", str(SCENARIO_DIR / name), "--analysis", analysis, *flags]) == 0
+    _, header, body = read_csv(capsys.readouterr().out)
+    return [dict(zip(header, raw)) for raw in body]
+
+
+@pytest.mark.dispatch
+class TestSmallRapidities:
+    """Each theta_i is read as asinh|beta_i| at the origin, exact near 0.  An
+    acosh|alpha| read printed S_n = N_high = 0 on every row of
+    thin_chain.scn, next to N_exact = 4.3e-18, and still said contained."""
+
+    def test_thin_chain_s_n_is_three_deltas(self, capsys):
+        # S_n = 3 asinh(1e-9 / (2k)) within an ulp of its 50-digit value
+        rows = cli_rows("thin_chain.scn", "verify", capsys, "--samples", "10")
+        assert len(rows) == 50
+        with mpmath.workdps(50):
+            for row in rows:
+                exact = 3 * mpmath.asinh(mpmath.mpf(1e-9) / (2 * mpmath.mpf(float(row["k"]))))
+                assert abs(float(row["S_n"]) - exact) <= math.ulp(float(exact)), row["k"]
+
+    @pytest.mark.parametrize("name", ["double_rect.scn", "mixed_chain.scn", "thin_chain.scn"])
+    def test_exact_values_lie_under_the_upper_envelopes(self, name, capsys):
+        for row in cli_rows(name, "sweep", capsys):
+            assert float(row["N_exact"]) <= float(row["N_high"]), row["k"]
+            assert float(row["R_exact"]) <= float(row["R_high"]), row["k"]
+
+    def test_a_single_opaque_barrier_exceeds_its_edges_by_rounding_only(self, capsys):
+        # one barrier sits on both edges, so half of its exact values fall an
+        # ulp or a few outside the printed edge they equal (ROADMAP item 17)
+        for row in cli_rows("opaque_rect.scn", "sweep", capsys):
+            for exact, high in (("N_exact", "N_high"), ("R_exact", "R_high")):
+                assert float(row[exact]) <= float(row[high]) * (1.0 + 4e-15), row["k"]
 
 
 # the doubles either side of where orjson's layout leaves repr's (9.999999999999999e-10 /
@@ -996,10 +1046,10 @@ class TestArrayPasses:
         # S_n comes from the TwoSum cascade; fsum takes only the rows it
         # cannot decide
         scenario = parse_scenario(chain_scenario_text(2000))
-        alpha, _ = origin_arrays(scenario.barriers, scenario.k_values)
+        _, beta = origin_arrays(scenario.barriers, scenario.k_values)
         fsum, calls = math.fsum, []
         monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
-        bounds = BoundsColumns(rapidity(alpha))
+        bounds = BoundsColumns(np.arcsinh(np.abs(beta)))
         assert bounds.thetas.shape == (2000, 20)
         assert len(calls) <= 0.02 * 2000
 
@@ -1071,7 +1121,7 @@ class TestArrayPasses:
 def refuse_scalar_path(monkeypatch):
     """Make the per-k scalar builders raise if any CLI analysis calls them."""
     def scalar_path(*args, **kwargs):
-        raise AssertionError("the CLI must build through scenario_arrays")
+        raise AssertionError("the CLI must build through origin_arrays")
 
     for module in (compound_barriers.barriers, compound_barriers.cli, compound_barriers.verify):
         for name in ("transfer_of", "scenario_transfer"):
@@ -1129,8 +1179,9 @@ class TestArrayBuild:
         def translated(*args, **kwargs):
             raise AssertionError("bounds and resonance must not translate")
 
+        # place is the one translation of a build; scenario_arrays calls it too
         for module in (compound_barriers.barriers, compound_barriers.verify):
-            monkeypatch.setattr(module, "scenario_arrays", translated)
+            monkeypatch.setattr(module, "place", translated)
         assert main(["--scenario", str(path), "--analysis", analysis]) == 0
         assert capsys.readouterr().out == unpatched
 

@@ -41,7 +41,8 @@ from compound_barriers.verify import (CONTAINMENT_BAND, _block_angles, _block_rn
                                       _fold_extremes, _quarter_rotors, _run_units, _theta_error)
 from oracles import (b_n_iterative, block_phases, compose_polar, extremal_phase_search,
                      fold_rotating_b, from_polar, gauge_rotors, legendre_half,
-                     legendre_half_product, log_cosh_sq, matrices, mp_theta, pair_law_cdf)
+                     legendre_half_product, log_cosh_sq, matrices, mp_at_origin, mp_fold,
+                     mp_theta, mp_translate, pair_law_cdf)
 
 # the sweep's rotors take numpy's tan, which is SVML's or libm's by dispatch
 pytestmark = pytest.mark.dispatch
@@ -961,6 +962,27 @@ class TestScenarioContainmentAudit:
         for row, *fields in zip(audit.rows, *columns, strict=True):
             assert (row.k, row.t_exact, row.r_exact, row.n_exact, row.contained) == tuple(fields)
         assert list(audit.k) == list(scenario.k_values)
+
+    @pytest.mark.parametrize("path", SHIPPED_SCATTERING, ids=lambda path: path.stem)
+    def test_theta_exact_lies_within_its_band_of_a_60_digit_fold(self, path, monkeypatch):
+        # the audit's theta_exact = asinh|beta_total| against the chain solved
+        # from the wave equation, placed and folded with 60 digits
+        # (oracles.mp_at_origin): the gap is rounding, which its band covers
+        band, seen = compound_barriers.verify._containment_band, []
+
+        def recorded(n, theta_exact, s):
+            seen.append((theta_exact, band(n, theta_exact, s)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(compound_barriers.verify, "_containment_band", recorded)
+        scenario = load_scenario(path)
+        scenario_containment_audit(scenario.barriers, scenario.k_values)
+        ((thetas, widths),) = seen
+        with mpmath.workdps(60):
+            for k, theta, width in zip(scenario.k_values, thetas.tolist(), widths.tolist()):
+                chain = mp_fold(mp_translate(mp_at_origin(spec, k), k, spec.position)
+                                for spec in scenario.barriers)
+                assert abs(theta - mpmath.asinh(abs(chain[0][1]))) <= width, k
 
     def test_mixed_kinds(self):
         specs = [Delta(strength=1.5, position=-2.0),
