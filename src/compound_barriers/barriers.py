@@ -75,7 +75,7 @@ class WaveContext:
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"wavenumber must be finite and > 0, got {self.k!r}")
+            raise DomainError(f"wavenumber must be finite and > 0, got {float(self.k)!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,6 +241,15 @@ def _at_origin(spec: BarrierSpec, k: np.ndarray):
     raise DomainError(f"unknown barrier kind: {spec!r}")
 
 
+def check_wavenumbers(k_values) -> None:
+    """Refuse a sweep unless every k is finite and > 0, naming the first bad k
+    as a float; a k that is not a number (no dtype) stays a TypeError."""
+    k = np.asarray(k_values)
+    bad = ~(np.isfinite(k) & (k > 0.0))
+    if bad.any():
+        raise DomainError(f"wavenumbers must be finite and > 0, got {float(k[bad][0])!r}")
+
+
 def check_layout(specs: list[BarrierSpec] | tuple[BarrierSpec, ...]) -> None:
     """Reject sequences whose closed supports intersect or are out of order.
 
@@ -269,9 +278,7 @@ def origin_arrays(specs: list[BarrierSpec] | tuple[BarrierSpec, ...],
     alpha as it is and only turns beta (place), so theta_i = asinh|beta_i|,
     T_i and every bound are read here, before it."""
     k = np.asarray(k_sweep, dtype=float)
-    bad = ~(np.isfinite(k) & (k > 0.0))
-    if bad.any():
-        raise DomainError(f"wavenumbers must be finite and > 0, got {k[bad][0]!r}")
+    check_wavenumbers(k)
     if len(specs) == 0:
         raise EmptySequenceError("a scenario needs at least one barrier")
     check_layout(specs)

@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .barriers import BarrierSpec, Delta, PiecewiseConstant, Rectangular, check_layout, support
+from .barriers import (BarrierSpec, Delta, PiecewiseConstant, Rectangular, check_layout,
+                       check_wavenumbers, support)
 from .errors import DomainError, ParseError
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "ANALYSES", "MODES"]
@@ -60,11 +61,7 @@ class Scenario:
         for a in self.analyses:
             if a not in ANALYSES:
                 raise DomainError(f"unknown analysis {a!r}, expected one of {ANALYSES}")
-        k = np.asarray(self.k_values)  # no dtype: a k that is not a number stays a TypeError
-        bad = ~(np.isfinite(k) & (k > 0.0))  # one array test, no Python call per k
-        if bad.any():
-            raise DomainError(f"wavenumbers must be finite and > 0, "
-                              f"got {self.k_values[bad.argmax()]!r}")
+        check_wavenumbers(self.k_values)
         if self.mode == "scattering":
             if not self.barriers:
                 raise DomainError("scattering scenario needs at least one barrier")

@@ -68,12 +68,12 @@ broadcast passes with numpy's ufunc buffer cut to a row, so that rows
 shorter than the 8192-element default (chain-verify's 2000 samples) are
 not copied through it; calls that cheap need tiles of 24576 elements
 (_TILE) to keep the waits rare.  A row's bits do not depend on the tile it
-is folded in (boost_fold).  The calling thread then reduces the units' minima and maxima; their
-(block, row) order only makes a row's violation the first block that
-escapes, however the units ran.  The output is bit-identical under any
-number of threads.  random_phase_sweep, the one-row call, then draws and
-folds its row again to locate each extreme at the first sample that
-attains it.
+is folded in (boost_fold).  Each unit writes its rows' minima and maxima
+into one (blocks, rows) pair of arrays, which the calling thread reduces in
+array passes; a row's violation is the first block that escapes, however
+the units ran.  The output is bit-identical under any number of threads.
+random_phase_sweep, the one-row call, then draws and folds its row again to
+locate each extreme at the first sample that attains it.
 """
 
 from __future__ import annotations
@@ -201,14 +201,16 @@ def _quarter_rotors(h: np.ndarray) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RowSweep:
-    """One row of random_phase_sweeps: observed extremes, or the violation
-    that stopped the row (then the extremes are NaN)."""
+    """random_phase_sweeps' columns, an array entry per row: the observed
+    extremes (NaN where the row escaped) and sweep_ok; ``violations`` holds
+    the escaping rows' BoundViolationErrors, in row order."""
 
-    theta_min_observed: float
-    theta_max_observed: float
-    violation: BoundViolationError | None
+    theta_min_observed: np.ndarray
+    theta_max_observed: np.ndarray
+    sweep_ok: np.ndarray
+    violations: tuple[BoundViolationError, ...]
 
 
 def _worker_count() -> int:
@@ -226,40 +228,37 @@ def _worker_count() -> int:
 
 def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     """[0, total) cut into ``parts`` consecutive (start, stop) spans, as even as can be."""
-    edges = [total * i // parts for i in range(parts + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
-def _fold_extremes(thetas: np.ndarray, rho: np.ndarray,
-                   work: np.ndarray, tile_size: int) -> tuple[list, list]:
+def _fold_extremes(thetas: np.ndarray, rho: np.ndarray, work: np.ndarray,
+                   tile_size: int, low: np.ndarray, high: np.ndarray) -> None:
     """Per row of thetas (rows, n), the minimum and the maximum of boost_fold
-    over a block's rotors rho.  Rows are folded in tiles of at most tile_size
-    complex elements (one row at least), which with _TILE keeps each fold
-    call long enough to leave the GIL to the other threads; ``work``, if
-    given, holds a tile's a, b and q."""
+    over a block's rotors rho, written into the caller's rows low and high.
+    Rows are folded in tiles of at most tile_size complex elements (one row
+    at least), which with _TILE keeps each fold call long enough to leave
+    the GIL to the other threads; ``work``, if given, holds a tile's a, b
+    and q."""
     rows = len(thetas)
     step = max(1, tile_size // rho.shape[1])
-    low, high = np.empty((2, rows))
     for r0, r1 in _spans(rows, -(-rows // step)):
         observed = boost_fold(thetas[r0:r1], rho, work)
         observed.min(axis=1, out=low[r0:r1])
         observed.max(axis=1, out=high[r0:r1])
-    return low.tolist(), high.tolist()
 
 
-def _run_units(units: list, workers: int, make_worker) -> list:
-    """Each unit's result, in unit order, computed by ``workers`` threads, the
-    calling thread among them.  ``make_worker()`` gives each thread its
-    function of a unit (and so its own scratch).  A failure stops the other
-    threads after their current unit and is raised here.  No name the
-    benchmark's tracer wraps runs on these threads.  The calling thread
+def _run_units(units: list, workers: int, make_worker) -> None:
+    """Run every unit once on ``workers`` threads, the calling thread among
+    them; a unit's result is what it writes.  ``make_worker()`` gives each
+    thread its function of a unit (and so its own scratch).  A failure stops
+    the other threads after their current unit and is raised here.  No name
+    the benchmark's tracer wraps runs on these threads.  The calling thread
     works too: a concurrent.futures pool, whose caller only waits, was
     measured slower on both sweep workloads."""
     import threading
 
-    results: list = [None] * len(units)
     failures: list[BaseException] = []
-    pending = iter(range(len(units)))
+    pending = iter(units)
     lock = threading.Lock()
 
     def work() -> None:
@@ -267,10 +266,10 @@ def _run_units(units: list, workers: int, make_worker) -> list:
             run = make_worker()
             while not failures:
                 with lock:
-                    i = next(pending, None)
-                if i is None:
+                    unit = next(pending, None)
+                if unit is None:
                     return
-                results[i] = run(units[i])
+                run(unit)
         except BaseException as exc:
             failures.append(exc)
 
@@ -283,43 +282,37 @@ def _run_units(units: list, workers: int, make_worker) -> list:
         helper.join()
     if failures:
         raise failures[0]
-    return results
 
 
-def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[RowSweep]:
-    """random_phase_sweep of every row of the caller's BoundsColumns.
+def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> RowSweep:
+    """random_phase_sweep of every row of the caller's BoundsColumns, as columns.
 
     Row j's extremes are bit-identical to random_phase_sweep(
     RapiditySequence(bounds.thetas[j]))'s.  The edges are the columns'
-    [B_n, S_n].  A row escaping them by more than CONTAINMENT_BAND keeps
-    its BoundViolationError (first escaping block) and no later block
-    counts for it; other rows go on.
+    [B_n, S_n].  A row escaping them by more than CONTAINMENT_BAND gets its
+    BoundViolationError (first escaping block, whose extremes it names) and
+    NaN extremes; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
     sliced only when the sweep is one block.  Each unit draws its whole
     block through _block_angles, so a one-block sweep draws its block once
     per slice.  Each thread folds tiles of at most _TILE elements in a
-    scratch of its own, one thread as any other.  The extremes are reduced
-    here in (block, row) order, which picks the first escaping block, so
-    none of this shows in the result.
+    scratch of its own and writes its rows' extremes into its block's row of
+    (blocks, rows) arrays, reduced here in passes over the block axis; the
+    first escaping block is the first True of the escape mask.
     """
     thetas, n = bounds.thetas, bounds.thetas.shape[1]
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    edges = list(zip(bounds.b_n.tolist(), bounds.s_n.tolist()))
-    rows = len(edges)
-    if not rows:
-        return []
-    low, high = [math.inf] * rows, [-math.inf] * rows
-    violations: list[BoundViolationError | None] = [None] * rows
-
+    rows = len(thetas)
     blocks = list(_blocks(samples))
+    low, high = np.empty((2, len(blocks), rows))
+
     workers = _worker_count()
-    slices = _spans(rows, min(rows, workers)) if len(blocks) == 1 else [(0, rows)]
+    slices = _spans(rows, min(rows, workers if len(blocks) == 1 else 1))
     units = [(block, count, first, stop) for block, count in blocks for first, stop in slices]
-    threads = min(workers, len(units))
     width = min(samples, _BLOCK)
 
     def make_worker():
@@ -328,26 +321,25 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> list[
         def run(unit):
             block, count, first, stop = unit
             rho = _quarter_rotors(_block_angles(seed, block, count, n))
-            return _fold_extremes(thetas[first:stop], rho, work, _TILE)
+            _fold_extremes(thetas[first:stop], rho, work, _TILE,
+                           low[block, first:stop], high[block, first:stop])
 
         return run
 
-    results = _run_units(units, threads, make_worker)
-    for (block, _, first, _), extremes in zip(units, results):
-        for j, worst_low, worst_high in zip(range(first, rows), *extremes):
-            if violations[j] is not None:
-                continue
-            b, s = edges[j]
-            if worst_low < b - CONTAINMENT_BAND or worst_high > s + CONTAINMENT_BAND:
-                violations[j] = BoundViolationError(
-                    f"sampled rapidity escaped [{b}, {s}] (band {CONTAINMENT_BAND}): "
-                    f"observed [{worst_low}, {worst_high}] in block {block}"
-                )
-                low[j] = high[j] = math.nan
-                continue
-            low[j], high[j] = min(low[j], worst_low), max(high[j], worst_high)
-
-    return [RowSweep(*fields) for fields in zip(low, high, violations)]
+    _run_units(units, min(workers, len(units)), make_worker)
+    escaped = (low < bounds.b_n - CONTAINMENT_BAND) | (high > bounds.s_n + CONTAINMENT_BAND)
+    ok = ~escaped.any(axis=0)
+    bad = np.flatnonzero(~ok)
+    first_escape = escaped[:, bad].argmax(axis=0)
+    theta_min, theta_max = low.min(axis=0), high.max(axis=0)
+    theta_min[bad] = theta_max[bad] = math.nan
+    violations = tuple(
+        BoundViolationError(f"sampled rapidity escaped [{b}, {s}] (band {CONTAINMENT_BAND}): "
+                            f"observed [{lo}, {hi}] in block {block}")
+        for b, s, lo, hi, block in zip(bounds.b_n[bad].tolist(), bounds.s_n[bad].tolist(),
+                                       low[first_escape, bad].tolist(),
+                                       high[first_escape, bad].tolist(), first_escape.tolist()))
+    return RowSweep(theta_min, theta_max, ok, violations)
 
 
 def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepResult:
@@ -364,10 +356,10 @@ def random_phase_sweep(seq: RapiditySequence, samples: int, seed: int) -> SweepR
     sampling contract).
     """
     thetas = np.array([seq.thetas])
-    (row,) = random_phase_sweeps(BoundsColumns(thetas), samples, seed)
-    if row.violation is not None:
-        raise row.violation
-    extremes = (row.theta_min_observed, row.theta_max_observed)
+    sweep = random_phase_sweeps(BoundsColumns(thetas), samples, seed)
+    if sweep.violations:
+        raise sweep.violations[0]
+    extremes = (float(sweep.theta_min_observed[0]), float(sweep.theta_max_observed[0]))
     found: list[PhaseAssignment | None] = [None, None]
     for block, count in _blocks(samples):
         h = _block_angles(seed, block, count, len(seq))

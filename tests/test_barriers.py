@@ -29,7 +29,7 @@ from compound_barriers import (
 )
 from compound_barriers import barriers
 from compound_barriers.barriers import origin_arrays
-from compound_barriers.scenario import load_scenario
+from compound_barriers.scenario import Scenario, load_scenario
 from compound_barriers.transfer import translate
 from oracles import ode_transmission, pieces_for, slab_profile_two_branch
 
@@ -132,6 +132,27 @@ class TestValidation:
             WaveContext(0.0)
         with pytest.raises(DomainError):
             WaveContext(-1.0)
+
+    @pytest.mark.parametrize("k", [-1.0, np.float64(-1.0), -0.0, np.float64(-0.0), math.nan],
+                             ids=["float", "numpy", "-0.0", "numpy-0.0", "nan"])
+    def test_refused_wavenumber_is_named_as_a_plain_float(self, k):
+        # one rule (barriers.check_wavenumbers) behind the scenario and the
+        # build, and a numpy scalar is named as the float it holds
+        specs = (Delta(strength=1.0, position=0.0),)
+        got = f"must be finite and > 0, got {float(k)!r}"
+        for call, what in [(lambda: Scenario(barriers=specs, k_values=(0.5, k, -3.0)),
+                            "wavenumbers"),
+                           (lambda: origin_arrays(specs, [0.5, k, -3.0]), "wavenumbers"),
+                           (lambda: scenario_arrays(specs, [0.5, k, -3.0]), "wavenumbers"),
+                           (lambda: WaveContext(k), "wavenumber")]:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == f"{what} {got}"
+
+    @pytest.mark.parametrize("k", ["1.0", None])
+    def test_wavenumber_that_is_no_number_stays_a_type_error(self, k):
+        with pytest.raises(TypeError):
+            Scenario(barriers=(Delta(strength=1.0, position=0.0),), k_values=(0.5, k))
 
     @pytest.mark.parametrize("spec, k", [
         (Rectangular(height=2.0, width=1.0), 1e300),

@@ -517,14 +517,19 @@ class TestCli:
 
     def test_violation_exit_code_in_production_mode(self, tmp_path, monkeypatch, capsys):
         def violated(bounds, samples, seed):
-            return [RowSweep(math.nan, math.nan, BoundViolationError("injected violation"))]
+            return RowSweep(np.array([math.nan]), np.array([math.nan]), np.array([False]),
+                            (BoundViolationError("injected violation"),))
 
         monkeypatch.setattr(compound_barriers.cli, "random_phase_sweeps", violated)
         path = tmp_path / "case.scn"
         path.write_text(PRODUCTION)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
-        _, header, body = read_csv(capsys.readouterr().out)
-        assert dict(zip(header, body[0]))["sweep_ok"] == "false"
+        captured = capsys.readouterr()
+        assert captured.err == "compound-barriers: check failed: injected violation\n"
+        _, header, body = read_csv(captured.out)
+        row = dict(zip(header, body[0]))
+        assert row["sweep_ok"] == "false"
+        assert row["theta_min_observed"] == row["theta_max_observed"] == "nan"
 
     def test_violating_row_stays_in_its_own_row(self, tmp_path, monkeypatch, capsys):
         # shrink S_n of the middle wavenumber only: that row, and no other,

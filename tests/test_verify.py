@@ -477,12 +477,37 @@ class TestRandomPhaseSweeps:
         rows = np.random.default_rng(n).uniform(0.0, 3.0, (24, n))
         for samples in (1, 4097, 10_000):
             batch = random_phase_sweeps(BoundsColumns(rows), samples, 41)
-            assert len(batch) == len(rows)
-            for row, got in zip(rows, batch):
+            assert_columns(batch, len(rows))
+            assert batch.sweep_ok.all() and batch.violations == ()
+            for row, low, high in zip(rows, batch.theta_min_observed.tolist(),
+                                      batch.theta_max_observed.tolist()):
                 one = random_phase_sweep(seq(*row), samples, 41)
-                assert got.violation is None
-                assert got.theta_min_observed == one.theta_min_observed, samples
-                assert got.theta_max_observed == one.theta_max_observed, samples
+                assert low.hex() == one.theta_min_observed.hex(), samples
+                assert high.hex() == one.theta_max_observed.hex(), samples
+
+    @pytest.mark.parametrize("samples", [2000, 3 * 4096], ids=["one-block", "three-blocks"])
+    def test_no_rows_give_empty_columns(self, monkeypatch, samples):
+        # no unit, so nothing is drawn, on any number of threads
+        drawn = []
+        monkeypatch.setattr(compound_barriers.verify, "_block_angles",
+                            lambda *args: drawn.append(args))
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            sweep = random_phase_sweeps(BoundsColumns(np.empty((0, 5))), samples, 3)
+            assert_columns(sweep, 0)
+            assert sweep.violations == ()
+        assert drawn == []
+
+    def test_one_row_of_one_barrier_at_one_sample(self, monkeypatch):
+        one = random_phase_sweep(seq(1.3), 1, 9)
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            sweep = random_phase_sweeps(BoundsColumns([[1.3]]), 1, 9)
+            assert_columns(sweep, 1)
+            want = np.array([[one.theta_min_observed], [one.theta_max_observed]])
+            assert sweep.theta_min_observed.tobytes() == want[0].tobytes()
+            assert sweep.theta_max_observed.tobytes() == want[1].tobytes()
+            assert sweep.sweep_ok.tolist() == [True] and sweep.violations == ()
 
     def test_violation_stays_in_its_own_row(self, monkeypatch):
         rows = np.random.default_rng(3).uniform(0.2, 2.0, (5, 4))
@@ -497,11 +522,13 @@ class TestRandomPhaseSweeps:
         monkeypatch.setattr(compound_barriers.verify, "BoundsColumns", lambda thetas: alone)
         with pytest.raises(BoundViolationError) as one:
             random_phase_sweep(seq(*rows[2]), samples, seed)
-        assert str(batch[2].violation) == str(one.value)
+        (violation,) = batch.violations
+        assert str(violation) == str(one.value)
         assert "in block" in str(one.value)
-        assert math.isnan(batch[2].theta_min_observed)
-        assert math.isnan(batch[2].theta_max_observed)
-        assert batch[:2] + batch[3:] == clean[:2] + clean[3:]
+        assert math.isnan(batch.theta_min_observed[2])
+        assert math.isnan(batch.theta_max_observed[2])
+        assert batch.sweep_ok.tolist() == [True, True, False, True, True]
+        assert other_rows(batch, [2]) == other_rows(clean, [2])
 
 
 def block_extremes(thetas, samples, seed):
@@ -517,9 +544,25 @@ def block_extremes(thetas, samples, seed):
     return out
 
 
-def sweep_key(sweeps):
-    return [(s.theta_min_observed.hex(), s.theta_max_observed.hex(), str(s.violation))
-            for s in sweeps]
+def sweep_key(sweep):
+    """The sweep's columns as bytes and its violations as text: equal keys
+    are equal bits."""
+    return (sweep.theta_min_observed.tobytes(), sweep.theta_max_observed.tobytes(),
+            sweep.sweep_ok.tobytes(), [str(violation) for violation in sweep.violations])
+
+
+def other_rows(sweep, skipped):
+    """The columns of every row but the skipped ones, as bytes."""
+    return [np.delete(column, skipped).tobytes()
+            for column in (sweep.theta_min_observed, sweep.theta_max_observed, sweep.sweep_ok)]
+
+
+def assert_columns(sweep, rows):
+    """The sweep's columns are one float or bool array entry per row."""
+    assert sweep.theta_min_observed.dtype == sweep.theta_max_observed.dtype == np.float64
+    assert sweep.sweep_ok.dtype == bool
+    assert (sweep.theta_min_observed.shape == sweep.theta_max_observed.shape
+            == sweep.sweep_ok.shape == (rows,))
 
 
 def reduced_gauge(seed, samples, n, block, index):
@@ -576,12 +619,15 @@ class TestSweepSchedule:
         seen = {}
         for workers in (1, 2, 4):
             monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
-            seen[workers] = sweep_key(random_phase_sweeps(BoundsColumns(thetas), samples, 17))
-        assert seen[1] == seen[2] == seen[4]
-        for row, (lo, hi, _) in zip(thetas, seen[1]):
+            seen[workers] = random_phase_sweeps(BoundsColumns(thetas), samples, 17)
+        assert sweep_key(seen[1]) == sweep_key(seen[2]) == sweep_key(seen[4])
+        assert_columns(seen[1], rows)
+        assert seen[1].sweep_ok.all() and seen[1].violations == ()
+        for row, lo, hi in zip(thetas, seen[1].theta_min_observed.tolist(),
+                               seen[1].theta_max_observed.tolist()):
             per_block = block_extremes(row, samples, 17)
-            assert lo == min(b[0] for b in per_block).hex()
-            assert hi == max(b[2] for b in per_block).hex()
+            assert lo.hex() == min(b[0] for b in per_block).hex()
+            assert hi.hex() == max(b[2] for b in per_block).hex()
 
     @SCHEDULE_CASES
     def test_rows_do_not_depend_on_the_tile_size(self, monkeypatch, rows, n, samples):
@@ -598,18 +644,23 @@ class TestSweepSchedule:
         # one barrier: every sample of every block composes to theta exactly
         for workers in (1, 2, 4):
             monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
-            for sweep in random_phase_sweeps(BoundsColumns([[2.5], [0.0]]), 3 * 4096, 5):
-                assert sweep.theta_min_observed == sweep.theta_max_observed
-                assert sweep.violation is None
+            sweep = random_phase_sweeps(BoundsColumns([[2.5], [0.0]]), 3 * 4096, 5)
+            assert sweep.theta_min_observed.tobytes() == sweep.theta_max_observed.tobytes()
+            assert sweep.sweep_ok.tolist() == [True, True] and sweep.violations == ()
 
     def test_ties_within_a_block_go_to_the_first(self):
-        # rotors all 1: every sample of each row is the same; tiles of one row and of several
+        # rotors all 1: every sample of each row is the same; tiles of one row
+        # and of several, written into one block's row of (blocks, rows)
+        # arrays as the sweep's units write them, and nowhere else
         thetas = np.random.default_rng(2).uniform(0.0, 2.0, (5, 4))
         rho = np.ones((3, 8), complex)
         work = np.empty(3 * 5 * 8, complex)
         for tile_size in (8, 16):
-            low, high = _fold_extremes(thetas, rho, work, tile_size)
-            assert low == high
+            low, high = np.full((2, 3, 5), np.nan)
+            assert _fold_extremes(thetas, rho, work, tile_size, low[1], high[1]) is None
+            assert low[1].tobytes() == high[1].tobytes()
+            assert not np.isnan(low[1]).any()
+            assert np.isnan(low[[0, 2]]).all() and np.isnan(high[[0, 2]]).all()
 
     @pytest.mark.parametrize("workers, samples, draws", [
         (1, 2 * 4096 + 5, [(0, 4096), (1, 4096), (2, 5)]),
@@ -642,28 +693,56 @@ class TestSweepSchedule:
         for workers in (1, 2, 4):
             monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
             batch = random_phase_sweeps(shrunk, samples, seed)
-            assert str(batch[j].violation).endswith("in block 3")
-            assert math.isnan(batch[j].theta_min_observed)
-            assert math.isnan(batch[j].theta_max_observed)
-            assert batch[:j] + batch[j + 1:] == clean[:j] + clean[j + 1:]
+            (violation,) = batch.violations
+            assert str(violation).endswith("in block 3")
+            assert math.isnan(batch.theta_min_observed[j])
+            assert math.isnan(batch.theta_max_observed[j])
+            assert batch.sweep_ok.tolist() == [row != j for row in range(len(rows))]
+            assert other_rows(batch, [j]) == other_rows(clean, [j])
+
+    def test_violations_in_a_row_sliced_block(self, monkeypatch):
+        # chain-verify's layout: one block, its rows sliced between threads
+        # that write different rows of the block's extremes.  One row per
+        # four-thread slice escapes: each reports block 0, the only block,
+        # with the extremes the clean sweep found there, and no other row moves
+        rows = np.random.default_rng(40).uniform(0.0, 3.0, (40, 20))
+        samples, seed, shrunk_rows = 2000, 12, [3, 17, 22, 38]
+        clean = random_phase_sweeps(BoundsColumns(rows), samples, seed)
+        assert_columns(clean, 40)
+        assert clean.sweep_ok.all()
+        shrunk = BoundsColumns(rows)
+        shrunk.s_n[shrunk_rows] = clean.theta_max_observed[shrunk_rows] - 1e-3
+        expected = [f"sampled rapidity escaped [{shrunk.b_n[j].item()}, {shrunk.s_n[j].item()}] "
+                    f"(band {CONTAINMENT_BAND}): observed [{clean.theta_min_observed[j].item()}, "
+                    f"{clean.theta_max_observed[j].item()}] in block 0" for j in shrunk_rows]
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(compound_barriers.verify, "_worker_count", lambda: workers)
+            batch = random_phase_sweeps(shrunk, samples, seed)
+            assert [str(violation) for violation in batch.violations] == expected
+            assert np.isnan(batch.theta_min_observed[shrunk_rows]).all()
+            assert np.isnan(batch.theta_max_observed[shrunk_rows]).all()
+            assert np.flatnonzero(~batch.sweep_ok).tolist() == shrunk_rows
+            assert other_rows(batch, shrunk_rows) == other_rows(clean, shrunk_rows)
 
 
 class TestRunUnits:
-    """The thread pool under the sweep: every unit once, results in unit order."""
+    """The thread pool under the sweep: every unit exactly once, no result gathered."""
 
     def test_more_threads_than_cores_with_fast_switching(self):
+        # every unit runs exactly once, on 1 to 8 threads
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             before = threading.active_count()
-            done = []
+            for workers in range(1, 9):
+                done = []
 
-            def make_worker():
-                return lambda unit: (done.append(unit), unit * unit)[-1]
+                def make_worker():
+                    return done.append
 
-            assert _run_units(list(range(500)), 8, make_worker) == [u * u for u in range(500)]
-            assert sorted(done) == list(range(500))
-            assert threading.active_count() == before
+                assert _run_units(list(range(500)), workers, make_worker) is None
+                assert sorted(done) == list(range(500)), workers
+                assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
 
