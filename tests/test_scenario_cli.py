@@ -22,6 +22,7 @@ import compound_barriers.cli
 import compound_barriers.verify
 from compound_barriers import (
     BoundsColumns,
+    CompoundBarrierError,
     Delta,
     DomainError,
     OverlapError,
@@ -242,6 +243,259 @@ class TestParsing:
             text = (SCENARIO_DIR / name).read_text()
             s = parse_scenario(text, source=name)
             assert s.analyses
+
+
+# What the reader makes of each text: the exception's type, str, .line and
+# .field, or the Scenario it returns.  One case per refusal that
+# parse_scenario, its barrier, sweep and integer readers and
+# Scenario.__post_init__ can raise, and the order among them: the lines are
+# read top to bottom (a bad barrier line before an unknown key above it), a
+# barrier's key=value tokens before its kind, its parameters in field order,
+# the class's own refusal before extra parameters, the known keys in the
+# order mode, analyses, k, seed, samples whatever their lines, then Scenario.
+K = "k = 1.0\n"
+D = "barrier delta position=0 strength=1\n"
+READER_REFUSALS = [
+    (K + 'not a statement\n',
+     (ParseError, "expected 'key = value', got 'not a statement' (line 2)", 2, None)),
+    (K + ' = 2\n',
+     (ParseError, "expected 'key = value', got '= 2' (line 2)", 2, None)),
+    (K + 'k = 2.0\n' + D,
+     (ParseError, "duplicate key 'k' (first on line 1) (line 2, field 'k')", 2, 'k')),
+    ('seed = 1\nk = 1.0\nseed = 2\nseed = 3\n' + D,
+     (ParseError, "duplicate key 'seed' (first on line 1) (line 3, field 'seed')", 3, 'seed')),
+    (K + 'wavenumber = 1.0\n' + D,
+     (ParseError, "unknown key 'wavenumber' (line 2, field 'wavenumber')", 2, 'wavenumber')),
+    (K + 'wavenumber = 1.0\nbarrier delta position=0\n',
+     (ParseError, "delta barrier needs strength=... (line 3, field 'strength')", 3, 'strength')),
+    (K + 'color = red\ncolor = blue\n' + D,
+     (ParseError, "duplicate key 'color' (first on line 2) (line 3, field 'color')", 3, 'color')),
+    (K + 'analyses = ,\n' + D,
+     (ParseError, "analyses needs at least one name (line 2, field 'analyses')", 2, 'analyses')),
+    (K + 'analyses = bounds, plot\n' + D,
+     (DomainError,
+      "unknown analysis 'plot', expected one of ('bounds', 'sweep', 'verify', 'resonance')",
+      None, None)),
+    ('mode = Production\nepisode n=1\n',
+     (DomainError,
+      "mode must be one of ('scattering', 'production'), got 'Production'",
+      None, None)),
+    ('k = 1:2\n' + D,
+     (ParseError, "sweep must be start:stop:steps (line 1, field 'k')", 1, 'k')),
+    ('k = 1:2:3:4\n' + D,
+     (ParseError, "sweep must be start:stop:steps (line 1, field 'k')", 1, 'k')),
+    ('k = a:2:3\n' + D,
+     (ParseError, "expected a number, got 'a' (line 1, field 'k')", 1, 'k')),
+    ('k = 1:inf:3\n' + D,
+     (ParseError, "expected a finite number, got 'inf' (line 1, field 'k')", 1, 'k')),
+    ('k = 1:2:x\n' + D,
+     (ParseError, "expected an integer, got 'x' (line 1, field 'k')", 1, 'k')),
+    ('k = 1:2:1.5\n' + D,
+     (ParseError, "expected an integer, got '1.5' (line 1, field 'k')", 1, 'k')),
+    ('k = 1:2:0\n' + D,
+     (ParseError, "sweep needs steps >= 1, got 0 (line 1, field 'k')", 1, 'k')),
+    ('k = 1:2:-3\n' + D,
+     (ParseError, "sweep needs steps >= 1, got -3 (line 1, field 'k')", 1, 'k')),
+    ('k = ,\n' + D,
+     (ParseError, "k needs at least one value (line 1, field 'k')", 1, 'k')),
+    ('k = 0.5 one\n' + D,
+     (ParseError, "expected a number, got 'one' (line 1, field 'k')", 1, 'k')),
+    ('k = 0.5 nan\n' + D,
+     (ParseError, "expected a finite number, got 'nan' (line 1, field 'k')", 1, 'k')),
+    ('k = 0.5 -1.0\n' + D,
+     (DomainError, 'wavenumbers must be finite and > 0, got -1.0', None, None)),
+    ('k = 0:1:3\n' + D,
+     (DomainError, 'wavenumbers must be finite and > 0, got 0.0', None, None)),
+    ('k = 1e308:-1e308:3\n' + D,
+     (DomainError, 'wavenumbers must be finite and > 0, got nan', None, None)),
+    (K + 'seed = x\n' + D,
+     (ParseError, "expected an integer, got 'x' (line 2, field 'seed')", 2, 'seed')),
+    (K + 'seed = 7.0\n' + D,
+     (ParseError, "expected an integer, got '7.0' (line 2, field 'seed')", 2, 'seed')),
+    (K + 'seed = -1\n' + D,
+     (ParseError, "seed must be >= 0, got -1 (line 2, field 'seed')", 2, 'seed')),
+    (K + 'samples = 1e4\n' + D,
+     (ParseError, "expected an integer, got '1e4' (line 2, field 'samples')", 2, 'samples')),
+    (K + 'samples = 0\n' + D,
+     (ParseError, "samples must be >= 1, got 0 (line 2, field 'samples')", 2, 'samples')),
+    (K + 'samples = -5\n' + D,
+     (ParseError, "samples must be >= 1, got -5 (line 2, field 'samples')", 2, 'samples')),
+    ('samples = 0\nseed = -1\nk = 1:2:0\nanalyses = ,\n' + D,
+     (ParseError, "analyses needs at least one name (line 4, field 'analyses')", 4, 'analyses')),
+    ('samples = 0\nseed = -1\nk = 1:2:0\n' + D,
+     (ParseError, "sweep needs steps >= 1, got 0 (line 3, field 'k')", 3, 'k')),
+    ('samples = 0\nseed = -1\n' + D,
+     (ParseError, "seed must be >= 0, got -1 (line 2, field 'seed')", 2, 'seed')),
+    ('samples = x\nmode = nonsense\n' + D,
+     (ParseError, "expected an integer, got 'x' (line 1, field 'samples')", 1, 'samples')),
+    (K + 'barrier\n',
+     (ParseError, 'barrier line needs a kind (rect, delta or slab) (line 2)', 2, None)),
+    (K + 'barrier gaussian position=0 sigma=1\n',
+     (ParseError, "unknown barrier kind 'gaussian' (line 2)", 2, None)),
+    (K + 'barrier gaussian sigma\n',
+     (ParseError, "expected key=value, got 'sigma' (line 2)", 2, None)),
+    (K + 'barrier gaussian a=1 a=2\n',
+     (ParseError, "duplicate parameter 'a' (line 2, field 'a')", 2, 'a')),
+    (K + 'barrier rect position=0 height=1 =2\n',
+     (ParseError, "expected key=value, got '=2' (line 2)", 2, None)),
+    (K + 'barrier rect position=0 height= width=1\n',
+     (ParseError, "expected key=value, got 'height=' (line 2)", 2, None)),
+    (K + 'barrier rect position=0 height=1 height=2 width=1\n',
+     (ParseError, "duplicate parameter 'height' (line 2, field 'height')", 2, 'height')),
+    (K + 'barrier rect\n',
+     (ParseError, "rect barrier needs height=... (line 2, field 'height')", 2, 'height')),
+    (K + 'barrier rect position=0 width=1\n',
+     (ParseError, "rect barrier needs height=... (line 2, field 'height')", 2, 'height')),
+    (K + 'barrier rect position=0 height=1\n',
+     (ParseError, "rect barrier needs width=... (line 2, field 'width')", 2, 'width')),
+    (K + 'barrier rect height=1 width=1\n',
+     (ParseError, "rect barrier needs position=... (line 2, field 'position')", 2, 'position')),
+    (K + 'barrier rect position=0 height=tall\n',
+     (ParseError, "expected a number, got 'tall' (line 2, field 'height')", 2, 'height')),
+    (K + 'barrier rect position=0 height=1 width=wide\n',
+     (ParseError, "expected a number, got 'wide' (line 2, field 'width')", 2, 'width')),
+    (K + 'barrier rect position=x height=1 width=1\n',
+     (ParseError, "expected a number, got 'x' (line 2, field 'position')", 2, 'position')),
+    (K + 'barrier rect position=0 height=nan width=1\n',
+     (ParseError, "expected a finite number, got 'nan' (line 2, field 'height')", 2, 'height')),
+    (K + 'barrier rect position=0 height=1 width=-inf\n',
+     (ParseError, "expected a finite number, got '-inf' (line 2, field 'width')", 2, 'width')),
+    (K + 'barrier rect position=0 height=1 width=0\n',
+     (ParseError, 'barrier width must be > 0, got 0.0 (line 2)', 2, None)),
+    (K + 'barrier rect position=0 height=1 width=-1 extra=2\n',
+     (ParseError, 'barrier width must be > 0, got -1.0 (line 2)', 2, None)),
+    (K + 'barrier rect position=0 height=1 width=1 extra=2 more=3\n',
+     (ParseError, "unexpected parameters ['extra', 'more'] for rect (line 2)", 2, None)),
+    (K + 'barrier rect position=0 height=1 width=1 strength=2\n',
+     (ParseError, "unexpected parameters ['strength'] for rect (line 2)", 2, None)),
+    (K + 'barrier delta\n',
+     (ParseError, "delta barrier needs strength=... (line 2, field 'strength')", 2, 'strength')),
+    (K + 'barrier delta strength=1\n',
+     (ParseError, "delta barrier needs position=... (line 2, field 'position')", 2, 'position')),
+    (K + 'barrier delta position=0\n',
+     (ParseError, "delta barrier needs strength=... (line 2, field 'strength')", 2, 'strength')),
+    (K + 'barrier delta position=0 strength=1e999\n',
+     (ParseError,
+      "expected a finite number, got '1e999' (line 2, field 'strength')",
+      2, 'strength')),
+    (K + 'barrier delta position=0 strength=1 height=2\n',
+     (ParseError, "unexpected parameters ['height'] for delta (line 2)", 2, None)),
+    (K + 'barrier slab position=0\n',
+     (ParseError, "slab barrier needs segments=... (line 2, field 'segments')", 2, 'segments')),
+    (K + 'barrier slab segments=2x1\n',
+     (ParseError, "slab barrier needs position=... (line 2, field 'position')", 2, 'position')),
+    (K + 'barrier slab segments=2x1 position=p\n',
+     (ParseError, "expected a number, got 'p' (line 2, field 'position')", 2, 'position')),
+    (K + 'barrier slab position=0 segments=2\n',
+     (ParseError,
+      "segments are height x width pairs like 2.0x0.5, got '2' (line 2, field 'segments')",
+      2, 'segments')),
+    (K + 'barrier slab position=0 segments=2x1;1x1\n',
+     (ParseError, "expected a number, got '1;1x1' (line 2, field 'segments')", 2, 'segments')),
+    (K + 'barrier slab position=0 segments=2x1,\n',
+     (ParseError,
+      "segments are height x width pairs like 2.0x0.5, got '' (line 2, field 'segments')",
+      2, 'segments')),
+    (K + 'barrier slab position=0 segments=2x\n',
+     (ParseError, "expected a number, got '' (line 2, field 'segments')", 2, 'segments')),
+    (K + 'barrier slab position=0 segments=hx1\n',
+     (ParseError, "expected a number, got 'h' (line 2, field 'segments')", 2, 'segments')),
+    (K + 'barrier slab position=0 segments=2xinf\n',
+     (ParseError,
+      "expected a finite number, got 'inf' (line 2, field 'segments')",
+      2, 'segments')),
+    (K + 'barrier slab position=0 segments=1x1,2x-0.5\n',
+     (ParseError, 'slab width must be > 0, got -0.5 (line 2)', 2, None)),
+    (K + 'barrier slab position=0 segments=1x0 width=2\n',
+     (ParseError, 'slab width must be > 0, got 0.0 (line 2)', 2, None)),
+    (K + 'barrier slab position=0 segments=1x1 width=2\n',
+     (ParseError, "unexpected parameters ['width'] for slab (line 2)", 2, None)),
+    (K + 'barrier rect position=0.0 height=1.0 width=2.0\n'
+         'barrier rect position=1.0 height=1.0 width=2.0\n',
+     (OverlapError,
+      'barrier supports [-1.0, 1.0] and [0.0, 2.0] intersect or are not position-sorted',
+      None, None)),
+    (K + 'barrier delta position=1 strength=1\nbarrier rect position=0 height=1 width=2\n',
+     (OverlapError,
+      'barrier supports [-1.0, 1.0] and [1.0, 1.0] intersect or are not position-sorted',
+      None, None)),
+    (K + 'barrier delta position=1 strength=1\nbarrier delta position=1 strength=2\n',
+     (OverlapError,
+      'barrier supports [1.0, 1.0] and [1.0, 1.0] intersect or are not position-sorted',
+      None, None)),
+    (K + 'barrier delta position=1 strength=1\nbarrier rect position=2 height=1 width=x\n',
+     (ParseError, "expected a number, got 'x' (line 3, field 'width')", 3, 'width')),
+    ('barrier delta position=0 strength=1\n',
+     (DomainError, 'scattering scenario needs a wavenumber sweep (k = ...)', None, None)),
+    ('mode = scattering\nk = 1.0\n',
+     (DomainError, 'scattering scenario needs at least one barrier', None, None)),
+    (K + 'barrier delta position=0 strength=1\nepisode n=1\n',
+     (DomainError, 'episode lines are only valid in production mode', None, None)),
+    ('mode = production\n',
+     (DomainError, 'production scenario needs at least one episode', None, None)),
+    ('mode = production\nepisode n=1\n' + D,
+     (DomainError, 'barrier lines are only valid in scattering mode', None, None)),
+    ('mode = production\nanalyses = bounds sweep\nepisode n=1\n',
+     (DomainError, 'sweep analysis needs a spatial model (scattering mode)', None, None)),
+    ('mode = production\nepisode\n',
+     (ParseError, "episode lines are 'episode n=<number>' (line 2)", 2, None)),
+    ('mode = production\nepisode n=1 m=2\n',
+     (ParseError, "episode lines are 'episode n=<number>' (line 2)", 2, None)),
+    ('mode = production\nepisode m=1\n',
+     (ParseError, "episode lines are 'episode n=<number>' (line 2)", 2, None)),
+    ('mode = production\nepisode n\n',
+     (ParseError, "expected key=value, got 'n' (line 2)", 2, None)),
+    ('mode = production\nepisode n=1 n=2\n',
+     (ParseError, "duplicate parameter 'n' (line 2, field 'n')", 2, 'n')),
+    ('mode = production\nepisode n=many\n',
+     (ParseError, "expected a number, got 'many' (line 2, field 'n')", 2, 'n')),
+    ('mode = production\nepisode n=-inf\n',
+     (ParseError, "expected a finite number, got '-inf' (line 2, field 'n')", 2, 'n')),
+    ('mode = production\nepisode n=1\nepisode n=-1\n',
+     (DomainError, 'episode particle numbers must be >= 0, got -1.0', None, None)),
+    ('mode = production\nk = -1\nepisode n=1\n',
+     (DomainError, 'wavenumbers must be finite and > 0, got -1.0', None, None)),
+
+]
+READER_RESULTS = [
+    (K + D, Scenario(barriers=(Delta(strength=1.0, position=0.0),), k_values=(1.0,))),
+    ("analyses = verify, bounds verify  # kept once, in order\n"
+     "k = 2.0 1.0\nseed = 0\nsamples = 1\n"
+     "barrier rect width=1 position=3 height=-2\n"
+     "barrier delta strength=1.5 position=0\n"
+     "barrier slab segments=2x0.5,-1x0.25 position=-3\n",
+     Scenario(barriers=(PiecewiseConstant(segments=((2.0, 0.5), (-1.0, 0.25)), position=-3.0),
+                        Delta(strength=1.5, position=0.0),
+                        Rectangular(height=-2.0, width=1.0, position=3.0)),
+              k_values=(2.0, 1.0), analyses=("verify", "bounds"), seed=0, samples=1)),
+    ("k = 0.5:1.0:1\nseed = +7\n" + D,
+     Scenario(barriers=(Delta(strength=1.0, position=0.0),), k_values=(0.5,), seed=7)),
+    ("mode = production\nsamples = 1_000\nk = 0.5, 1.5\nepisode n=0\nepisode n=2.5\n",
+     Scenario(episodes=(0.0, 2.5), k_values=(0.5, 1.5), mode="production", samples=1000)),
+]
+
+
+def reader_outcome(make):
+    try:
+        return make()
+    except CompoundBarrierError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "field", None)
+
+
+@pytest.mark.parametrize("text, want", READER_REFUSALS + READER_RESULTS)
+def test_reader_outcomes_are_pinned(text, want):
+    got = reader_outcome(lambda: parse_scenario(text))
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_unsorted_barriers_are_refused_by_the_record():
+    # the reader sorts by position, so only a Scenario built directly meets this
+    barriers = (Delta(strength=1.0, position=1.0), Delta(strength=1.0, position=0.0))
+    assert reader_outcome(lambda: Scenario(barriers=barriers, k_values=(1.0,))) == (
+        OverlapError,
+        "barrier supports [1.0, 1.0] and [0.0, 0.0] intersect or are not position-sorted",
+        None, None)
 
 
 class TestCli:
