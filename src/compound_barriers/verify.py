@@ -232,15 +232,14 @@ def _spans(total: int, parts: int) -> list[tuple[int, int]]:
 
 
 def _fold_extremes(thetas: np.ndarray, rho: np.ndarray, work: np.ndarray,
-                   tile_size: int, low: np.ndarray, high: np.ndarray) -> None:
+                   low: np.ndarray, high: np.ndarray) -> None:
     """Per row of thetas (rows, n), the minimum and the maximum of boost_fold
     over a block's rotors rho, written into the caller's rows low and high.
-    Rows are folded in tiles of at most tile_size complex elements (one row
-    at least), which with _TILE keeps each fold call long enough to leave
-    the GIL to the other threads; ``work``, if given, holds a tile's a, b
-    and q."""
+    Rows are folded in tiles of at most _TILE complex elements (one row at
+    least), which keeps each fold call long enough to leave the GIL to the
+    other threads; ``work``, if given, holds a tile's a, b and q."""
     rows = len(thetas)
-    step = max(1, tile_size // rho.shape[1])
+    step = max(1, _TILE // rho.shape[1])
     for r0, r1 in _spans(rows, -(-rows // step)):
         observed = boost_fold(thetas[r0:r1], rho, work)
         observed.min(axis=1, out=low[r0:r1])
@@ -289,9 +288,9 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> RowSw
 
     Row j's extremes are bit-identical to random_phase_sweep(
     RapiditySequence(bounds.thetas[j]))'s.  The edges are the columns'
-    [B_n, S_n].  A row escaping them by more than CONTAINMENT_BAND gets its
-    BoundViolationError (first escaping block, whose extremes it names) and
-    NaN extremes; other rows go on.
+    [B_n, S_n].  A row escaping them by more than CONTAINMENT_BAND, or
+    whose fold gave a NaN, gets its BoundViolationError (first escaping
+    block, whose extremes it names) and NaN extremes; other rows go on.
 
     Units of (block, row slice) run on _worker_count() threads.  Rows are
     sliced only when the sweep is one block.  Each unit draws its whole
@@ -321,13 +320,14 @@ def random_phase_sweeps(bounds: BoundsColumns, samples: int, seed: int) -> RowSw
         def run(unit):
             block, count, first, stop = unit
             rho = _quarter_rotors(_block_angles(seed, block, count, n))
-            _fold_extremes(thetas[first:stop], rho, work, _TILE,
+            _fold_extremes(thetas[first:stop], rho, work,
                            low[block, first:stop], high[block, first:stop])
 
         return run
 
     _run_units(units, min(workers, len(units)), make_worker)
-    escaped = (low < bounds.b_n - CONTAINMENT_BAND) | (high > bounds.s_n + CONTAINMENT_BAND)
+    # "not inside" rather than "outside", so that a NaN extreme escapes
+    escaped = ~((low >= bounds.b_n - CONTAINMENT_BAND) & (high <= bounds.s_n + CONTAINMENT_BAND))
     ok = ~escaped.any(axis=0)
     bad = np.flatnonzero(~ok)
     first_escape = escaped[:, bad].argmax(axis=0)

@@ -36,6 +36,7 @@ from compound_barriers import (
     bounds_report,
     compose,
     parse_scenario,
+    scenario_containment_audit,
     scenario_transfer,
     transfer_of,
 )
@@ -803,6 +804,45 @@ class TestCli:
         captured = capsys.readouterr()
         _, _, body = read_csv(captured.out)
         assert "escaped" in captured.err and "in block 0" in captured.err
+        for j, (before, after) in enumerate(zip(clean, body)):
+            row = dict(zip(header, after))
+            if j == 2:
+                assert row["sweep_ok"] == "false"
+                assert row["theta_min_observed"] == row["theta_max_observed"] == "nan"
+            else:
+                assert after == before
+
+    def test_nan_extreme_fails_by_name(self, tmp_path, monkeypatch, capsys):
+        # one NaN sample in the middle wavenumber's fold: that row is not
+        # inside its edges, so it fails by name like an escaping row, and no
+        # other row moves
+        path = tmp_path / "case.scn"
+        path.write_text(DOUBLE_RECT.replace("0.4:2.2:400", "0.4:2.2:5"))
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 0
+        _, header, clean = read_csv(capsys.readouterr().out)
+        scenario = load_scenario(path)
+        audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
+        bounds = BoundsColumns(audit.bounds.thetas[2:3])
+        real_fold = compound_barriers.verify.boost_fold
+
+        def one_nan(thetas, rho, work=None):
+            observed = real_fold(thetas, rho, work)
+            observed[np.flatnonzero((thetas == bounds.thetas[0]).all(axis=1)), 0] = math.nan
+            return observed
+
+        monkeypatch.setattr(compound_barriers.verify, "boost_fold", one_nan)
+        sweep = compound_barriers.verify.random_phase_sweeps(bounds, 2000, 0)
+        assert sweep.sweep_ok.tolist() == [False]
+        (violation,) = sweep.violations
+        assert isinstance(violation, BoundViolationError)
+        assert str(violation).endswith("in block 0")
+        assert "observed [nan, " in str(violation)
+
+        assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
+        captured = capsys.readouterr()
+        _, _, body = read_csv(captured.out)
+        assert captured.err.startswith("compound-barriers: check failed: sampled rapidity escaped")
+        assert "observed [nan, " in captured.err and captured.err.endswith("in block 0\n")
         for j, (before, after) in enumerate(zip(clean, body)):
             row = dict(zip(header, after))
             if j == 2:

@@ -648,16 +648,17 @@ class TestSweepSchedule:
             assert sweep.theta_min_observed.tobytes() == sweep.theta_max_observed.tobytes()
             assert sweep.sweep_ok.tolist() == [True, True] and sweep.violations == ()
 
-    def test_ties_within_a_block_go_to_the_first(self):
+    def test_ties_within_a_block_go_to_the_first(self, monkeypatch):
         # rotors all 1: every sample of each row is the same; tiles of one row
         # and of several, written into one block's row of (blocks, rows)
         # arrays as the sweep's units write them, and nowhere else
         thetas = np.random.default_rng(2).uniform(0.0, 2.0, (5, 4))
         rho = np.ones((3, 8), complex)
         work = np.empty(3 * 5 * 8, complex)
-        for tile_size in (8, 16):
+        for tile in (8, 16):
+            monkeypatch.setattr(compound_barriers.verify, "_TILE", tile)
             low, high = np.full((2, 3, 5), np.nan)
-            assert _fold_extremes(thetas, rho, work, tile_size, low[1], high[1]) is None
+            assert _fold_extremes(thetas, rho, work, low[1], high[1]) is None
             assert low[1].tobytes() == high[1].tobytes()
             assert not np.isnan(low[1]).any()
             assert np.isnan(low[[0, 2]]).all() and np.isnan(high[[0, 2]]).all()
