@@ -7,7 +7,7 @@ Grammar (one statement per line, ``#`` starts a comment anywhere):
     k = 0.4:2.0:200               # sweep start:stop:steps (inclusive), or
     k = 0.5 1.0 1.5               # an explicit list
     seed = 7                      # optional (>= 0), verify/sweep reproducibility
-    samples = 20000               # optional, random-sweep sample count
+    samples = 20000               # optional (>= 1), random-sweep sample count
 
     barrier rect  position=-2.0 height=2.0 width=1.0
     barrier delta position=3.0  strength=1.5
@@ -20,14 +20,19 @@ particle number and no spatial data (``k`` is then optional):
     episode n=1.0
     episode n=1.0
 
-Barriers are sorted by position on load; overlapping (closed) supports are
-rejected.  All physical checks run at parse time.
+Two tables hold the grammar.  _KINDS names each barrier kind's spec class;
+the kind's parameters are that class's fields, every one required and none
+other allowed, each a number except a slab's segments.  _KEYS names each key's
+Scenario field and reader; a key left out takes Scenario's default.  Barriers
+are sorted by position on load; overlapping (closed) supports are rejected.
+All physical checks run at parse time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +97,14 @@ def _parse_float(text: str, line_no: int, fieldname: str) -> float:
     return value
 
 
-def _parse_int(text: str, line_no: int, fieldname: str) -> int:
+def _parse_int(text: str, line_no: int, fieldname: str, minimum: int | None = None) -> int:
     try:
-        return int(text, 10)
+        value = int(text, 10)
     except ValueError:
         raise ParseError(f"expected an integer, got {text!r}", line_no, fieldname) from None
+    if minimum is not None and value < minimum:
+        raise ParseError(f"{fieldname} must be >= {minimum}, got {value}", line_no, fieldname)
+    return value
 
 
 def _parse_kv_tokens(tokens: list[str], line_no: int) -> dict[str, str]:
@@ -111,10 +119,20 @@ def _parse_kv_tokens(tokens: list[str], line_no: int) -> dict[str, str]:
     return pairs
 
 
-def _take(pairs: dict[str, str], name: str, line_no: int, kind: str) -> str:
-    if name not in pairs:
-        raise ParseError(f"{kind} barrier needs {name}=...", line_no, name)
-    return pairs.pop(name)
+def _parse_segments(text: str, line_no: int, fieldname: str) -> tuple[tuple[float, float], ...]:
+    segments = []
+    for part in text.split(","):
+        h, sep, w = part.partition("x")
+        if not sep:
+            raise ParseError(f"segments are height x width pairs like 2.0x0.5, got {part!r}",
+                             line_no, fieldname)
+        segments.append((_parse_float(h, line_no, fieldname), _parse_float(w, line_no, fieldname)))
+    return tuple(segments)
+
+
+# barrier kind -> spec class; a kind's parameters are the class's fields, all
+# required, read in field order
+_KINDS = {"rect": Rectangular, "delta": Delta, "slab": PiecewiseConstant}
 
 
 def _parse_barrier(tokens: list[str], line_no: int) -> BarrierSpec:
@@ -122,35 +140,17 @@ def _parse_barrier(tokens: list[str], line_no: int) -> BarrierSpec:
         raise ParseError("barrier line needs a kind (rect, delta or slab)", line_no)
     kind = tokens[1]
     pairs = _parse_kv_tokens(tokens[2:], line_no)
+    spec_class = _KINDS.get(kind)
+    if spec_class is None:
+        raise ParseError(f"unknown barrier kind {kind!r}", line_no)
+    params = {}
+    for field in fields(spec_class):
+        if field.name not in pairs:
+            raise ParseError(f"{kind} barrier needs {field.name}=...", line_no, field.name)
+        parse = _parse_segments if field.name == "segments" else _parse_float
+        params[field.name] = parse(pairs.pop(field.name), line_no, field.name)
     try:
-        if kind == "rect":
-            spec = Rectangular(
-                height=_parse_float(_take(pairs, "height", line_no, kind), line_no, "height"),
-                width=_parse_float(_take(pairs, "width", line_no, kind), line_no, "width"),
-                position=_parse_float(_take(pairs, "position", line_no, kind), line_no, "position"),
-            )
-        elif kind == "delta":
-            spec = Delta(
-                strength=_parse_float(_take(pairs, "strength", line_no, kind), line_no, "strength"),
-                position=_parse_float(_take(pairs, "position", line_no, kind), line_no, "position"),
-            )
-        elif kind == "slab":
-            raw = _take(pairs, "segments", line_no, kind)
-            segments = []
-            for part in raw.split(","):
-                h, sep, w = part.partition("x")
-                if not sep:
-                    raise ParseError(
-                        f"segments are height x width pairs like 2.0x0.5, got {part!r}",
-                        line_no, "segments")
-                segments.append((_parse_float(h, line_no, "segments"),
-                                 _parse_float(w, line_no, "segments")))
-            spec = PiecewiseConstant(
-                segments=tuple(segments),
-                position=_parse_float(_take(pairs, "position", line_no, kind), line_no, "position"),
-            )
-        else:
-            raise ParseError(f"unknown barrier kind {kind!r}", line_no)
+        spec = spec_class(**params)
     except DomainError as exc:
         raise ParseError(str(exc), line_no) from None
     if pairs:
@@ -181,6 +181,24 @@ def _parse_sweep(value: str, line_no: int) -> tuple[float, ...]:
     return tuple(_parse_float(item, line_no, "k") for item in items)
 
 
+def _parse_analyses(value: str, line_no: int) -> tuple[str, ...]:
+    analyses = tuple(dict.fromkeys(value.replace(",", " ").split()))
+    if not analyses:
+        raise ParseError("analyses needs at least one name", line_no, "analyses")
+    return analyses
+
+
+# scalar key -> (Scenario field, reader of the value's text and line), read in
+# this order whatever the keys' lines; a key left out takes Scenario's default
+_KEYS = {
+    "mode": ("mode", lambda value, line_no: value),
+    "analyses": ("analyses", _parse_analyses),
+    "k": ("k_values", _parse_sweep),
+    "seed": ("seed", partial(_parse_int, fieldname="seed", minimum=0)),
+    "samples": ("samples", partial(_parse_int, fieldname="samples", minimum=1)),
+}
+
+
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse and fully validate a scenario document."""
     scalars: dict[str, tuple[str, int]] = {}
@@ -208,48 +226,13 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                                  line_no, key)
             scalars[key] = (value, line_no)
 
-    known = {"mode", "analyses", "k", "seed", "samples"}
     for key, (_, line_no) in scalars.items():
-        if key not in known:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line_no, key)
-
-    def scalar(key: str) -> tuple[str, int] | tuple[None, None]:
-        return scalars.get(key, (None, None))
-
-    mode_raw, _ = scalar("mode")
-    mode = mode_raw if mode_raw is not None else "scattering"
-
-    analyses_raw, analyses_line = scalar("analyses")
-    if analyses_raw is None:
-        analyses: tuple[str, ...] = ("bounds",)
-    else:
-        analyses = tuple(dict.fromkeys(analyses_raw.replace(",", " ").split()))
-        if not analyses:
-            raise ParseError("analyses needs at least one name", analyses_line, "analyses")
-
-    k_raw, k_line = scalar("k")
-    k_values = _parse_sweep(k_raw, k_line) if k_raw is not None else ()
-
-    seed_raw, seed_line = scalar("seed")
-    seed = _parse_int(seed_raw, seed_line, "seed") if seed_raw is not None else None
-    if seed is not None and seed < 0:
-        raise ParseError(f"seed must be >= 0, got {seed}", seed_line, "seed")
-
-    samples_raw, samples_line = scalar("samples")
-    samples = _parse_int(samples_raw, samples_line, "samples") if samples_raw is not None else None
-    if samples is not None and samples < 1:
-        raise ParseError(f"samples must be >= 1, got {samples}", samples_line, "samples")
-
-    return Scenario(
-        barriers=tuple(sorted(barriers, key=lambda b: support(b)[0])),
-        episodes=tuple(episodes),
-        k_values=k_values,
-        mode=mode,
-        analyses=analyses,
-        seed=seed,
-        samples=samples,
-        source=source,
-    )
+    settings = {fieldname: parse(*scalars[key])
+                for key, (fieldname, parse) in _KEYS.items() if key in scalars}
+    return Scenario(barriers=tuple(sorted(barriers, key=lambda b: support(b)[0])),
+                    episodes=tuple(episodes), source=source, **settings)
 
 
 def load_scenario(path: str | Path) -> Scenario:
