@@ -131,8 +131,11 @@ def _parse_segments(text: str, line_no: int, fieldname: str) -> tuple[tuple[floa
 
 
 # barrier kind -> spec class; a kind's parameters are the class's fields, all
-# required, read in field order
+# required, read in field order (taken once here: fields() per line costs as
+# much as reading a number)
 _KINDS = {"rect": Rectangular, "delta": Delta, "slab": PiecewiseConstant}
+_PARAMS = {kind: tuple(field.name for field in fields(spec_class))
+           for kind, spec_class in _KINDS.items()}
 
 
 def _parse_barrier(tokens: list[str], line_no: int) -> BarrierSpec:
@@ -140,17 +143,16 @@ def _parse_barrier(tokens: list[str], line_no: int) -> BarrierSpec:
         raise ParseError("barrier line needs a kind (rect, delta or slab)", line_no)
     kind = tokens[1]
     pairs = _parse_kv_tokens(tokens[2:], line_no)
-    spec_class = _KINDS.get(kind)
-    if spec_class is None:
+    if kind not in _KINDS:
         raise ParseError(f"unknown barrier kind {kind!r}", line_no)
-    params = {}
-    for field in fields(spec_class):
-        if field.name not in pairs:
-            raise ParseError(f"{kind} barrier needs {field.name}=...", line_no, field.name)
-        parse = _parse_segments if field.name == "segments" else _parse_float
-        params[field.name] = parse(pairs.pop(field.name), line_no, field.name)
+    values = []
+    for name in _PARAMS[kind]:
+        if name not in pairs:
+            raise ParseError(f"{kind} barrier needs {name}=...", line_no, name)
+        parse = _parse_segments if name == "segments" else _parse_float
+        values.append(parse(pairs.pop(name), line_no, name))
     try:
-        spec = spec_class(**params)
+        spec = _KINDS[kind](*values)
     except DomainError as exc:
         raise ParseError(str(exc), line_no) from None
     if pairs:
