@@ -709,14 +709,17 @@ class TestCli:
 
     def test_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         # a containment violation cannot be produced by correct code, so
-        # the exit-code contract is pinned by injecting one
-        def explode(*args, **kwargs):
-            raise BoundViolationError("injected violation")
+        # the exit-code contract is pinned by injecting one: the sweep
+        # returns it in its RowSweep, as it reports every escape
+        def violated(bounds, samples, seed):
+            return RowSweep(np.array([math.nan]), np.array([math.nan]), np.array([False]),
+                            (BoundViolationError("injected violation"),))
 
-        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweeps", explode)
+        monkeypatch.setattr(compound_barriers.cli, "random_phase_sweeps", violated)
         path = tmp_path / "case.scn"
         path.write_text(MINIMAL)
         assert main(["--scenario", str(path), "--analysis", "verify"]) == 2
+        assert capsys.readouterr().err == "compound-barriers: check failed: injected violation\n"
 
     def test_violation_exit_code_in_production_mode(self, tmp_path, monkeypatch, capsys):
         def violated(bounds, samples, seed):
