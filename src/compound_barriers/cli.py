@@ -14,14 +14,17 @@ from orjson's own digits; repr itself writes only nan and +-inf.  The CLI
 alone imports orjson, so `import compound_barriers` does not load it.
 
 Exit codes: 0 all checks pass, 2 a containment/equivalence check failed, 3
-bad input (an unreadable or invalid scenario, an analysis its mode cannot
-run, an --out that cannot be opened or written; a partial table in a file
-the call created is removed), 141 (128 + SIGPIPE, as a shell reports a
+bad input (an unreadable or invalid scenario,
+an analysis its mode cannot run, a seed below 0 or fewer than 1 sample, an
+--out that cannot be opened or written; a partial table in a file the call
+created is removed), 141 (128 + SIGPIPE, as a shell reports a
 pipeline writer its reader closed) the reader of the table closed it
 early, as `| head` does: writing stops with no message.
 
-``--seed`` and ``--samples`` fall back to the scenario file, then to
-defaults; a seed below 0 or fewer than 1 sample is bad input.
+A run is one Scenario record: the file's, with the analysis picked and
+``--seed`` and ``--samples`` put in where given by dataclasses.replace.  The
+record holds the defaults and the minima, so it refuses a bad flag as it
+refuses a bad file.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import contextlib
 import itertools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +43,7 @@ import orjson
 from . import __version__
 from .barriers import origin_arrays
 from .bounds import BoundsColumns, RapiditySequence, production_guaranteed
-from .errors import BoundViolationError, CompoundBarrierError, DomainError
+from .errors import CompoundBarrierError
 from .scenario import Scenario, load_scenario
 from .verify import (
     GENERATOR_NAME,
@@ -50,8 +53,6 @@ from .verify import (
     scenario_containment_audit,
 )
 
-DEFAULT_SEED = 0
-DEFAULT_SAMPLES = 10_000
 EXIT_BROKEN_PIPE = 141
 _ENVELOPES = ("T_min", "T_upper", "R_low", "R_high", "N_low", "N_high")
 # rows written at once: a block is one float matrix, one orjson dump and one
@@ -83,7 +84,7 @@ def _bounds(scenario: Scenario) -> tuple[np.ndarray, BoundsColumns]:
     return k, BoundsColumns(np.arcsinh(np.abs(beta)))
 
 
-def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
+def run_bounds(scenario: Scenario) -> Table:
     """Envelope table: per-barrier data and the six bounds at each k."""
     if scenario.mode == "production":
         check = production_guaranteed(scenario.episodes)
@@ -105,10 +106,9 @@ def run_bounds(scenario: Scenario, seed: int, samples: int) -> Table:
     return Table(columns, {}, [])
 
 
-def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
-    """Exact compound T/R/N next to the envelopes, with a containment verdict."""
-    if scenario.mode == "production":
-        raise DomainError("sweep analysis needs a spatial model (scattering mode)")
+def run_sweep(scenario: Scenario) -> Table:
+    """Exact compound T/R/N next to the envelopes, with a containment verdict
+    (scattering only: the record refuses a production sweep)."""
     audit = scenario_containment_audit(scenario.barriers, scenario.k_values)
     columns = {"k": audit.k, "T_exact": audit.t_exact,
                "R_exact": audit.r_exact, "N_exact": audit.n_exact}
@@ -125,7 +125,7 @@ def run_sweep(scenario: Scenario, seed: int, samples: int) -> Table:
     return Table(columns, meta, failures)
 
 
-def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
+def run_verify(scenario: Scenario) -> Table:
     """Random-phase sweeps and the B_n recursion audit of every printed row.
 
     For scattering scenarios the exact compound values are audited too.
@@ -149,7 +149,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     }
     if failing:
         failures.append(f"iterative/closed-form equivalence audit failed in rows {failing}")
-    sweep = random_phase_sweeps(bounds, samples, seed)
+    sweep = random_phase_sweeps(bounds, scenario.samples, scenario.seed)
     failures += map(str, sweep.violations)
     columns = {"k": k, "B_n": bounds.b_n, "S_n": bounds.s_n,
                "theta_min_observed": sweep.theta_min_observed,
@@ -158,7 +158,7 @@ def run_verify(scenario: Scenario, seed: int, samples: int) -> Table:
     return Table(columns, meta, failures)
 
 
-def run_resonance(scenario: Scenario, seed: int, samples: int) -> Table:
+def run_resonance(scenario: Scenario) -> Table:
     """Necessary condition for T = 1 (scattering) or the sufficient
     condition for nonzero production (production mode)."""
     if scenario.mode == "production":
@@ -183,11 +183,6 @@ _RUNNERS = {
     "verify": run_verify,
     "resonance": run_resonance,
 }
-
-
-def _resolve(flag: int | None, file_value: int | None, fallback: int) -> int:
-    """The flag, else the scenario file's value, else the default."""
-    return flag if flag is not None else file_value if file_value is not None else fallback
 
 
 def _apart_texts(values: np.ndarray) -> list[str]:
@@ -257,9 +252,9 @@ def _table_columns(table: Table) -> list[np.ndarray]:
     return columns
 
 
-def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
-                 seed: int, samples: int) -> None:
-    """The '#' metadata, then the header and the rows, a block of rows at a time.
+def _write_table(stream, table: Table, scenario: Scenario) -> None:
+    """The '#' metadata of the run's record, then the header and the rows, a
+    block of rows at a time.
 
     No header or field needs CSV quoting: headers are plain identifiers and
     every field is the text repr writes for a float, true/false or '-', none
@@ -273,9 +268,9 @@ def _write_table(stream, table: Table, scenario: Scenario, analysis: str,
         "units": "hbar = 2m = 1, energy E = k^2",
         "scenario": scenario.source,
         "mode": scenario.mode,
-        "analysis": analysis,
-        "seed": seed,
-        "samples": samples,
+        "analysis": scenario.analyses[0],
+        "seed": scenario.seed,
+        "samples": scenario.samples,
         "rng": (f"numpy {GENERATOR_NAME}, block-seeded SeedSequence(seed, spawn_key=(block,)), "
                 f"sampling contract {SAMPLING_CONTRACT}"),
         **table.meta,
@@ -305,11 +300,11 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("--scenario", required=True, help="scenario file path")
 _PARSER.add_argument("--analysis", choices=sorted(_RUNNERS),
                      help="analysis to run (default: the scenario's single listed analysis)")
-_PARSER.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (default: the scenario's, else {DEFAULT_SEED})")
-_PARSER.add_argument("--samples", type=int, default=None,
+_PARSER.add_argument("--seed", type=int,
+                     help=f"RNG seed (default: the scenario's, else {Scenario.seed})")
+_PARSER.add_argument("--samples", type=int,
                      help=f"random-sweep sample count (default: the scenario's, "
-                          f"else {DEFAULT_SAMPLES})")
+                          f"else {Scenario.samples})")
 _PARSER.add_argument("--out", default="-",
                      help="output path, '-' or 'stdout' for standard output")
 
@@ -327,16 +322,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CompoundBarrierError(
                     f"scenario lists analyses {scenario.analyses}; pick one with --analysis"
                 )
-        seed = _resolve(args.seed, scenario.seed, DEFAULT_SEED)
-        samples = _resolve(args.samples, scenario.samples, DEFAULT_SAMPLES)
-        if seed < 0:
-            raise CompoundBarrierError(f"seed must be >= 0, got {seed}")
-        if samples < 1:
-            raise CompoundBarrierError(f"samples must be >= 1, got {samples}")
-        table = _RUNNERS[analysis](scenario, seed, samples)
-    except BoundViolationError as exc:
-        print(f"compound-barriers: containment violation: {exc}", file=sys.stderr)
-        return 2
+        flags = {name: value for name in ("seed", "samples")
+                 if (value := getattr(args, name)) is not None}
+        scenario = replace(scenario, analyses=(analysis,), **flags)
+        table = _RUNNERS[analysis](scenario)
     except (CompoundBarrierError, ValueError, OSError) as exc:
         print(f"compound-barriers: error: {exc}", file=sys.stderr)
         return 3
@@ -349,7 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             out, created = _open_out(args.out)
         with out as stream:
-            _write_table(stream, table, scenario, analysis, seed, samples)
+            _write_table(stream, table, scenario)
             stream.flush()  # stdout too, so that a closed reader shows here
     except BrokenPipeError:
         # not bad input: stop quietly, and point stdout at the null device so

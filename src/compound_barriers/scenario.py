@@ -6,8 +6,8 @@ Grammar (one statement per line, ``#`` starts a comment anywhere):
     analyses = bounds, sweep      # subset of bounds/sweep/verify/resonance
     k = 0.4:2.0:200               # sweep start:stop:steps (inclusive), or
     k = 0.5 1.0 1.5               # an explicit list
-    seed = 7                      # optional (>= 0), verify/sweep reproducibility
-    samples = 20000               # optional (>= 1), random-sweep sample count
+    seed = 7                      # optional (>= 0, default 0), verify reproducibility
+    samples = 20000               # optional (>= 1, default 10000), random-sweep samples
 
     barrier rect  position=-2.0 height=2.0 width=1.0
     barrier delta position=3.0  strength=1.5
@@ -49,18 +49,25 @@ MODES = ("scattering", "production")
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated input record: barriers (or episodes), sweep and analyses."""
+    """Validated input record of a run: barriers (or episodes), sweep,
+    analyses, and the random-phase check's seed (>= 0) and sample count
+    (>= 1).  The CLI's record holds the one analysis it runs and the seed and
+    sample count its flags give."""
 
     barriers: tuple[BarrierSpec, ...] = ()
     episodes: tuple[float, ...] = ()
     k_values: tuple[float, ...] = ()
     mode: str = "scattering"
     analyses: tuple[str, ...] = ("bounds",)
-    seed: int | None = None
-    samples: int | None = None
+    seed: int = 0
+    samples: int = 10_000
     source: str = "<string>"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.samples < 1:
+            raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         for a in self.analyses:

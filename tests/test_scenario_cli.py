@@ -91,7 +91,7 @@ def written_rows(columns: dict) -> list[str]:
     metadata left out."""
     stream = io.StringIO()
     table = compound_barriers.cli.Table(columns, {}, [])
-    compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL), "bounds", 0, 1)
+    compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL))
     lines = stream.getvalue().split("\n")
     assert lines[-1] == ""
     return lines[lines.index(",".join(columns)) + 1:-1]
@@ -445,6 +445,16 @@ def test_unsorted_barriers_are_refused_by_the_record():
         OverlapError,
         "barrier supports [1.0, 1.0] and [0.0, 0.0] intersect or are not position-sorted",
         None, None)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"seed": -3}, "seed must be >= 0, got -3"),
+    ({"samples": 0}, "samples must be >= 1, got 0"),
+], ids=["seed", "samples"])
+def test_seed_and_samples_minima_are_the_records(setting, message):
+    # the record refuses what the reader and the CLI's flags refuse
+    assert reader_outcome(lambda: Scenario(barriers=(Delta(1.0),), k_values=(1.0,),
+                                           **setting)) == (DomainError, message, None, None)
 
 
 class TestCli:
@@ -1126,7 +1136,8 @@ class TestFloats:
         # verify leads with a '-' and ends with a flag and a '-'; resonance
         # has a flag between floats
         scenario = load_scenario(SCENARIO_DIR / "production_pair.scn")
-        table = compound_barriers.cli._RUNNERS[analysis](scenario, 1, 50)
+        table = compound_barriers.cli._RUNNERS[analysis](
+            dataclasses.replace(scenario, seed=1, samples=50, analyses=(analysis,)))
         assert "".join(np.asarray(column).dtype.kind
                        for column in table.columns.values()) == kinds
         assert written_rows(table.columns) == reference_rows(table.columns)
@@ -1168,7 +1179,7 @@ class TestFloats:
         x = np.linspace(0.0, 1.0, rows)
         columns = {"x": x, "flag": np.ones(rows, dtype=bool)}
         compound_barriers.cli._write_table(Stream(), compound_barriers.cli.Table(columns, {}, []),
-                                           parse_scenario(MINIMAL), "bounds", 0, 1)
+                                           parse_scenario(MINIMAL))
         expected = [("write", 1)]
         for start in range(0, rows, 256):
             part = x[start:start + 256]
@@ -1200,13 +1211,14 @@ WRITTEN_TABLES = [(path.name, analysis) for path in sorted(SCENARIO_DIR.glob("*.
 class TestWriter:
     @pytest.mark.parametrize("name, analysis", WRITTEN_TABLES)
     def test_body_is_what_csv_writer_writes(self, name, analysis):
-        scenario = load_scenario(SCENARIO_DIR / name)
-        table = compound_barriers.cli._RUNNERS[analysis](scenario, 1, 500)
+        scenario = dataclasses.replace(load_scenario(SCENARIO_DIR / name), seed=1, samples=500,
+                                       analyses=(analysis,))
+        table = compound_barriers.cli._RUNNERS[analysis](scenario)
         fields = [line[:-1].split(",") for line in rows_repr(list(table.columns.values()))]
         for text in (*table.columns, *(field for row in fields for field in row)):
             assert text and not set(text) & set(',"\r\n'), text  # nothing csv.writer quotes
         written = io.StringIO()
-        compound_barriers.cli._write_table(written, table, scenario, analysis, 1, 500)
+        compound_barriers.cli._write_table(written, table, scenario)
         oracle = io.StringIO()
         writer = csv.writer(oracle, lineterminator="\n")
         writer.writerow(table.columns)
@@ -1233,7 +1245,7 @@ class TestWriter:
         table = compound_barriers.cli.Table({"k": ["1.0", "2.0"], "T_min": ["0.5"],
                                              "contained": ["true", "true"]}, {}, [])
         with pytest.raises(ValueError, match="shorter"):
-            compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+            compound_barriers.cli._write_table(io.StringIO(), table, scenario)
 
     @pytest.mark.parametrize("short", [0, 255, 256, 299])
     def test_ragged_table_writes_nothing(self, short):
@@ -1243,8 +1255,7 @@ class TestWriter:
                                              "contained": np.ones(300, dtype=bool)}, {}, [])
         stream = io.StringIO()
         with pytest.raises(ValueError, match="shorter"):
-            compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL),
-                                               "bounds", 0, 1)
+            compound_barriers.cli._write_table(stream, table, parse_scenario(MINIMAL))
         assert stream.getvalue() == ""
 
     def test_ragged_table_leaves_no_out_file(self, tmp_path, monkeypatch, capsys):
@@ -1325,7 +1336,7 @@ class TestArrayPasses:
         # cells; and the flag column never dumped as null
         def bounds_table(steps):
             scenario = parse_scenario(chain_scenario_text(steps))
-            return scenario, compound_barriers.cli.run_bounds(scenario, 0, 1)
+            return scenario, compound_barriers.cli.run_bounds(scenario)
 
         def apart_blocks(table):
             floats = np.stack([column for column in table.columns.values()
@@ -1343,7 +1354,7 @@ class TestArrayPasses:
             gc.disable()
             sys.setprofile(lambda frame, event, arg: seen.append(event))
             try:
-                compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+                compound_barriers.cli._write_table(io.StringIO(), table, scenario)
             finally:
                 sys.setprofile(None)
                 gc.enable()
@@ -1363,7 +1374,7 @@ class TestArrayPasses:
             (block.shape, dumps(block, *args, **kwargs).count(b"null")))
                             or dumps(block, *args, **kwargs))
         scenario, table = bounds_table(2000)
-        compound_barriers.cli._write_table(io.StringIO(), table, scenario, "bounds", 0, 1)
+        compound_barriers.cli._write_table(io.StringIO(), table, scenario)
         expected = []
         for start, apart in zip(range(0, 2000, 256), apart_blocks(table)):
             rows = min(256, 2000 - start)
