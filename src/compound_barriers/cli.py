@@ -14,7 +14,7 @@ from orjson's own digits; repr itself writes only nan and +-inf.  The CLI
 alone imports orjson, so `import compound_barriers` does not load it.
 
 Exit codes: 0 all checks pass, 2 a containment/equivalence check failed, 3
-bad input (an unreadable or invalid scenario,
+bad input (a flag argparse cannot read, an unreadable or invalid scenario,
 an analysis its mode cannot run, a seed below 0 or fewer than 1 sample, an
 --out that cannot be opened or written; a partial table in a file the call
 created is removed), 141 (128 + SIGPIPE, as a shell reports a
@@ -310,7 +310,10 @@ _PARSER.add_argument("--out", default="-",
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed --help (0) or its usage error (2)
+        return 3 if exc.code else 0
 
     try:
         scenario = load_scenario(args.scenario)

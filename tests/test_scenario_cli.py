@@ -717,6 +717,28 @@ class TestCli:
         assert main(["--scenario", str(path)]) == 3
         assert main(["--scenario", str(path), "--analysis", "bounds"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        *(["--scenario", str(SCENARIO_DIR / "double_rect.scn"), *flags]
+          for flags in (["--seed", "abc"], ["--samples", "1.5"], ["--analysis", "nope"])),
+        ["--analysis", "bounds"],
+    ], ids=["seed", "samples", "analysis", "no-scenario"])
+    def test_usage_errors_are_bad_input(self, argv, capsys):
+        # a flag argparse cannot read, or a missing --scenario, is bad input
+        # (3) after argparse's usage line and message; 2 is a failed check
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: compound-barriers ")
+        assert "\ncompound-barriers: error: " in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: compound-barriers ") and captured.err == ""
+        # the defaults the help names are the record's
+        help_text = " ".join(captured.out.split())
+        assert "else 0)" in help_text and "else 10000)" in help_text
+
     def test_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         # a containment violation cannot be produced by correct code, so
         # the exit-code contract is pinned by injecting one: the sweep
