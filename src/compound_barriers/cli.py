@@ -17,9 +17,9 @@ Exit codes: 0 all checks pass, 2 a containment/equivalence check failed, 3
 bad input (a flag argparse cannot read, an unreadable or invalid scenario,
 an analysis its mode cannot run, a seed below 0 or fewer than 1 sample, an
 --out that cannot be opened or written; a partial table in a file the call
-created is removed), 141 (128 + SIGPIPE, as a shell reports a
-pipeline writer its reader closed) the reader of the table closed it
-early, as `| head` does: writing stops with no message.
+created is removed), 141 (128 + SIGPIPE, as a shell reports a pipeline
+writer its reader closed) the reader of the table closed it early, as
+`| head` does: writing stops with no message.
 
 A run is one Scenario record: the file's, with the analysis picked and
 ``--seed`` and ``--samples`` put in where given by dataclasses.replace.  The

@@ -1159,7 +1159,7 @@ class TestFloats:
         # has a flag between floats
         scenario = load_scenario(SCENARIO_DIR / "production_pair.scn")
         table = compound_barriers.cli._RUNNERS[analysis](
-            dataclasses.replace(scenario, seed=1, samples=50, analyses=(analysis,)))
+            dataclasses.replace(scenario, seed=1, samples=50))
         assert "".join(np.asarray(column).dtype.kind
                        for column in table.columns.values()) == kinds
         assert written_rows(table.columns) == reference_rows(table.columns)
